@@ -79,6 +79,8 @@ class RunConfig:
             raise CliError(f"unknown command {self.command!r}")
         if self.gamma_symbolic and self.command != "verify-algebra":
             raise CliError("--gamma symbolic is only meaningful for verify-algebra")
+        if not math.isfinite(self.gamma):
+            raise CliError("gamma must be finite")
         if self.truncation < 0:
             raise CliError("truncation must be >= 0")
         if not 1 <= self.resolution <= 512:
@@ -87,14 +89,16 @@ class RunConfig:
             raise CliError("theta-steps must be >= 1")
         if not (abs(self.theta_min) < math.pi / 2 and abs(self.theta_max) < math.pi / 2):
             raise CliError("theta range must lie inside (-pi/2, pi/2)")
+        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
+            raise CliError("grid range ends must be finite")
         if self.cutoff < 0 or self.max_index < 0:
             raise CliError("mode cutoffs must be >= 0")
         if not 1 <= self.nodes <= 512:
             raise CliError("nodes must be in [1, 512]")
-        if any(float(h) <= 0 for h in self.hbars):
-            raise CliError("hbar values must be positive")
-        if self.energy <= 0:
-            raise CliError("energy must be positive")
+        if not all(0 < float(h) < math.inf for h in self.hbars):
+            raise CliError("hbar values must be positive and finite")
+        if not 0 < self.energy < math.inf:
+            raise CliError("energy must be positive and finite")
         if self.summand not in ("sum", "diff"):
             raise CliError("summand must be 'sum' or 'diff'")
         if self.product not in ("biorth", "physical"):
@@ -103,8 +107,8 @@ class RunConfig:
             raise CliError("format must be csv or json")
         for p in self.points:
             z = fock.z_from_string(str(p))
-            if z.real >= 0:
-                raise CliError(f"accretivity sample {p!r} must have Re z < 0")
+            if not (-math.inf < z.real < 0 and math.isfinite(z.imag)):
+                raise CliError(f"accretivity sample {p!r} must be finite with Re z < 0")
 
     def as_params(self) -> dict:
         d = asdict(self)

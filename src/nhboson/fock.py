@@ -4,7 +4,8 @@ The two-boson Hamiltonian conserves the occupation difference d = m - n, so
 its matrix in the number basis splits into tridiagonal blocks indexed by
 d in [-N, N] after a permutation.  Everything expensive here (eigenvalues,
 support energies, sigma_min grids) runs block-by-block; blocks with equal
-|d| are identical matrices, so only d >= 0 is ever solved.
+|d| are identical matrices, so only d >= 0 is ever solved.  Dense and CSR
+forms are scattered from the blocks only when a caller asks for them.
 
 sigma_min evaluation uses exact skip bounds so large-d blocks are only
 touched when they can actually lower the minimum:
@@ -19,12 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigvalsh_tridiagonal
 
 _SVD_CHUNK = 2048
+#: decimal digits the Newton iteration carries beyond the requested dps
+_NEWTON_GUARD_DPS = 20
+#: Newton steps allowed per root before the solve counts as failed
+_NEWTON_MAX_STEPS = 60
 
 
 class SolverConvergenceError(RuntimeError):
@@ -37,13 +44,15 @@ class SolverConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockMatrix:
-    """Dense truncation of H, H* or Re(e^{-i theta} H) on modes m, n <= N."""
+    """Truncation of H, H* or Re(e^{-i theta} H) on modes m, n <= N.
+
+    The d-blocks define it; the dense `mat` is scattered from them on first
+    access."""
 
     n_max: int
     gamma: float
     kind: str
     theta: float | None
-    mat: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -60,21 +69,43 @@ class FockMatrix:
             raise IndexError(f"block {d} outside [-N, N]")
         return [(k + d, k) if d >= 0 else (k, k - d) for k in range(self.n_max + 1 - abs(d))]
 
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, col, value) of every stored entry, scattered from the blocks."""
+        rows, cols, vals = [], [], []
+        for d in range(-self.n_max, self.n_max + 1):
+            idx = np.array([self.index(m, n) for m, n in self.block_members(d)])
+            diag, sub, sup = _block_tridiag(self.kind, self.n_max, self.gamma, d, self.theta)
+            rows += [idx, idx[1:], idx[:-1]]
+            cols += [idx, idx[:-1], idx[1:]]
+            vals += [diag, sub, sup]
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        rows, cols, vals = self._entries()
+        out = np.zeros((self.dim, self.dim), dtype=vals.dtype)
+        out[rows, cols] = vals
+        return out
+
     def block(self, d: int) -> np.ndarray:
         idx = [self.index(m, n) for m, n in self.block_members(d)]
         return self.mat[np.ix_(idx, idx)]
 
 
-def _couplings(n_max: int, d: int) -> np.ndarray:
-    k = np.arange(n_max - abs(d), dtype=float)
-    return np.sqrt((abs(d) + k + 1.0) * (k + 1.0))
+def _block_data(n_max: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer diagonal d + 2k + 1 and squared couplings (d + k + 1)(k + 1)
+    of block d: the one definition of the Fock matrix.  Coupling k joins
+    rows k and k + 1; blocks d and -d are equal."""
+    d = abs(d)
+    k = np.arange(n_max + 1 - d)
+    return d + 2 * k + 1, (d + k[1:]) * k[1:]
 
 
 def _block_tridiag(kind: str, n_max: int, gamma: float, d: int, theta: float | None = None):
     """(diag, sub, sup) of block d; sub couples k -> k+1 (row k+1)."""
-    k = np.arange(n_max + 1 - abs(d), dtype=float)
-    diag = abs(d) + 2.0 * k + 1.0
-    c = _couplings(n_max, d)
+    diag, coupling_sq = _block_data(n_max, d)
+    diag = diag.astype(float)
+    c = np.sqrt(coupling_sq)
     if kind == "H":
         return diag, -gamma * c, +gamma * c
     if kind == "Hstar":
@@ -90,61 +121,23 @@ def _check_theta(theta: float):
 
 
 def build_matrix(kind: str, n_max: int, gamma: float, theta: float | None = None) -> FockMatrix:
-    """Dense truncation, filled directly from the ladder action on |m,n>."""
+    """Validated truncation; its dense form is built only when `.mat` is read."""
     if n_max < 0:
         raise ValueError("truncation must be >= 0")
     if kind not in ("H", "Hstar", "ReTheta"):
         raise ValueError(f"unknown matrix kind {kind!r}")
     if kind == "ReTheta":
         _check_theta(theta)
-    width = n_max + 1
-    dtype = complex if kind == "ReTheta" else float
-    mat = np.zeros((width * width, width * width), dtype=dtype)
-    sign = -1.0 if kind == "Hstar" else 1.0
-    for m in range(width):
-        for n in range(width):
-            col = m * width + n
-            diag = m + n + 1
-            up = math.sqrt((m + 1) * (n + 1))
-            down = math.sqrt(m * n)
-            if kind == "ReTheta":
-                mat[col, col] = diag * math.cos(theta)
-                if m + 1 < width and n + 1 < width:
-                    mat[(m + 1) * width + (n + 1), col] = 1j * gamma * math.sin(theta) * up
-                if m and n:
-                    mat[(m - 1) * width + (n - 1), col] = -1j * gamma * math.sin(theta) * down
-            else:
-                mat[col, col] = diag
-                if m + 1 < width and n + 1 < width:
-                    mat[(m + 1) * width + (n + 1), col] = -sign * gamma * up
-                if m and n:
-                    mat[(m - 1) * width + (n - 1), col] = sign * gamma * down
-    return FockMatrix(n_max, gamma, kind, theta, mat)
+    return FockMatrix(n_max, gamma, kind, theta)
 
 
 def build_sparse(kind: str, n_max: int, gamma: float) -> sparse.csr_matrix:
     """CSR truncation of H or H* (for matvec-heavy paths)."""
     if kind not in ("H", "Hstar"):
         raise ValueError("sparse path supports H and Hstar")
-    sign = -1.0 if kind == "Hstar" else 1.0
-    width = n_max + 1
-    rows, cols, vals = [], [], []
-    for m in range(width):
-        for n in range(width):
-            col = m * width + n
-            rows.append(col)
-            cols.append(col)
-            vals.append(float(m + n + 1))
-            if m + 1 < width and n + 1 < width:
-                rows.append((m + 1) * width + (n + 1))
-                cols.append(col)
-                vals.append(-sign * gamma * math.sqrt((m + 1) * (n + 1)))
-            if m and n:
-                rows.append((m - 1) * width + (n - 1))
-                cols.append(col)
-                vals.append(sign * gamma * math.sqrt(m * n))
-    dim = width * width
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    fm = build_matrix(kind, n_max, gamma)
+    rows, cols, vals = fm._entries()
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(fm.dim, fm.dim))
 
 
 def _block_dense(kind: str, n_max: int, gamma: float, d: int, theta: float | None = None):
@@ -192,17 +185,26 @@ def eigenvalues(fm: FockMatrix, vectors: bool = False):
     return vals, np.asarray(vecs)[order].T
 
 
-def lowest_eigenvalues(n_max: int, gamma: float, count: int) -> np.ndarray:
-    """The `count` eigenvalues of smallest real part (float64 block solves)."""
-    vals = []
-    for d in range(0, n_max + 1):
-        w = np.linalg.eigvals(_block_dense("H", n_max, gamma, d))
-        vals.extend(w)
-        if d:
-            vals.extend(w)
-    vals = np.asarray(vals)
-    vals = vals[np.lexsort((vals.imag, vals.real))]
-    return vals[:count]
+def _newton_root(diag, pair_products, seed: complex, tol, d: int):
+    """Root of det(B_d - lambda) reached by Newton's method from `seed`, in
+    the current mpmath precision.
+
+    det and its derivative come from the three-term recurrence
+    p_{k+1} = (a_k - lambda) p_k - (sub * sup)_{k-1} p_{k-1}, which needs
+    only the diagonal a and the products sub * sup of the coupled pairs."""
+    from mpmath import mp
+
+    lam = mp.mpc(seed)
+    for _ in range(_NEWTON_MAX_STEPS):
+        p_prev, p, dp_prev, dp = 1, diag[0] - lam, 0, -1
+        for a, q in zip(diag[1:], pair_products):
+            shifted = a - lam
+            p_prev, p, dp_prev, dp = p, shifted * p - q * p_prev, dp, shifted * dp - p - q * dp_prev
+        step = p / dp
+        lam -= step
+        if abs(step) < tol:
+            return lam
+    raise SolverConvergenceError(f"Newton iteration did not converge on block d={d}", block=d)
 
 
 def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 40):
@@ -210,7 +212,14 @@ def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 
 
     Float64 eigensolves bottom out near 1e-13; the truncation error of the
     low modes falls far below that already at N ~ 20, so measuring its decay
-    needs extended precision.  Returns a list of mpmath mpf real parts.
+    needs extended precision.  Returns a list of mpmath mpf real parts,
+    rounded to `dps` digits.
+
+    Each block's `count` lowest float64 eigenvalues seed Newton's method on
+    its characteristic polynomial, run with _NEWTON_GUARD_DPS digits beyond
+    `dps` until a step is below 10^-(dps+5).  A root that does not converge
+    within _NEWTON_MAX_STEPS steps, or two seeds that reach the same root,
+    raise SolverConvergenceError.
 
     Blocks are included while they can still contribute: block d has
     Re W >= d + 1, so once the current count-th smallest value is below
@@ -218,29 +227,31 @@ def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 
     """
     from mpmath import mp
 
-    with mp.workdps(dps):
-        g = mp.mpf(gamma)
-        vals: list = []
-        d = 0
-        while d <= n_max:
-            size = n_max + 1 - d
-            block = mp.zeros(size, size)
-            for k in range(size):
-                block[k, k] = mp.mpf(d + 2 * k + 1)
-            for k in range(size - 1):
-                c = mp.sqrt(mp.mpf((d + k + 1) * (k + 1)))
-                block[k + 1, k] = -g * c
-                block[k, k + 1] = +g * c
-            w = mp.eig(block, left=False, right=False)
-            reals = sorted(mp.re(z) for z in w)
+    vals: list = []
+    with mp.workdps(dps + _NEWTON_GUARD_DPS):
+        tol = mp.mpf(10) ** -(dps + 5)
+        coincident = mp.mpf(10) ** -dps
+        g2 = mp.mpf(gamma) ** 2
+        for d in range(n_max + 1):
+            diag, coupling_sq = (a.tolist() for a in _block_data(n_max, d))
+            pair_products = [-g2 * s for s in coupling_sq]  # sub * sup = -gamma^2 c^2
+            try:
+                seeds = np.linalg.eigvals(_block_dense("H", n_max, gamma, d))
+            except np.linalg.LinAlgError as exc:
+                raise SolverConvergenceError(f"eigensolve failed on block d={d}", block=d) from exc
+            seeds = seeds[np.lexsort((seeds.imag, seeds.real))][:count]
+            roots = [_newton_root(diag, pair_products, complex(z), tol, d) for z in seeds]
+            if any(abs(a - b) < coincident for a, b in combinations(roots, 2)):
+                raise SolverConvergenceError(f"Newton roots coincide on block d={d}", block=d)
+            reals = sorted(mp.re(z) for z in roots)
             vals.extend(reals)
             if d:
                 vals.extend(reals)
             vals.sort()
             if len(vals) >= count and vals[count - 1] < d + 2:
                 break
-            d += 1
-        return vals[:count]
+    with mp.workdps(dps):
+        return [+v for v in vals[:count]]
 
 
 # -- numerical range -------------------------------------------------------
@@ -261,13 +272,11 @@ def support_energy_numeric(n_max: int, gamma: float, theta: float) -> float:
     _check_theta(theta)
     best = math.inf
     for d in range(0, n_max + 1):
-        k = np.arange(n_max + 1 - d, dtype=float)
-        diag = (d + 2.0 * k + 1.0) * math.cos(theta)
+        diag, sub, _ = _block_tridiag("ReTheta", n_max, gamma, d, theta)
         if len(diag) == 1:
             low = diag[0]
         else:
-            off = abs(gamma * math.sin(theta)) * _couplings(n_max, d)
-            low = eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+            low = eigvalsh_tridiagonal(diag, np.abs(sub), select="i", select_range=(0, 0))[0]
         best = min(best, float(low))
         if (d + 2.0) * math.cos(theta) > best:
             break
@@ -334,8 +343,7 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     """Exact sigma_min(zI - A_N) per point, min over tridiagonal blocks.
 
     Blocks are visited in ascending d; each is applied only at points where
-    the exact lower bounds cannot rule it out.  Per-point SVD failures are
-    recorded as NaN without aborting the rest."""
+    the exact lower bounds cannot rule it out."""
     zs = np.asarray(zs, dtype=complex).ravel()
     smin = np.full(zs.size, np.inf)
     for d in range(0, n_max + 1):
@@ -352,7 +360,7 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
             np.abs(zs[:, None] - diag[None, :]) - radius[None, :], axis=1
         )
         bound = np.maximum(np.maximum(d + 1.0 - zs.real, johnson), 0.0)
-        todo = np.flatnonzero(bound < smin)
+        todo = np.flatnonzero(~(bound >= smin))  # a NaN bound rules nothing out
         if todo.size == 0:
             continue
         block = _block_dense("H", n_max, gamma, d).astype(complex)
@@ -362,13 +370,8 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
             shifted = zs[idx, None, None] * eye - block
             try:
                 sv = np.linalg.svd(shifted, compute_uv=False)[:, -1]
-            except np.linalg.LinAlgError:
-                sv = np.empty(idx.size)
-                for j, zi in enumerate(zs[idx]):
-                    try:
-                        sv[j] = np.linalg.svd(zi * eye - block, compute_uv=False)[-1]
-                    except np.linalg.LinAlgError:
-                        sv[j] = np.nan
+            except np.linalg.LinAlgError as exc:
+                raise SolverConvergenceError(f"SVD failed on block d={d}", block=d) from exc
             smin[idx] = np.minimum(smin[idx], sv)
     return smin
 
@@ -377,11 +380,16 @@ def sigma_min_points(n_max: int, gamma: float, zs) -> np.ndarray:
     """sigma_min(zI - A_N) at arbitrary complex points.
 
     The matrix is real, so only Re z and |Im z| matter; points are deduped
-    accordingly before the block sweep."""
+    accordingly before the block sweep.  Raises SolverConvergenceError
+    rather than return a NaN or infinite value."""
     zs = np.asarray(zs, dtype=complex)
     folded = zs.real.ravel() + 1j * np.abs(zs.imag.ravel())
     uniq, inverse = np.unique(folded, return_inverse=True)
-    return _sigma_min_blockwise(n_max, gamma, uniq)[inverse].reshape(zs.shape)
+    smin = _sigma_min_blockwise(n_max, gamma, uniq)
+    bad = int(np.count_nonzero(~np.isfinite(smin)))
+    if bad:
+        raise SolverConvergenceError(f"sigma_min is not finite at {bad} of {smin.size} points")
+    return smin[inverse].reshape(zs.shape)
 
 
 @dataclass(frozen=True)
@@ -473,11 +481,6 @@ def spectrum_rows(n_max: int, gamma: float) -> list[tuple[int, complex, float, f
         (i, complex(v), float(e), float(abs(v - e)))
         for i, (v, e) in enumerate(zip(vals, exact))
     ]
-
-
-def resolvent_norm_bound_points() -> tuple[complex, ...]:
-    """Default left-halfplane sample set for the resolvent bound."""
-    return (-0.5 + 0j, -1 + 1j, -2 + 3j, -4 + 0j)
 
 
 def z_from_string(text: str) -> complex:

@@ -118,7 +118,14 @@ class CoupledGaussianScheme:
     weights: np.ndarray
 
 
-def coupled_scheme(exponent, n: int = 64) -> CoupledGaussianScheme:
+@lru_cache(maxsize=4)
+def coupled_scheme(exponent: tuple, n: int = 64) -> CoupledGaussianScheme:
+    """Tensor scheme for one exponent (A, B, C), a hashable tuple.
+
+    Schemes are immutable and cached, because a command integrates many
+    mode pairs against one exponent: rebuilding the scheme per pair churned
+    the heap enough to cost glibc trims and page faults on every call.
+    Callers must not modify the arrays."""
     a, b, c = (float(v) for v in exponent)
     if a <= 0 or b <= 0 or a * b - c * c <= 0:
         raise ValueError(f"non-integrable Gaussian exponent (A,B,C)=({a},{b},{c})")
@@ -132,7 +139,10 @@ def coupled_scheme(exponent, n: int = 64) -> CoupledGaussianScheme:
     xs = axes[0, 0] * uu + axes[0, 1] * vv
     ys = axes[1, 0] * uu + axes[1, 1] * vv
     weights = np.outer(rule.weights, rule.weights) / math.sqrt(alpha * beta)
-    return CoupledGaussianScheme(alpha, beta, axes, rule, xs.ravel(), ys.ravel(), weights.ravel())
+    scheme = CoupledGaussianScheme(alpha, beta, axes, rule, xs.ravel(), ys.ravel(), weights.ravel())
+    for arr in (scheme.axes, scheme.xs, scheme.ys, scheme.weights):
+        arr.setflags(write=False)
+    return scheme
 
 
 def integrate_coupled(f, exponent, n: int = 64) -> float:
@@ -141,6 +151,6 @@ def integrate_coupled(f, exponent, n: int = 64) -> float:
     Exact (to roundoff) whenever f is a polynomial of degree < 2n per
     rotated axis.  f must accept numpy arrays.
     """
-    scheme = coupled_scheme(exponent, n)
+    scheme = coupled_scheme(tuple(float(v) for v in exponent), n)
     vals = np.asarray(f(scheme.xs, scheme.ys), dtype=float)
     return float(np.dot(scheme.weights, vals))

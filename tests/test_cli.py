@@ -202,6 +202,13 @@ def test_validation_exit_codes(tmp_path):
     assert code == 2
     code, _ = run(tmp_path, "spectrum", "--gamma", "symbolic")
     assert code == 2
+    code, _ = run(tmp_path, "norms", "--gamma", "nan")
+    assert code == 2
+    code, _ = run(tmp_path, "wkb", "--energy", "inf")
+    assert code == 2
+    code, out = run(tmp_path, "pseudo", "--gamma", "inf", "--truncation", "4", "--res", "5")
+    assert code == 2
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -2,11 +2,64 @@
 pseudospectra and accretivity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nhboson import fock
+
+
+def _ladder_matrix(kind, n_max, gamma, theta=None):
+    """Dense truncation filled entry by entry from the ladder action on
+    |m,n>; the reference for the block-scattered FockMatrix.mat."""
+    width = n_max + 1
+    mat = np.zeros((width * width, width * width), dtype=complex if kind == "ReTheta" else float)
+    sign = -1.0 if kind == "Hstar" else 1.0
+    for m in range(width):
+        for n in range(width):
+            col = m * width + n
+            diag = m + n + 1
+            up = math.sqrt((m + 1) * (n + 1))
+            down = math.sqrt(m * n)
+            if kind == "ReTheta":
+                mat[col, col] = diag * math.cos(theta)
+                if m + 1 < width and n + 1 < width:
+                    mat[(m + 1) * width + (n + 1), col] = 1j * gamma * math.sin(theta) * up
+                if m and n:
+                    mat[(m - 1) * width + (n - 1), col] = -1j * gamma * math.sin(theta) * down
+            else:
+                mat[col, col] = diag
+                if m + 1 < width and n + 1 < width:
+                    mat[(m + 1) * width + (n + 1), col] = -sign * gamma * up
+                if m and n:
+                    mat[(m - 1) * width + (n - 1), col] = sign * gamma * down
+    return mat
+
+
+def _mp_eig_lowest(n_max, gamma, count, dps):
+    """Lowest eigenvalues by dense mpmath eig of each block: the reference
+    for the Newton solve in lowest_eigenvalues_precise."""
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        g = mp.mpf(gamma)
+        vals = []
+        for d in range(n_max + 1):
+            size = n_max + 1 - d
+            block = mp.zeros(size, size)
+            for k in range(size):
+                block[k, k] = mp.mpf(d + 2 * k + 1)
+            for k in range(size - 1):
+                c = mp.sqrt(mp.mpf((d + k + 1) * (k + 1)))
+                block[k + 1, k] = -g * c
+                block[k, k + 1] = +g * c
+            reals = sorted(mp.re(z) for z in mp.eig(block, left=False, right=False))
+            vals.extend(reals if d == 0 else 2 * reals)
+            vals.sort()
+            if len(vals) >= count and vals[count - 1] < d + 2:
+                break
+        return vals[:count]
 
 
 def test_smallest_truncation_is_scalar_one():
@@ -87,6 +140,18 @@ def test_block_diagonalization_is_permutation_similarity():
     assert np.array_equal(permuted, expected)
 
 
+@pytest.mark.parametrize(
+    "kind, theta", [("H", None), ("Hstar", None), ("ReTheta", 0.7), ("ReTheta", -1.2)]
+)
+def test_dense_matrix_matches_ladder_action(kind, theta):
+    for n_max in range(8):
+        for gamma in (0.0, 0.45, -0.7):
+            got = fock.build_matrix(kind, n_max, gamma, theta).mat
+            want = _ladder_matrix(kind, n_max, gamma, theta)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 def test_sparse_matches_dense():
     dense = fock.build_matrix("H", 7, 0.45).mat
     sp = fock.build_sparse("H", 7, 0.45).toarray()
@@ -114,7 +179,7 @@ def test_eigenpair_backward_residuals():
 
 
 def test_lowest_eigenvalue_converges_to_ground_level():
-    got = fock.lowest_eigenvalues(30, 0.5, 1)[0]
+    got = fock.eigenvalues(fock.build_matrix("H", 30, 0.5))[0]
     assert abs(got - math.sqrt(1.25)) < 1e-6
     assert abs(got.imag) < 1e-10
 
@@ -128,6 +193,30 @@ def test_lowest_eigenvalues_precise_monotone_truncation_error():
         errs.append(max(abs(float(v) - t * omega) for v, t in zip(vals, targets)))
     assert errs[1] < errs[0]
     assert errs[0] < 1e-6
+
+
+@pytest.mark.parametrize("n_max", [10, 20])
+def test_precise_newton_roots_match_mp_eig(n_max):
+    from mpmath import mp
+
+    got = fock.lowest_eigenvalues_precise(n_max, 0.5, 6, dps=40)
+    want = _mp_eig_lowest(n_max, 0.5, 6, dps=40)
+    assert len(got) == len(want) == 6
+    with mp.workdps(40):
+        assert max(abs(a - b) for a, b in zip(got, want)) <= mp.mpf("1e-35")
+
+
+def test_precise_raises_rather_than_return_unconverged(monkeypatch):
+    # one Newton step from a float64 seed cannot reach the 1e-45 step size
+    monkeypatch.setattr(fock, "_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(fock.SolverConvergenceError) as exc:
+        fock.lowest_eigenvalues_precise(10, 0.5, 6)
+    assert exc.value.block == 0
+    monkeypatch.undo()
+    # seeds that all lead to one root must not be reported as several roots
+    monkeypatch.setattr(np.linalg, "eigvals", lambda block: np.full(len(block), 1.1 + 0j))
+    with pytest.raises(fock.SolverConvergenceError, match="coincide"):
+        fock.lowest_eigenvalues_precise(10, 0.5, 6)
 
 
 def test_hermitian_part_is_hermitian():
@@ -283,6 +372,12 @@ def test_pseudospectrum_grid_properties():
     assert np.all(grid.sigma_min.ravel() <= dist + 1e-8)
 
 
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_sigma_min_raises_instead_of_returning_non_finite(gamma):
+    with pytest.raises(fock.SolverConvergenceError):
+        fock.pseudospectrum(4, gamma, (-1, 1), (-1, 1), 5)
+
+
 def test_pseudospectrum_rejects_huge_resolution():
     with pytest.raises(ValueError):
         fock.pseudospectrum(5, 0.5, (-1, 1), (-1, 1), 513)
@@ -303,6 +398,18 @@ def test_spectrum_rows_pairing():
     assert rows[0][3] < 1e-8  # ground level reproduced
     omega = math.sqrt(1.25)
     assert rows[0][2] == pytest.approx(omega, rel=1e-14)
+
+
+def test_spectrum_rows_never_builds_the_dense_matrix():
+    # the dense (N+1)^2 x (N+1)^2 float64 matrix at N = 60 would take 111 MB
+    tracemalloc.start()
+    try:
+        rows = fock.spectrum_rows(60, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 61 * 61
+    assert peak < 20e6
 
 
 def test_z_from_string():

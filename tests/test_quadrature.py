@@ -172,6 +172,13 @@ def test_coupled_scheme_diagonalizes():
     assert scheme.alpha > 0 and scheme.beta > 0
 
 
+def test_coupled_scheme_is_shared_and_read_only():
+    scheme = coupled_scheme((2.0, 2.0, 0.6), 8)
+    assert coupled_scheme((2.0, 2.0, 0.6), 8) is scheme
+    with pytest.raises(ValueError):
+        scheme.xs[0] = 1.0
+
+
 def test_doubling_convergence():
     # doubling the rule leaves a polynomial-weighted integral unchanged
     exponent = (2.2, 2.2, 1.0)
