@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -26,21 +27,6 @@ from . import __version__, fock, modes, wkb
 from .operators import identity_report_json, verify_identities
 
 ENV_OUTDIR = "NHBOSON_OUTDIR"
-
-COMMANDS = (
-    "verify-algebra",
-    "spectrum",
-    "numrange",
-    "pseudo",
-    "biorth",
-    "norms",
-    "accretive",
-    "wkb",
-    "expand",
-)
-
-#: commands whose matrix/spectral claims assume |gamma| < 1
-SPECTRAL_COMMANDS = ("spectrum", "numrange", "pseudo", "accretive")
 
 
 class CliError(ValueError):
@@ -93,18 +79,20 @@ class RunConfig:
             raise CliError("grid range ends must be finite")
         if self.cutoff < 0 or self.max_index < 0:
             raise CliError("mode cutoffs must be >= 0")
+        if self.seed < 0:
+            raise CliError("seed must be >= 0")
+        if self.vectors < 1:
+            raise CliError("vectors must be >= 1")
         if not 1 <= self.nodes <= 512:
             raise CliError("nodes must be in [1, 512]")
         if not all(0 < float(h) < math.inf for h in self.hbars):
             raise CliError("hbar values must be positive and finite")
         if not 0 < self.energy < math.inf:
             raise CliError("energy must be positive and finite")
-        if self.summand not in ("sum", "diff"):
-            raise CliError("summand must be 'sum' or 'diff'")
-        if self.product not in ("biorth", "physical"):
-            raise CliError("product must be 'biorth' or 'physical'")
-        if self.format not in ("", "csv", "json"):
-            raise CliError("format must be csv or json")
+        for name, allowed in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed and not (name == "format" and value == ""):
+                raise CliError(f"{name} must be one of {', '.join(allowed)}")
         for p in self.points:
             z = fock.z_from_string(str(p))
             if not (-math.inf < z.real < 0 and math.isfinite(z.imag)):
@@ -122,219 +110,6 @@ class RunConfig:
         kwargs["hbars"] = tuple(float(h) for h in kwargs.get("hbars", ()))
         kwargs["points"] = tuple(str(p) for p in kwargs.get("points", ()))
         return cls(**kwargs)
-
-
-#: per-command default output format ("" in the config means this default)
-DEFAULT_FORMAT = {
-    "verify-algebra": "json",
-    "accretive": "json",
-}
-
-
-def _float_str(v) -> str:
-    return repr(float(v))
-
-
-def _parse_float_list(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in str(text).split(","))
-    except ValueError as exc:
-        raise CliError(f"cannot parse float list {text!r}") from exc
-
-
-def read_config_file(path: str) -> dict:
-    """key=value lines; '#' starts a comment; keys use underscores."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"malformed config line {raw.rstrip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
-    return out
-
-
-_CONFIG_PARSERS = {
-    "gamma": float,
-    "truncation": int,
-    "theta_min": float,
-    "theta_max": float,
-    "theta_steps": int,
-    "re_min": float,
-    "re_max": float,
-    "im_min": float,
-    "im_max": float,
-    "resolution": int,
-    "cutoff": int,
-    "max_index": int,
-    "hbars": _parse_float_list,
-    "nodes": int,
-    "points": lambda s: tuple(str(s).split(";")),
-    "vectors": int,
-    "seed": int,
-    "energy": float,
-    "summand": str,
-    "product": str,
-    "out": str,
-    "format": str,
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nhboson",
-        description="Exact identities and spectral diagnostics for the "
-        "coupled two-boson oscillator; emits CSV/JSON data files.",
-    )
-    parser.add_argument("--version", action="version", version=f"nhboson {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name, help_text, *opts):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
-        for flag, kwargs in opts:
-            p.add_argument(flag, **kwargs)
-        return p
-
-    gamma_opt = ("--gamma", dict(default=None, help="coupling constant"))
-    trunc_opt = ("--truncation", dict(default=None, type=int, help="Fock truncation N"))
-    nodes_opt = ("--nodes", dict(default=None, type=int, help="quadrature nodes per axis"))
-    seed_opt = ("--seed", dict(default=None, type=int))
-
-    add("verify-algebra", "exact operator-identity suite", gamma_opt)
-    add("spectrum", "truncated eigenvalues vs closed-form levels", gamma_opt, trunc_opt)
-    add(
-        "numrange",
-        "numerical-range support energies and boundary",
-        gamma_opt,
-        trunc_opt,
-        ("--theta-min", dict(default=None, type=float)),
-        ("--theta-max", dict(default=None, type=float)),
-        ("--theta-steps", dict(default=None, type=int)),
-    )
-    add(
-        "pseudo",
-        "sigma_min grid for pseudospectra",
-        gamma_opt,
-        trunc_opt,
-        ("--grid", dict(default=None, help="re_min,re_max,im_min,im_max")),
-        ("--res", dict(default=None, type=int, help="grid resolution per axis")),
-    )
-    add(
-        "biorth",
-        "pairwise eigenfunction inner products",
-        gamma_opt,
-        nodes_opt,
-        ("--max-index", dict(default=None, type=int)),
-        ("--product", dict(default=None, choices=("biorth", "physical"))),
-    )
-    add("norms", "squared norms of right eigenfunctions", gamma_opt, nodes_opt,
-        ("--max-index", dict(default=None, type=int)))
-    add(
-        "accretive",
-        "resolvent bound and numerical-range containment",
-        gamma_opt,
-        trunc_opt,
-        seed_opt,
-        ("--points", dict(default=None, help="semicolon-separated complex samples")),
-        ("--vectors", dict(default=None, type=int)),
-    )
-    add(
-        "wkb",
-        "semiclassical norm integrals over an hbar list",
-        ("--energy", dict(default=None, type=float)),
-        ("--hbars", dict(default=None, help="comma-separated hbar values")),
-        ("--summand", dict(default=None, choices=("sum", "diff"))),
-    )
-    add(
-        "expand",
-        "round-trip probability amplitudes of a seeded random state",
-        gamma_opt,
-        nodes_opt,
-        seed_opt,
-        ("--cutoff", dict(default=None, type=int)),
-    )
-    return parser
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(field_name, flag_value, parse):
-        if flag_value is not None:
-            return parse(flag_value)
-        if field_name in file_values:
-            return _CONFIG_PARSERS[field_name](file_values[field_name])
-        return getattr(cfg, field_name)
-
-    known = {f.name for f in fields(RunConfig)}
-    for key in file_values:
-        if key not in known:
-            raise CliError(f"unknown config key {key!r}")
-
-    if hasattr(args, "gamma"):
-        raw = args.gamma
-        if raw == "symbolic":
-            cfg.gamma_symbolic = True
-        elif raw is not None:
-            cfg.gamma = float(raw)
-        elif "gamma" in file_values:
-            if file_values["gamma"] == "symbolic":
-                cfg.gamma_symbolic = True
-            else:
-                cfg.gamma = float(file_values["gamma"])
-        if args.command == "verify-algebra" and raw is None and "gamma" not in file_values:
-            cfg.gamma_symbolic = True
-    if hasattr(args, "truncation"):
-        cfg.truncation = pick("truncation", args.truncation, int)
-    if hasattr(args, "theta_min"):
-        cfg.theta_min = pick("theta_min", args.theta_min, float)
-        cfg.theta_max = pick("theta_max", args.theta_max, float)
-        cfg.theta_steps = pick("theta_steps", args.theta_steps, int)
-    if hasattr(args, "grid"):
-        grid = args.grid
-        if grid is not None:
-            vals = _parse_float_list(grid)
-            if len(vals) != 4:
-                raise CliError("--grid needs re_min,re_max,im_min,im_max")
-            cfg.re_min, cfg.re_max, cfg.im_min, cfg.im_max = vals
-        else:
-            for key in ("re_min", "re_max", "im_min", "im_max"):
-                setattr(cfg, key, pick(key, None, float))
-        cfg.resolution = pick("resolution", args.res, int)
-    if hasattr(args, "nodes"):
-        cfg.nodes = pick("nodes", args.nodes, int)
-    if hasattr(args, "max_index"):
-        cfg.max_index = pick("max_index", args.max_index, int)
-    if hasattr(args, "product"):
-        cfg.product = pick("product", args.product, str)
-    if hasattr(args, "points"):
-        raw_points = args.points
-        if raw_points is not None:
-            cfg.points = tuple(str(raw_points).split(";"))
-        elif "points" in file_values:
-            cfg.points = _CONFIG_PARSERS["points"](file_values["points"])
-        cfg.vectors = pick("vectors", args.vectors, int)
-    if hasattr(args, "seed"):
-        cfg.seed = pick("seed", args.seed, int)
-    if hasattr(args, "cutoff"):
-        cfg.cutoff = pick("cutoff", args.cutoff, int)
-    if hasattr(args, "energy"):
-        cfg.energy = pick("energy", args.energy, float)
-        if args.hbars is not None:
-            cfg.hbars = _parse_float_list(args.hbars)
-        elif "hbars" in file_values:
-            cfg.hbars = _CONFIG_PARSERS["hbars"](file_values["hbars"])
-        cfg.summand = pick("summand", args.summand, str)
-    cfg.out = pick("out", args.out, str)
-    cfg.format = pick("format", args.format, str)
-    return cfg
 
 
 # -- row builders ----------------------------------------------------------
@@ -365,11 +140,7 @@ def _rows_numrange(cfg: RunConfig):
 
 def _rows_pseudo(cfg: RunConfig):
     grid = fock.pseudospectrum(
-        cfg.truncation,
-        cfg.gamma,
-        (cfg.re_min, cfg.re_max),
-        (cfg.im_min, cfg.im_max),
-        cfg.resolution,
+        cfg.truncation, cfg.gamma, (cfg.re_min, cfg.re_max), (cfg.im_min, cfg.im_max), cfg.resolution
     )
     rows = []
     for iy, imv in enumerate(grid.im):
@@ -380,18 +151,12 @@ def _rows_pseudo(cfg: RunConfig):
 
 def _rows_biorth(cfg: RunConfig):
     rows = []
-    left_kind = modes.ModeKind.PSI
-    right_kind = (
-        modes.ModeKind.PSI_TILDE if cfg.product == "biorth" else modes.ModeKind.PSI
-    )
-    ip_kind = (
-        modes.InnerProductKind.FLAT
-        if cfg.product == "biorth"
-        else modes.InnerProductKind.PHYSICAL
-    )
+    biorth = cfg.product == "biorth"
+    right_kind = modes.ModeKind.PSI_TILDE if biorth else modes.ModeKind.PSI
+    ip_kind = modes.InnerProductKind.FLAT if biorth else modes.InnerProductKind.PHYSICAL
     for m in range(cfg.max_index + 1):
         for n in range(cfg.max_index + 1):
-            f = modes.ModeFunction(left_kind, m, n, cfg.gamma)
+            f = modes.ModeFunction(modes.ModeKind.PSI, m, n, cfg.gamma)
             for p in range(cfg.max_index + 1):
                 for q in range(cfg.max_index + 1):
                     g = modes.ModeFunction(right_kind, p, q, cfg.gamma)
@@ -410,22 +175,11 @@ def _rows_norms(cfg: RunConfig):
 
 def _rows_accretive(cfg: RunConfig):
     zs = [fock.z_from_string(p) for p in cfg.points]
-    report = fock.accretivity_check(
-        cfg.truncation, cfg.gamma, zs, n_vectors=cfg.vectors, seed=cfg.seed
-    )
-    rows = [
-        ["resolvent", z.real, z.imag, sig, bound, ok]
-        for z, sig, bound, ok in report.rows
-    ]
+    report = fock.accretivity_check(cfg.truncation, cfg.gamma, zs, n_vectors=cfg.vectors, seed=cfg.seed)
+    rows = [["resolvent", z.real, z.imag, sig, bound, ok] for z, sig, bound, ok in report.rows]
     rows.append(
-        [
-            "rayleigh",
-            report.rayleigh_min_x,
-            report.rayleigh_max_hyper_excess,
-            float(cfg.vectors),
-            0.0,
-            report.rayleigh_ok,
-        ]
+        ["rayleigh", report.rayleigh_min_x, report.rayleigh_max_hyper_excess, float(cfg.vectors), 0.0,
+         report.rayleigh_ok]
     )
     return ["kind", "a", "b", "sigma_min_or_min_x", "bound_or_excess", "ok"], rows
 
@@ -455,17 +209,157 @@ def _rows_expand(cfg: RunConfig):
     return ["m", "n", "c_true", "c_est", "abs_err"], rows
 
 
-_RUNNERS = {
-    "verify-algebra": _rows_verify,
-    "spectrum": _rows_spectrum,
-    "numrange": _rows_numrange,
-    "pseudo": _rows_pseudo,
-    "biorth": _rows_biorth,
-    "norms": _rows_norms,
-    "accretive": _rows_accretive,
-    "wkb": _rows_wkb,
-    "expand": _rows_expand,
+# -- the option table --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help text, its row builder, the RunConfig fields
+    it reads (each set by the flag --field-name unless _FLAG_FIELDS says
+    otherwise), its default output format, and (field, text) defaults that
+    apply before the config file and the flags."""
+
+    help: str
+    rows: Callable[[RunConfig], tuple]
+    options: tuple
+    format: str = "csv"
+    defaults: tuple = ()
+
+
+COMMANDS = {
+    "verify-algebra": Command(
+        "exact operator-identity suite", _rows_verify, ("gamma",), "json", (("gamma", "symbolic"),)
+    ),
+    "spectrum": Command(
+        "truncated eigenvalues vs closed-form levels", _rows_spectrum, ("gamma", "truncation")
+    ),
+    "numrange": Command(
+        "numerical-range support energies and boundary", _rows_numrange,
+        ("gamma", "truncation", "theta_min", "theta_max", "theta_steps"),
+    ),
+    "pseudo": Command(
+        "sigma_min grid for pseudospectra", _rows_pseudo,
+        ("gamma", "truncation", "re_min", "re_max", "im_min", "im_max", "resolution"),
+    ),
+    "biorth": Command(
+        "pairwise eigenfunction inner products", _rows_biorth, ("gamma", "nodes", "max_index", "product")
+    ),
+    "norms": Command("squared norms of right eigenfunctions", _rows_norms, ("gamma", "nodes", "max_index")),
+    "accretive": Command(
+        "resolvent bound and numerical-range containment", _rows_accretive,
+        ("gamma", "truncation", "seed", "points", "vectors"), "json",
+    ),
+    "wkb": Command(
+        "semiclassical norm integrals over an hbar list", _rows_wkb, ("energy", "hbars", "summand")
+    ),
+    "expand": Command(
+        "round-trip probability amplitudes of a seeded random state", _rows_expand,
+        ("gamma", "nodes", "seed", "cutoff"),
+    ),
 }
+
+#: options every command takes besides its own
+_COMMON_OPTIONS = ("out", "format")
+
+#: flags not spelled --field-name, with the fields each one sets
+_FLAG_FIELDS = {"--res": ("resolution",), "--grid": ("re_min", "re_max", "im_min", "im_max")}
+_FIELD_FLAG = {name: flag for flag, names in _FLAG_FIELDS.items() for name in names}
+
+_HELP = {
+    "--config": "key=value config file",
+    "--out": "output file path",
+    "--gamma": "coupling constant",
+    "--truncation": "Fock truncation N",
+    "--grid": "re_min,re_max,im_min,im_max",
+    "--res": "grid resolution per axis",
+    "--nodes": "quadrature nodes per axis",
+    "--points": "semicolon-separated complex samples",
+    "--hbars": "comma-separated hbar values",
+}
+
+_CHOICES = {"format": ("csv", "json"), "product": ("biorth", "physical"), "summand": ("sum", "diff")}
+
+#: fields whose text is not parsed by the type of their default
+_FIELD_PARSERS = {
+    "hbars": lambda text: tuple(float(v) for v in text.split(",")),
+    "points": lambda text: tuple(text.split(";")),
+}
+
+
+def _flags(spec: Command) -> dict:
+    """Flag -> the RunConfig fields it sets, in the command's option order."""
+    flags = {}
+    for name in (*_COMMON_OPTIONS, *spec.options):
+        flag = _FIELD_FLAG.get(name, "--" + name.replace("_", "-"))
+        flags[flag] = _FLAG_FIELDS.get(flag, (name,))
+    return flags
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nhboson",
+        description="Exact identities and spectral diagnostics for the "
+        "coupled two-boson oscillator; emits CSV/JSON data files.",
+    )
+    parser.add_argument("--version", action="version", version=f"nhboson {__version__}")
+    sub = parser.add_subparsers(dest="command", metavar="command")
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        p.add_argument("--config", help=_HELP["--config"])
+        for flag, names in _flags(spec).items():
+            p.add_argument(flag, help=_HELP.get(flag), choices=_CHOICES.get(names[0]))
+    return parser
+
+
+def read_config_file(path: str) -> dict:
+    """key=value lines; '#' starts a comment; keys use underscores."""
+    out = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise CliError(f"malformed config line {raw.rstrip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            out[key.replace("-", "_")] = value
+    return out
+
+
+def _set_field(cfg: RunConfig, name: str, text: str) -> None:
+    if name == "gamma" and text == "symbolic":
+        cfg.gamma_symbolic = True
+        return
+    parse = _FIELD_PARSERS.get(name, type(getattr(RunConfig, name)))
+    try:
+        setattr(cfg, name, parse(text))
+    except ValueError as exc:
+        raise CliError(f"cannot parse {name} value {text!r}") from exc
+
+
+def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """Flags > config file > the command's defaults > RunConfig defaults;
+    flag and file texts go through the same per-field parser."""
+    spec = COMMANDS[args.command]
+    file_values = read_config_file(args.config) if args.config else {}
+    known = {f.name for f in fields(RunConfig)}
+    for key in file_values:
+        if key not in known:
+            raise CliError(f"unknown config key {key!r}")
+    texts = {**dict(spec.defaults), **file_values}
+    for flag, names in _flags(spec).items():
+        text = getattr(args, flag[2:].replace("-", "_"))
+        if text is None:
+            continue
+        parts = text.split(",") if len(names) > 1 else [text]
+        if len(parts) != len(names):
+            raise CliError(f"{flag} needs {','.join(names)}")
+        texts.update(zip(names, parts))
+    cfg = RunConfig(command=args.command)
+    for name in (*_COMMON_OPTIONS, *spec.options):
+        if name in texts:
+            _set_field(cfg, name, texts[name])
+    return cfg
 
 
 # -- emission ---------------------------------------------------------------
@@ -477,7 +371,7 @@ def _format_cell(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return _float_str(v)
+        return repr(float(v))
     return str(v)
 
 
@@ -492,7 +386,7 @@ def _jsonable(v):
 
 
 def emit(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
-    fmt = cfg.format or DEFAULT_FORMAT.get(cfg.command, "csv")
+    fmt = cfg.format or COMMANDS[cfg.command].format
     if cfg.out:
         path = cfg.out
     else:
@@ -523,25 +417,28 @@ _DASH_VALUE_OPTS = ("--grid", "--points", "--hbars", "--theta-min", "--theta-max
 
 
 def _fold_dash_values(argv):
-    out = []
-    it = iter(argv)
+    out, it = [], iter(argv)
     for token in it:
-        if token in _DASH_VALUE_OPTS:
-            value = next(it, None)
-            if value is None:
-                out.append(token)
-            else:
-                out.append(f"{token}={value}")
-        else:
-            out.append(token)
+        value = next(it, None) if token in _DASH_VALUE_OPTS else None
+        out.append(token if value is None else f"{token}={value}")
     return out
 
 
+def _fail(code: int, message: str) -> int:
+    print(f"nhboson: {message}", file=sys.stderr)
+    return code
+
+
+def _has_nan(rows) -> bool:
+    return any(isinstance(v, (float, np.floating)) and math.isnan(v) for row in rows for v in row)
+
+
 def main(argv=None) -> int:
+    """Exit codes: 0 artifact written; 2 bad input, or the artifact or the
+    memory a run needs cannot be had; 3 the solver did not converge or the
+    result is not finite (a NaN cell; +inf is a legal value)."""
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_fold_dash_values(list(argv)))
+    args = parser.parse_args(_fold_dash_values(sys.argv[1:] if argv is None else list(argv)))
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
@@ -549,20 +446,28 @@ def main(argv=None) -> int:
         cfg = _merge_config(args)
         cfg.validate()
     except (CliError, OSError, ValueError) as exc:
-        print(f"nhboson: error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.command in SPECTRAL_COMMANDS and abs(cfg.gamma) >= 1:
+        return _fail(2, f"error: {exc}")
+    spec = COMMANDS[cfg.command]
+    if "truncation" in spec.options and abs(cfg.gamma) >= 1:
         print(
             f"nhboson: warning: |gamma| = {abs(cfg.gamma)} >= 1; closedness of the "
             "full operator is not guaranteed there, results are truncation-only",
             file=sys.stderr,
         )
     try:
-        header, rows = _RUNNERS[cfg.command](cfg)
+        header, rows = spec.rows(cfg)
+    except MemoryError as exc:
+        return _fail(2, f"error: out of memory: {exc}")
     except fock.SolverConvergenceError as exc:
-        print(f"nhboson: solver failed to converge: {exc}", file=sys.stderr)
-        return 3
-    path = emit(cfg, header, rows)
+        return _fail(3, f"solver failed to converge: {exc}")
+    except ArithmeticError as exc:
+        return _fail(3, f"non-finite result: {exc!r}")
+    if _has_nan(rows):
+        return _fail(3, "non-finite result: NaN in the output rows")
+    try:
+        path = emit(cfg, header, rows)
+    except OSError as exc:
+        return _fail(2, f"error: cannot write the artifact: {exc}")
     print(path)
     return 0
 

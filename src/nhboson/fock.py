@@ -19,6 +19,7 @@ touched when they can actually lower the minimum:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -484,8 +485,9 @@ def spectrum_rows(n_max: int, gamma: float) -> list[tuple[int, complex, float, f
 
 
 def z_from_string(text: str) -> complex:
-    """Parse a complex literal, accepting i or j for the imaginary unit."""
-    cleaned = text.strip().replace("i", "j").replace("J", "j")
+    """Parse a complex literal, accepting i or j for the imaginary unit;
+    the i of inf/infinity is not the imaginary unit."""
+    cleaned = re.sub(r"i(?![a-z])", "j", text.strip())
     try:
         return complex(cleaned)
     except ValueError as exc:

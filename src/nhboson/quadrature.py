@@ -1,10 +1,10 @@
 """Hermite polynomial evaluation and Gaussian quadrature.
 
-Provides the three evaluation flavours the package needs (raw physicists'
-Hermite values, square-root-factorial scaled values for overflow-free
-polynomial parts, and orthonormal Hermite-function jets), Gauss-Hermite
-rules from the Jacobi-matrix eigenproblem, and a tensor scheme for 2D
-integrals against coupled Gaussians e^(-A x^2 - B y^2 + 2 C x y).
+Provides the two evaluation flavours the package needs (square-root-factorial
+scaled values for overflow-free polynomial parts, and orthonormal
+Hermite-function jets), Gauss-Hermite rules from the Jacobi-matrix
+eigenproblem, and a tensor scheme for 2D integrals against coupled
+Gaussians e^(-A x^2 - B y^2 + 2 C x y).
 """
 
 from __future__ import annotations
@@ -17,25 +17,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 MAX_RULE_SIZE = 512
-
-
-def hermite_eval(n: int, t):
-    """Value and derivative of the physicists' Hermite polynomial H_n.
-
-    Three-term recurrence H_{k+1} = 2 t H_k - 2 k H_{k-1}; the derivative
-    comes from H_n' = 2 n H_{n-1}.  Vectorized over t.
-    """
-    if n < 0:
-        raise ValueError("Hermite index must be >= 0")
-    t = np.asarray(t, dtype=float)
-    h_prev = np.zeros_like(t)
-    h = np.ones_like(t)
-    for k in range(n):
-        h_prev, h = h, 2.0 * t * h - 2.0 * k * h_prev
-    deriv = 2.0 * n * h_prev if n else np.zeros_like(t)
-    if t.ndim == 0:
-        return float(h), float(deriv)
-    return h, deriv
 
 
 def hermite_scaled(n: int, t):

@@ -123,39 +123,43 @@ class PhaseFunction:
         return x
 
 
-def wkb_phase(summand: QuadraticSummand, energy: float, x, branch: Branch = Branch.RIGHT):
-    """Convenience wrapper: S(x) for the given branch."""
-    return PhaseFunction(summand, energy, branch)(x)
+def _doubling(value_at, n0: int, rtol: float, n_cap: int) -> float:
+    """value_at(n) for n = n0, 2 n0, ... until two values agree to rtol.
+
+    Raises FloatingPointError on the first non-finite value, and when the
+    values have not agreed by n_cap nodes: neither is returned silently."""
+    prev, n = None, n0
+    while True:
+        val = value_at(n)
+        if not math.isfinite(val):
+            raise FloatingPointError(f"non-finite quadrature value {val} at {n} nodes")
+        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
+            return val
+        if n >= n_cap:
+            raise FloatingPointError(f"quadrature not converged to rtol {rtol} by {n_cap} nodes")
+        prev, n = val, 2 * n
 
 
 def _converged_quadrature(f, half_width: float, n0: int = 64, rtol: float = 1e-9, n_cap: int = 8192):
     """Gauss-Legendre on [-half_width, half_width] with node doubling."""
-    prev = None
-    n = n0
-    while True:
+
+    def value_at(n):
         t, w = leggauss(n)
-        val = float(np.dot(w, f(half_width * t)) * half_width)
-        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
-            return val
-        if n >= n_cap:
-            return val
-        prev, n = val, 2 * n
+        return float(np.dot(w, f(half_width * t)) * half_width)
+
+    return _doubling(value_at, n0, rtol, n_cap)
 
 
 def _log_gaussian_integral(c: float, half_width: float, n0: int = 64, rtol: float = 1e-9, n_cap: int = 8192):
     """log of integral of e^(c x^2) over [-half_width, half_width],
     overflow-safe for any magnitude of c."""
-    prev = None
-    n = n0
-    while True:
+
+    def value_at(n):
         t, w = leggauss(n)
         x = half_width * t
-        val = float(logsumexp(c * x * x + np.log(w * half_width)))
-        if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
-            return val
-        if n >= n_cap:
-            return val
-        prev, n = val, 2 * n
+        return float(logsumexp(c * x * x + np.log(w * half_width)))
+
+    return _doubling(value_at, n0, rtol, n_cap)
 
 
 @dataclass(frozen=True)

@@ -143,15 +143,16 @@ def test_criterion_06_pseudospectrum_sanity():
 
 def test_criterion_07_truncation_convergence():
     # targets in extended precision too, so the measured error is pure
-    # truncation error and not float64 rounding of (1+m+n) sqrt(1.25)
+    # truncation error and not float64 rounding of (1+m+n) sqrt(1.25);
+    # 60 digits resolve the N=40 error (about 1e-44), which 40 would round to 0
     from mpmath import mp
 
-    with mp.workdps(40):
+    with mp.workdps(60):
         omega = mp.sqrt(mp.mpf(5)) / 2
         targets = [t * omega for t in (1, 2, 2, 3, 3, 3)]
         errors = []
         for n_max in (10, 20, 40):
-            vals = fock.lowest_eigenvalues_precise(n_max, 0.5, 6, dps=40)
+            vals = fock.lowest_eigenvalues_precise(n_max, 0.5, 6, dps=60)
             errors.append(max(abs(v - t) for v, t in zip(vals, targets)))
         strictly_decreasing = errors[0] > errors[1] > errors[2]
         ok = strictly_decreasing and errors[-1] <= 1e-4

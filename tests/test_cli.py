@@ -1,14 +1,23 @@
 """Command-line surface: schemas, determinism, config precedence, exit codes."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhboson import __version__
-from nhboson.cli import ENV_OUTDIR, RunConfig, main
+from nhboson.cli import ENV_OUTDIR, RunConfig, _build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -209,6 +218,53 @@ def test_validation_exit_codes(tmp_path):
     code, out = run(tmp_path, "pseudo", "--gamma", "inf", "--truncation", "4", "--res", "5")
     assert code == 2
     assert not out.exists()
+    # 10**17 theta samples need 711 PiB, more than any address space, so the
+    # allocation fails on every host whatever its overcommit policy
+    for argv in (
+        ("expand", "--cutoff", "1", "--seed", "-1"),
+        ("accretive", "--truncation", "4", "--seed", "-5"),
+        ("accretive", "--truncation", "4", "--vectors", "0"),
+        ("accretive", "--truncation", "4", "--vectors", "-3"),
+        ("numrange", "--theta-steps", str(10**17)),
+    ):
+        code, out = run(tmp_path, *argv)
+        assert code == 2, argv
+        assert not out.exists()
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    assert main(["wkb", "--hbars", "0.1", "--out", str(regular / "x.csv")]) == 2
+
+
+def test_accretive_rejects_infinite_point(tmp_path, capsys):
+    code, out = run(tmp_path, "accretive", "--points=-inf", "--truncation", "3")
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("numrange", "--truncation", "2", "--gamma", "1e300"),
+        ("biorth", "--max-index", "1", "--gamma", "1e308"),
+        ("norms", "--max-index", "1", "--gamma", "1e308"),
+        ("expand", "--cutoff", "1", "--gamma", "1e308"),
+        ("wkb", "--energy", "1e-320"),
+    ],
+)
+def test_non_finite_results_exit_3_without_artifact(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 3
+    assert "non-finite result" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wkb_underflowing_hbar_exits_3_fast(tmp_path):
+    start = time.perf_counter()
+    code, out = run(tmp_path, "wkb", "--hbars", "1e-320")
+    assert code == 3
+    assert time.perf_counter() - start < 5.0
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -242,3 +298,83 @@ def test_float_cells_round_trip(tmp_path):
     _, rows = read_csv(out)
     val = rows[0][1]
     assert repr(float(val)) == val
+
+
+def _subparsers():
+    parser = _build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_flag_surface():
+    surface = {
+        name: sorted(
+            opt + (" {" + ",".join(action.choices) + "}" if action.choices else "")
+            for action in sub._actions
+            for opt in action.option_strings
+        )
+        for name, sub in _subparsers().items()
+    }
+    common = ["--config", "--format {csv,json}", "--help", "--out", "-h"]
+    assert surface == {
+        "verify-algebra": sorted(common + ["--gamma"]),
+        "spectrum": sorted(common + ["--gamma", "--truncation"]),
+        "numrange": sorted(
+            common + ["--gamma", "--theta-max", "--theta-min", "--theta-steps", "--truncation"]
+        ),
+        "pseudo": sorted(common + ["--gamma", "--grid", "--res", "--truncation"]),
+        "biorth": sorted(common + ["--gamma", "--max-index", "--nodes", "--product {biorth,physical}"]),
+        "norms": sorted(common + ["--gamma", "--max-index", "--nodes"]),
+        "accretive": sorted(common + ["--gamma", "--points", "--seed", "--truncation", "--vectors"]),
+        "wkb": sorted(common + ["--energy", "--hbars", "--summand {sum,diff}"]),
+        "expand": sorted(common + ["--cutoff", "--gamma", "--nodes", "--seed"]),
+    }
+    assert list(surface) == [
+        "verify-algebra", "spectrum", "numrange", "pseudo", "biorth",
+        "norms", "accretive", "wkb", "expand",
+    ]
+
+
+#: every command at tiny sizes, so that the one fuzzed option decides the run
+_TINY = {
+    "verify-algebra": (),
+    "spectrum": ("--truncation", "2"),
+    "numrange": ("--truncation", "2", "--theta-steps", "3"),
+    "pseudo": ("--truncation", "2", "--res", "3"),
+    "biorth": ("--max-index", "0", "--nodes", "8"),
+    "norms": ("--max-index", "0", "--nodes", "8"),
+    "accretive": ("--truncation", "2", "--vectors", "2", "--points=-1"),
+    "wkb": ("--hbars", "0.5"),
+    "expand": ("--cutoff", "0", "--nodes", "8"),
+}
+_FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "1e-320", "", "abc", "1,2")
+#: size options with an upper bound; huge values of the unbounded ones
+#: (truncation, max-index, cutoff, vectors, theta-steps) are not fuzzed
+_CAPPED = {"--res": str(10**9), "--nodes": str(10**9)}
+_FUZZ_CASES = [
+    (name, flag, value)
+    for name, sub in _subparsers().items()
+    for action in sub._actions
+    for flag in action.option_strings[:1]
+    if flag not in ("-h", "--config", "--out")
+    for value in _FUZZ_VALUES + ((_CAPPED[flag],) if flag in _CAPPED else ())
+]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_FUZZ_CASES))
+def test_fuzzed_option_exits_0_2_or_3_without_nan(case):
+    name, flag, value = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "artifact.out"
+        argv = [name, *_TINY[name], flag, value, "--out", str(out)]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the value
+                code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert out.exists() == (code == 0), argv
+        if out.exists():
+            assert not re.search(r"\bnan\b", out.read_text(), re.IGNORECASE), argv

@@ -415,6 +415,8 @@ def test_spectrum_rows_never_builds_the_dense_matrix():
 def test_z_from_string():
     assert fock.z_from_string("-2+3i") == -2 + 3j
     assert fock.z_from_string("-0.5") == -0.5
+    assert fock.z_from_string("-inf") == complex(-math.inf)
+    assert fock.z_from_string("-infinity+2i") == complex(-math.inf, 2.0)
     with pytest.raises(ValueError):
         fock.z_from_string("nope+i*")
 

@@ -9,7 +9,6 @@ from nhboson.quadrature import (
     CoupledGaussianScheme,
     coupled_scheme,
     gauss_hermite,
-    hermite_eval,
     hermite_function_jet,
     hermite_scaled,
     integrate_coupled,
@@ -27,38 +26,10 @@ def _hermite_recurrence_oracle(n, t):
     return values[n], deriv
 
 
-def test_hermite_base_cases():
-    assert hermite_eval(0, 3.7) == (1.0, 0.0)
-    assert hermite_eval(1, 0.3) == (0.6, 2.0)
-
-
-def test_hermite_low_orders():
-    # H_2(t) = 4t^2 - 2 so H_2(1) = 2, H_2'(1) = 8
-    assert hermite_eval(2, 1.0) == pytest.approx(_hermite_recurrence_oracle(2, 1.0))
-    assert hermite_eval(2, 1.0) == (2.0, 8.0)
-    # H_3(t) = 8t^3 - 12t so H_3(0.5) = -5, H_3'(0.5) = -6
-    assert hermite_eval(3, 0.5) == pytest.approx(_hermite_recurrence_oracle(3, 0.5))
-    assert hermite_eval(3, 0.5) == (-5.0, -6.0)
-
-
-@pytest.mark.parametrize("n", [4, 7, 11])
-def test_hermite_against_oracle(n):
-    for t in np.linspace(-2.0, 2.0, 9):
-        val, der = hermite_eval(n, float(t))
-        oval, oder = _hermite_recurrence_oracle(n, float(t))
-        assert val == pytest.approx(oval, rel=1e-13)
-        assert der == pytest.approx(oder, rel=1e-13)
-
-
-def test_hermite_rejects_negative_index():
-    with pytest.raises(ValueError):
-        hermite_eval(-1, 0.0)
-
-
 def test_hermite_scaled_matches_raw():
     t = np.linspace(-3, 3, 11)
     for n in (0, 1, 5, 9):
-        raw, _ = hermite_eval(n, t)
+        raw, _ = _hermite_recurrence_oracle(n, t)
         scale = math.sqrt(2.0**n * math.factorial(n))
         assert np.allclose(hermite_scaled(n, t), raw / scale, rtol=1e-12)
 

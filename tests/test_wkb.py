@@ -12,10 +12,11 @@ from nhboson.wkb import (
     Branch,
     PhaseFunction,
     QuadraticSummand,
+    _converged_quadrature,
+    _log_gaussian_integral,
     difference_coordinate_summand,
     sum_coordinate_summand,
     wkb_integrals,
-    wkb_phase,
 )
 
 SUM = sum_coordinate_summand()
@@ -38,8 +39,8 @@ def test_turning_points():
 
 
 def test_phase_vanishes_at_origin():
-    assert wkb_phase(SUM, 1.0, 0.0) == 0.0
-    assert wkb_phase(DIFF, 2.0, 0.0) == 0.0
+    assert PhaseFunction(SUM, 1.0)(0.0) == 0.0
+    assert PhaseFunction(DIFF, 2.0)(0.0) == 0.0
 
 
 def test_phase_closed_form_against_integration_oracle():
@@ -58,7 +59,7 @@ def test_phase_closed_form_against_integration_oracle():
 
 def test_phase_value_spot():
     # frozen from the integration oracle above: S(0.25) at unit energy
-    got = wkb_phase(SUM, 1.0, 0.25)
+    got = PhaseFunction(SUM, 1.0)(0.25)
     assert got.real == pytest.approx(0.6764264626944276, abs=1e-12)
     assert got.imag == pytest.approx(-0.125, abs=1e-15)
 
@@ -101,9 +102,9 @@ def test_branches_share_real_part_and_flip_imag():
 
 def test_phase_rejects_forbidden_region():
     with pytest.raises(ValueError):
-        wkb_phase(SUM, 1.0, 0.5)
+        PhaseFunction(SUM, 1.0)(0.5)
     with pytest.raises(ValueError):
-        wkb_phase(SUM, 1.0, -0.7)
+        PhaseFunction(SUM, 1.0)(-0.7)
 
 
 def _closed_form_integrals(summand, energy, hbar):
@@ -166,6 +167,16 @@ def test_overflow_safe_log_path():
     assert rows[1].log_right_norm > rows[0].log_right_norm > 0
     assert rows[0].left_norm > rows[1].left_norm > 0
     assert rows[0].cross_overlap == pytest.approx(1.0, rel=1e-10)
+
+
+def test_doubling_loops_raise_rather_than_return_unconverged():
+    # cos(1000 x) is not resolved by 64 or 128 Gauss-Legendre nodes
+    with pytest.raises(FloatingPointError, match="not converged"):
+        _converged_quadrature(lambda x: np.cos(1000.0 * x), 1.0, n_cap=128)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        _converged_quadrature(lambda x: np.full_like(x, np.nan), 1.0)
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        _log_gaussian_integral(math.inf, 1.0)
 
 
 def test_rejects_nonpositive_hbar():
