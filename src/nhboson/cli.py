@@ -33,6 +33,25 @@ class CliError(ValueError):
     pass
 
 
+#: inclusive bounds of the size options.  The upper caps keep the largest
+#: run within minutes and its arrays far inside numpy's limits: spectrum
+#: grows as N^4, biorth as (max_index + 1)^4 quadratures, expand about as
+#: (cutoff + 1)^4, numrange and accretive linearly in theta_steps and vectors
+SIZE_RANGES = {
+    "truncation": (0, 500),
+    "resolution": (1, 512),
+    "theta_steps": (1, 100_000),
+    "max_index": (0, 32),
+    "cutoff": (0, 32),
+    "vectors": (1, 100_000),
+    "nodes": (1, 512),
+}
+#: the commands whose sigma_min may go to LAPACK's SVD, which writes an error
+#: to stdout once a block entry overflows; SVD_GAMMA_MAX keeps gamma^2 finite
+_SVD_COMMANDS = ("pseudo", "accretive")
+SVD_GAMMA_MAX = 1e150
+
+
 @dataclass
 class RunConfig:
     command: str = ""
@@ -67,24 +86,17 @@ class RunConfig:
             raise CliError("--gamma symbolic is only meaningful for verify-algebra")
         if not math.isfinite(self.gamma):
             raise CliError("gamma must be finite")
-        if self.truncation < 0:
-            raise CliError("truncation must be >= 0")
-        if not 1 <= self.resolution <= 512:
-            raise CliError("resolution must be in [1, 512]")
-        if self.theta_steps < 1:
-            raise CliError("theta-steps must be >= 1")
+        if self.command in _SVD_COMMANDS and not abs(self.gamma) <= SVD_GAMMA_MAX:
+            raise CliError(f"{self.command} needs |gamma| <= {SVD_GAMMA_MAX:g}")
+        for name, (low, high) in SIZE_RANGES.items():
+            if not low <= getattr(self, name) <= high:
+                raise CliError(f"{name} must be in [{low}, {high}]")
         if not (abs(self.theta_min) < math.pi / 2 and abs(self.theta_max) < math.pi / 2):
             raise CliError("theta range must lie inside (-pi/2, pi/2)")
         if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
             raise CliError("grid range ends must be finite")
-        if self.cutoff < 0 or self.max_index < 0:
-            raise CliError("mode cutoffs must be >= 0")
         if self.seed < 0:
             raise CliError("seed must be >= 0")
-        if self.vectors < 1:
-            raise CliError("vectors must be >= 1")
-        if not 1 <= self.nodes <= 512:
-            raise CliError("nodes must be in [1, 512]")
         if not all(0 < float(h) < math.inf for h in self.hbars):
             raise CliError("hbar values must be positive and finite")
         if not 0 < self.energy < math.inf:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhboson import __version__
-from nhboson.cli import ENV_OUTDIR, RunConfig, _build_parser, main
+from nhboson.cli import ENV_OUTDIR, SIZE_RANGES, SVD_GAMMA_MAX, RunConfig, _build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -235,6 +235,37 @@ def test_validation_exit_codes(tmp_path):
     assert main(["wkb", "--hbars", "0.1", "--out", str(regular / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pseudo", "--truncation", "2", "--res", "3"),
+        ("accretive", "--truncation", "2", "--vectors", "2", "--points=-1"),
+    ],
+)
+def test_huge_gamma_keeps_lapack_off_stdout(tmp_path, capfd, argv):
+    # LAPACK's SVD scaling writes "** On entry to DLASCL ..." to file
+    # descriptor 1 once a block entry overflows; redirect_stdout cannot see it
+    for gamma, expected in (("1e308", 2), ("-1e200", 2), (repr(SVD_GAMMA_MAX), 0)):
+        code, out = run(tmp_path, *argv, "--gamma", gamma)
+        captured = capfd.readouterr().out
+        assert code == expected, (gamma, captured)
+        assert captured == (f"{out}\n" if code == 0 else ""), gamma
+
+
+def test_size_caps_are_inclusive(tmp_path):
+    for name, (low, high) in SIZE_RANGES.items():
+        for value, valid in ((low, True), (high, True), (high + 1, False), (low - 1, False)):
+            cfg = RunConfig(command="spectrum", **{name: value})
+            if valid:
+                cfg.validate()
+            else:
+                with pytest.raises(ValueError, match=name):
+                    cfg.validate()
+    code, out = run(tmp_path, "numrange", "--theta-steps", str(3 * 10**18))
+    assert code == 2
+    assert not out.exists()
+
+
 def test_accretive_rejects_infinite_point(tmp_path, capsys):
     code, out = run(tmp_path, "accretive", "--points=-inf", "--truncation", "3")
     assert code == 2
@@ -347,9 +378,16 @@ _TINY = {
     "expand": ("--cutoff", "0", "--nodes", "8"),
 }
 _FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "1e-320", "", "abc", "1,2")
-#: size options with an upper bound; huge values of the unbounded ones
-#: (truncation, max-index, cutoff, vectors, theta-steps) are not fuzzed
-_CAPPED = {"--res": str(10**9), "--nodes": str(10**9)}
+#: every size option has an upper bound; 3 * 10**18 is also past numpy's
+#: largest array
+_CAPPED = {
+    "--res": str(10**9),
+    "--nodes": str(10**9),
+    **{
+        flag: str(3 * 10**18)
+        for flag in ("--truncation", "--theta-steps", "--max-index", "--cutoff", "--vectors")
+    },
+}
 _FUZZ_CASES = [
     (name, flag, value)
     for name, sub in _subparsers().items()

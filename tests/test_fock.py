@@ -62,6 +62,42 @@ def _mp_eig_lowest(n_max, gamma, count, dps):
         return vals[:count]
 
 
+def _svd_sweep(n_max, gamma, zs):
+    """sigma_min(zI - A_N) per point as the min over blocks of a batched
+    dense SVD, skipping only blocks with d + 1 - Re z >= the running min:
+    the reference for the inverse-iteration sweep."""
+    zs = np.asarray(zs, dtype=complex).ravel()
+    smin = np.full(zs.size, np.inf)
+    for d in range(n_max + 1):
+        todo = np.flatnonzero(d + 1.0 - zs.real < smin)
+        if todo.size == 0:
+            break
+        block = fock._block_dense("H", n_max, gamma, d)
+        shifted = zs[todo, None, None] * np.eye(block.shape[0]) - block
+        smin[todo] = np.minimum(smin[todo], np.linalg.svd(shifted, compute_uv=False)[:, -1])
+    return smin
+
+
+def _hard_points(n_max, gamma):
+    """Points where inverse iteration is hardest, folded to Im z >= 0:
+    eigenvalues of low, middle and top blocks (sigma = 0 up to rounding),
+    midpoints between adjacent real eigenvalues (sigma_1 ~ sigma_2, slowest
+    convergence), the Re z = -1 and |Im z| = 4 edges of the default grid,
+    points just right of a block's first diagonal entry d + 1 (a tiny
+    leading pivot, which the LU must pivot away), and the size-1 block d = N
+    at and next to its eigenvalue N + 1, where the pivot is exactly zero."""
+    blocks = [fock._block_dense("H", n_max, gamma, d) for d in range(n_max + 1)]
+    eigs = np.concatenate([np.linalg.eigvals(blocks[d]) for d in (0, 1, 2, n_max // 2, n_max - 1)])
+    every = np.concatenate([np.linalg.eigvals(b) for b in blocks])
+    real = np.unique(every[np.abs(every.imag) < 1e-9].real)
+    mids = 0.5 * (real[1:] + real[:-1])
+    edges = np.concatenate([-1 + 1j * np.linspace(0, 4, 21), np.linspace(-1, 8, 46) + 4j])
+    tiny_pivot = np.arange(1, 9) + 1e-13
+    single = n_max + 1 + np.array([0, 1e-9, -0.5, 0.5j])
+    zs = np.concatenate([eigs, mids[mids < 30], edges, tiny_pivot, single])
+    return np.unique(zs.real + 1j * np.abs(zs.imag))
+
+
 def test_smallest_truncation_is_scalar_one():
     fm = fock.build_matrix("H", 0, 0.7)
     assert fm.mat.shape == (1, 1)
@@ -410,6 +446,60 @@ def test_spectrum_rows_never_builds_the_dense_matrix():
         tracemalloc.stop()
     assert len(rows) == 61 * 61
     assert peak < 20e6
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.5])
+def test_inverse_iteration_matches_svd_sweep_at_hard_points(monkeypatch, gamma):
+    n_max = 40
+    zs = _hard_points(n_max, gamma)
+    reference = _svd_sweep(n_max, gamma, zs)
+    factored = []
+    original = fock._gttrf
+    monkeypatch.setattr(fock, "_gttrf", lambda *a: factored.append(a[-1].size) or original(*a))
+    fast = fock._sigma_min_blockwise(n_max, gamma, zs)
+    assert sum(factored) > zs.size  # the inverse iteration did run
+    assert np.all(np.isfinite(fast))
+    assert np.max(np.abs(fast - reference)) < 1e-12
+    # every batch through the inverse iteration, down to the size-1 block
+    # and its exactly zero pivot at z = N + 1
+    monkeypatch.setattr(fock, "_INVIT_MIN_WORK", 0)
+    forced = fock._sigma_min_blockwise(n_max, gamma, zs)
+    assert np.all(np.isfinite(forced))
+    assert np.max(np.abs(forced - reference)) < 1e-12
+    assert forced[zs == n_max + 1] == 0.0
+
+
+def test_inverse_iteration_cap_falls_back_to_svd(monkeypatch):
+    n_max, gamma = 40, 0.5
+    zs = _hard_points(n_max, gamma)
+    reference = _svd_sweep(n_max, gamma, zs)
+    solved = []
+    original = fock._sigma_min_svd
+    monkeypatch.setattr(fock, "_sigma_min_svd", lambda b, z, d: solved.append(z.size) or original(b, z, d))
+    monkeypatch.setattr(fock, "_INVIT_MIN_WORK", 0)
+    monkeypatch.setattr(fock, "_INVIT_STEPS_PER_ROW", 1e-9)  # a cap of one step
+    capped = fock._sigma_min_blockwise(n_max, gamma, zs)
+    assert sum(solved) > zs.size  # points reached the cap and went to the SVD
+    assert np.max(np.abs(capped - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [math.inf, math.nan])
+def test_inverse_iteration_hands_non_finite_blocks_to_svd(monkeypatch, gamma):
+    monkeypatch.setattr(fock, "_INVIT_MIN_WORK", 0)
+    with pytest.raises(fock.SolverConvergenceError):
+        fock.pseudospectrum(6, gamma, (-1, 8), (-4, 4), 21)
+
+
+def test_pseudospectrum_peak_memory():
+    # a 2048-point SVD stack of 81 x 81 complex blocks alone would take 215 MB
+    tracemalloc.start()
+    try:
+        grid = fock.pseudospectrum(80, 0.5, (-1, 8), (-4, 4), 41)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(grid.sigma_min))
+    assert peak < 60e6
 
 
 def test_z_from_string():
