@@ -35,8 +35,10 @@ class CliError(ValueError):
 
 #: inclusive bounds of the size options.  The upper caps keep the largest
 #: run within minutes and its arrays far inside numpy's limits: spectrum
-#: grows as N^4, biorth as (max_index + 1)^4 quadratures, expand about as
-#: (cutoff + 1)^4, numrange and accretive linearly in theta_steps and vectors
+#: grows as N^4, biorth writes (max_index + 1)^4 rows from one Hermite table,
+#: norms and expand tabulate (max_index + 1) or (cutoff + 1) Hermite orders
+#: on nodes^2 points, numrange and accretive grow linearly in theta_steps
+#: and vectors
 SIZE_RANGES = {
     "truncation": (0, 500),
     "resolution": (1, 512),
@@ -162,27 +164,15 @@ def _rows_pseudo(cfg: RunConfig):
 
 
 def _rows_biorth(cfg: RunConfig):
-    rows = []
-    biorth = cfg.product == "biorth"
-    right_kind = modes.ModeKind.PSI_TILDE if biorth else modes.ModeKind.PSI
-    ip_kind = modes.InnerProductKind.FLAT if biorth else modes.InnerProductKind.PHYSICAL
-    for m in range(cfg.max_index + 1):
-        for n in range(cfg.max_index + 1):
-            f = modes.ModeFunction(modes.ModeKind.PSI, m, n, cfg.gamma)
-            for p in range(cfg.max_index + 1):
-                for q in range(cfg.max_index + 1):
-                    g = modes.ModeFunction(right_kind, p, q, cfg.gamma)
-                    rows.append([m, n, p, q, modes.inner_product(f, g, ip_kind, cfg.nodes)])
-    return ["m", "n", "p", "q", "value"], rows
+    # both --product values fold the couplings to 0 and give the same G (x) G
+    g = modes.gram_matrix(cfg.gamma, cfg.max_index, cfg.nodes)
+    values = np.einsum("mp,nq->mnpq", g, g)
+    return ["m", "n", "p", "q", "value"], [[*idx, v] for idx, v in np.ndenumerate(values)]
 
 
 def _rows_norms(cfg: RunConfig):
-    rows = []
-    for m in range(cfg.max_index + 1):
-        for n in range(cfg.max_index + 1):
-            f = modes.ModeFunction(modes.ModeKind.PSI, m, n, cfg.gamma)
-            rows.append([m, n, modes.inner_product(f, f, modes.InnerProductKind.FLAT, cfg.nodes)])
-    return ["m", "n", "norm_sq"], rows
+    table = modes.flat_norms(cfg.gamma, cfg.max_index, cfg.nodes)
+    return ["m", "n", "norm_sq"], [[*idx, v] for idx, v in np.ndenumerate(table)]
 
 
 def _rows_accretive(cfg: RunConfig):
@@ -212,13 +202,10 @@ def _rows_expand(cfg: RunConfig):
     coeffs /= np.linalg.norm(coeffs)
     psi = modes.mode_superposition(coeffs, cfg.gamma)
     result = modes.expand_amplitudes(psi, cfg.gamma, cfg.cutoff, cfg.nodes)
-    rows = []
-    for m in range(cfg.cutoff + 1):
-        for n in range(cfg.cutoff + 1):
-            rows.append(
-                [m, n, coeffs[m, n], result.coeffs[m, n], abs(coeffs[m, n] - result.coeffs[m, n])]
-            )
-    return ["m", "n", "c_true", "c_est", "abs_err"], rows
+    err = np.abs(coeffs - result.coeffs)
+    return ["m", "n", "c_true", "c_est", "abs_err"], [
+        [m, n, coeffs[m, n], result.coeffs[m, n], err[m, n]] for m, n in np.ndindex(coeffs.shape)
+    ]
 
 
 # -- the option table --------------------------------------------------------

@@ -8,7 +8,9 @@ orthonormality both come out with constant 1.
 
 Inner products fold every Gaussian and e^(c x y) factor into the exponent
 of a coupled tensor quadrature; only scaled Hermite products are evaluated
-at the nodes, which keeps the integrands overflow-free.
+at the nodes, which keeps the integrands overflow-free.  `inner_product`
+does this for one pair; `gram_matrix`, `flat_norms` and `expand_amplitudes`
+tabulate every order at every node once and contract for all pairs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .quadrature import hermite_function_jet, hermite_scaled, integrate_coupled
+from .quadrature import gauss_hermite, hermite_function_jet, hermite_scaled, integrate_coupled
 
 
 class ModeKind(Enum):
@@ -124,9 +126,9 @@ class ModeFunction:
         value = poly_part * e^(-w (x^2+y^2)) * e^(c x y)."""
         s = math.sqrt(2.0 * self.omega)
         scale = math.sqrt(2.0 * self.omega / math.pi)
-        return scale * hermite_scaled(self.m, s * np.asarray(x, float)) * hermite_scaled(
+        return scale * hermite_scaled(self.m, s * np.asarray(x, float))[-1] * hermite_scaled(
             self.n, s * np.asarray(y, float)
-        )
+        )[-1]
 
 
 def apply_hamiltonian(f: ModeFunction, x, y, which: str = "H"):
@@ -190,15 +192,51 @@ def inner_product(
     )
 
 
+def _oscillator_table(omega: float, m_max: int, n_nodes: int):
+    """Gauss-Hermite rule for e^(-a x^2), a = 2 omega, mapped to x = t/sqrt(a),
+    and the scaled Hermite table h_k(sqrt(a) x) for k = 0..m_max at its nodes.
+    The table is built from sqrt(a) x, so a non-finite a yields NaN."""
+    root_a = math.sqrt(2.0 * omega)
+    rule = gauss_hermite(n_nodes)
+    x = rule.nodes / root_a
+    return x, rule.weights / root_a, hermite_scaled(m_max, root_a * x)
+
+
+def gram_matrix(gamma: float, m_max: int, n_nodes: int = 96) -> np.ndarray:
+    """1D Gram matrix G[m, p] of the mode factors, m, p = 0..m_max.
+
+    The biorthogonal product (Psi_mn, Psi~_pq) under the flat weight and the
+    physical product (Psi_mn, Psi_pq) both fold the couplings to c = 0, so
+    both equal G[m, p] G[n, q], the identity on exact quadrature."""
+    omega = math.hypot(1.0, gamma)
+    _, w, p = _oscillator_table(omega, m_max, n_nodes)
+    return math.sqrt(2.0 * omega / math.pi) * (p * w) @ p.T
+
+
+def flat_norms(gamma: float, m_max: int, n_nodes: int = 96) -> np.ndarray:
+    """Flat squared norms ||Psi_mn||^2 for m, n = 0..m_max, as an array.
+
+    They are even in gamma, so take gamma >= 0: the folded exponent is then
+    -(2w - 2 gamma) u^2 - (2w + 2 gamma) v^2 in u, v = (x +- y) / sqrt(2).
+    The two coefficients multiply to exactly 4, so the smaller is taken as 4
+    over the larger: 2w - 2 gamma itself cancels to 0 from gamma ~ 1e8."""
+    omega = math.hypot(1.0, gamma)
+    big = 2.0 * (omega + abs(gamma))
+    cu, cv = 4.0 / big, big
+    rule = gauss_hermite(n_nodes)
+    u = rule.nodes[:, None] / math.sqrt(cu)
+    v = rule.nodes[None, :] / math.sqrt(cv)
+    # the tables take sqrt(2w) x = sqrt(w) (u + v) and sqrt(2w) y = sqrt(w) (u - v)
+    hx, hy = (hermite_scaled(m_max, math.sqrt(omega) * z.ravel()) ** 2 for z in (u + v, u - v))
+    w = np.outer(rule.weights, rule.weights).ravel() / math.sqrt(cu * cv)
+    return (2.0 * omega / math.pi) * (hx * w) @ hy.T
+
+
 def norm_growth(gamma: float, m_max: int, n_nodes: int = 96) -> np.ndarray:
     """Flat squared norms of the diagonal right eigenfunctions, m = 0..m_max.
 
     Strictly increasing for gamma != 0; identically 1 at gamma = 0."""
-    out = np.empty(m_max + 1)
-    for m in range(m_max + 1):
-        f = ModeFunction(ModeKind.PSI, m, m, gamma)
-        out[m] = inner_product(f, f, InnerProductKind.FLAT, n_nodes)
-    return out
+    return np.diag(flat_norms(gamma, m_max, n_nodes)).copy()
 
 
 @dataclass(frozen=True)
@@ -221,35 +259,18 @@ def expand_amplitudes(
     psi must be evaluable on numpy arrays and is assumed to lie in the span
     of the right eigenfunctions up to the cutoff; the returned residual_sq
     (physical norm of psi minus its reconstruction) diagnoses violations.
+    psi is evaluated once, on the tensor grid of the mapped 1D rule.
     """
     omega = math.hypot(1.0, gamma)
-    a = 2.0 * omega
-    modes = [
-        [ModeFunction(ModeKind.PSI, m, n, gamma) for n in range(cutoff + 1)]
-        for m in range(cutoff + 1)
-    ]
-
+    x, w, p = _oscillator_table(omega, cutoff, n_nodes)
+    gx, gy = np.meshgrid(x, x, indexing="ij")
+    weights = np.outer(w, w)
     # de-Gaussianized psi: psi = G * e^(-w (x^2+y^2)) * e^(2 g x y) on the span
-    def bare(x, y):
-        return psi(x, y) * np.exp(omega * (x * x + y * y) - 2.0 * gamma * x * y)
-
-    coeffs = np.empty((cutoff + 1, cutoff + 1))
-    for m in range(cutoff + 1):
-        for n in range(cutoff + 1):
-            part = modes[m][n].poly_part
-            coeffs[m, n] = integrate_coupled(
-                lambda x, y: bare(x, y) * part(x, y), (a, a, 0.0), n_nodes
-            )
-    norm_sq = integrate_coupled(lambda x, y: bare(x, y) ** 2, (a, a, 0.0), n_nodes)
-
-    def bare_residual(x, y):
-        acc = bare(x, y)
-        for m in range(cutoff + 1):
-            for n in range(cutoff + 1):
-                acc = acc - coeffs[m, n] * modes[m][n].poly_part(x, y)
-        return acc**2
-
-    residual_sq = integrate_coupled(bare_residual, (a, a, 0.0), n_nodes)
+    bare = psi(gx, gy) * np.exp(omega * (gx * gx + gy * gy) - 2.0 * gamma * gx * gy)
+    scale = math.sqrt(2.0 * omega / math.pi)
+    coeffs = scale * p @ (weights * bare) @ p.T
+    norm_sq = float(np.sum(weights * bare**2))
+    residual_sq = float(np.sum(weights * (bare - scale * p.T @ coeffs @ p) ** 2))
     defect = abs(float(np.sum(coeffs**2)) - norm_sq)
     if residual_sq > warn_threshold:
         warnings.warn(
@@ -261,19 +282,17 @@ def expand_amplitudes(
 
 
 def mode_superposition(coeffs: np.ndarray, gamma: float) -> Callable:
-    """Callable sum_{mn} c_mn Psi_mn for a (M+1)x(M+1) coefficient array."""
+    """Callable sum_{mn} c_mn Psi_mn for a (M+1)x(N+1) coefficient array."""
     coeffs = np.asarray(coeffs, dtype=float)
-    modes = [
-        [ModeFunction(ModeKind.PSI, m, n, gamma) for n in range(coeffs.shape[1])]
-        for m in range(coeffs.shape[0])
-    ]
+    omega = math.hypot(1.0, gamma)
+    s = math.sqrt(2.0 * omega)
 
     def psi(x, y):
-        acc = 0.0
-        for m in range(coeffs.shape[0]):
-            for n in range(coeffs.shape[1]):
-                if coeffs[m, n]:
-                    acc = acc + coeffs[m, n] * modes[m][n].eval(x, y)
-        return acc
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        hx = hermite_scaled(coeffs.shape[0] - 1, s * x)
+        hy = hermite_scaled(coeffs.shape[1] - 1, s * y)
+        gauss = np.exp(2.0 * gamma * x * y - omega * (x * x + y * y))
+        return s / math.sqrt(math.pi) * gauss * np.einsum("m...,mn,n...->...", hx, coeffs, hy)
 
     return psi

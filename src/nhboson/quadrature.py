@@ -1,7 +1,7 @@
 """Hermite polynomial evaluation and Gaussian quadrature.
 
 Provides the two evaluation flavours the package needs (square-root-factorial
-scaled values for overflow-free polynomial parts, and orthonormal
+scaled tables for overflow-free polynomial parts, and orthonormal
 Hermite-function jets), Gauss-Hermite rules from the Jacobi-matrix
 eigenproblem, and a tensor scheme for 2D integrals against coupled
 Gaussians e^(-A x^2 - B y^2 + 2 C x y).
@@ -20,14 +20,16 @@ MAX_RULE_SIZE = 512
 
 
 def hermite_scaled(n: int, t):
-    """H_n(t) / sqrt(2^n n!): the overflow-safe polynomial part of an
-    orthonormal oscillator mode (no Gaussian factor)."""
+    """H_k(t) / sqrt(2^k k!) for k = 0..n, stacked on a new first axis: the
+    overflow-safe polynomial parts of the orthonormal oscillator modes (no
+    Gaussian factor), all from one recurrence."""
     t = np.asarray(t, dtype=float)
-    p_prev = np.zeros_like(t)
-    p = np.ones_like(t)
+    out = np.empty((n + 1, *t.shape))
+    out[0] = 1.0
     for k in range(n):
-        p_prev, p = p, t * math.sqrt(2.0 / (k + 1)) * p - math.sqrt(k / (k + 1.0)) * p_prev
-    return p
+        prev = out[k - 1] if k else 0.0
+        out[k + 1] = t * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(k / (k + 1.0)) * prev
+    return out
 
 
 def hermite_function_jet(n: int, t):

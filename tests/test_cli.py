@@ -185,10 +185,19 @@ def test_expand_round_trip_rows(tmp_path):
     assert max(float(r[4]) for r in rows) < 1e-8
 
 
-def test_byte_identical_reruns(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["numrange", "--gamma", "0.5", "--truncation", "12", "--theta-steps", "9"],
+        ["biorth", "--gamma", "0.5", "--max-index", "3", "--product", "physical"],
+        ["norms", "--gamma", "-0.75", "--max-index", "4"],
+        ["expand", "--gamma", "0.5", "--cutoff", "3", "--seed", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_byte_identical_reruns(tmp_path, argv):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    argv = ["numrange", "--gamma", "0.5", "--truncation", "12", "--theta-steps", "9"]
     assert main([*argv, "--out", str(a)]) == 0
     assert main([*argv, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()

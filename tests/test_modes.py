@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from nhboson import modes
+from nhboson.cli import main
 from nhboson.modes import (
     InnerProductKind,
     ModeFunction,
@@ -13,6 +15,8 @@ from nhboson.modes import (
     eigen_residual,
     eigenvalue,
     expand_amplitudes,
+    flat_norms,
+    gram_matrix,
     inner_product,
     mode_superposition,
     norm_growth,
@@ -270,3 +274,106 @@ def test_expand_amplitudes_warns_outside_span():
     psi = ModeFunction(ModeKind.PSI, 3, 3, gamma).eval  # outside cutoff 1
     with pytest.warns(UserWarning, match="residual"):
         expand_amplitudes(psi, gamma, 1)
+
+
+# -- tabulated paths against the per-pair reference ----------------------------
+
+_CROSS = [(g, nodes) for g in (0.5, -0.75, 1.5) for nodes in (48, 96)]
+
+
+@pytest.mark.parametrize("gamma, nodes", _CROSS)
+def test_gram_matches_per_pair_inner_products(gamma, nodes):
+    g = gram_matrix(gamma, 4, nodes)
+    for m, n, p, q in np.ndindex(5, 5, 5, 5):
+        f = ModeFunction(ModeKind.PSI, m, n, gamma)
+        dual = ModeFunction(ModeKind.PSI_TILDE, p, q, gamma)
+        right = ModeFunction(ModeKind.PSI, p, q, gamma)
+        want = g[m, p] * g[n, q]
+        assert abs(inner_product(f, dual, InnerProductKind.FLAT, nodes) - want) <= 1e-13, (m, n, p, q)
+        assert abs(inner_product(f, right, InnerProductKind.PHYSICAL, nodes) - want) <= 1e-13, (m, n, p, q)
+
+
+@pytest.mark.parametrize("gamma, nodes", _CROSS)
+def test_flat_norms_match_per_pair_inner_products(gamma, nodes):
+    table = flat_norms(gamma, 4, nodes)
+    want = np.empty((5, 5))
+    for m, n in np.ndindex(want.shape):
+        f = ModeFunction(ModeKind.PSI, m, n, gamma)
+        want[m, n] = inner_product(f, f, InnerProductKind.FLAT, nodes)
+    assert np.max(np.abs(table / want - 1.0)) <= 1e-13
+    assert np.array_equal(norm_growth(gamma, 4, nodes), np.diag(table))
+
+
+@pytest.mark.parametrize("gamma", [1e4, 1e8, -1e8])
+def test_flat_norm_closed_form_at_large_coupling(gamma):
+    # the per-pair rule loses 7e-9 relative at 1e4 and cannot be built at 1e8
+    assert flat_norms(gamma, 2)[0, 0] == pytest.approx(math.hypot(1.0, gamma), rel=1e-13)
+
+
+def test_mode_superposition_matches_sum_of_modes():
+    gamma = -0.75
+    coeffs = np.random.default_rng(3).standard_normal((3, 4))
+    pts = np.linspace(-2.0, 2.0, 9)
+    gx, gy = np.meshgrid(pts, pts, indexing="ij")
+    want = sum(
+        coeffs[m, n] * ModeFunction(ModeKind.PSI, m, n, gamma).eval(gx, gy) for m, n in np.ndindex(coeffs.shape)
+    )
+    assert np.allclose(mode_superposition(coeffs, gamma)(gx, gy), want, rtol=1e-13, atol=1e-15)
+
+
+def _expand_amplitudes_per_pair(psi, gamma, cutoff, n_nodes):
+    """The per-pair loop the tabulated expand_amplitudes replaced."""
+    omega = math.hypot(1.0, gamma)
+    a = 2.0 * omega
+    mds = [
+        [ModeFunction(ModeKind.PSI, m, n, gamma) for n in range(cutoff + 1)] for m in range(cutoff + 1)
+    ]
+
+    def bare(x, y):
+        return psi(x, y) * np.exp(omega * (x * x + y * y) - 2.0 * gamma * x * y)
+
+    coeffs = np.empty((cutoff + 1, cutoff + 1))
+    for m in range(cutoff + 1):
+        for n in range(cutoff + 1):
+            part = mds[m][n].poly_part
+            coeffs[m, n] = integrate_coupled(lambda x, y: bare(x, y) * part(x, y), (a, a, 0.0), n_nodes)
+    norm_sq = integrate_coupled(lambda x, y: bare(x, y) ** 2, (a, a, 0.0), n_nodes)
+
+    def bare_residual(x, y):
+        acc = bare(x, y)
+        for m in range(cutoff + 1):
+            for n in range(cutoff + 1):
+                acc = acc - coeffs[m, n] * mds[m][n].poly_part(x, y)
+        return acc**2
+
+    return coeffs, norm_sq, integrate_coupled(bare_residual, (a, a, 0.0), n_nodes)
+
+
+@pytest.mark.parametrize("gamma, nodes", _CROSS)
+def test_expand_amplitudes_matches_per_pair_loop(gamma, nodes):
+    rng = np.random.default_rng(11)
+    true = rng.standard_normal((5, 5))
+    true /= np.linalg.norm(true)
+    psi = mode_superposition(true, gamma)
+    got = expand_amplitudes(psi, gamma, 4, nodes)
+    coeffs, norm_sq, residual_sq = _expand_amplitudes_per_pair(psi, gamma, 4, nodes)
+    assert np.max(np.abs(got.coeffs - coeffs)) <= 1e-13
+    assert abs(got.norm_sq - norm_sq) <= 1e-13
+    assert abs(got.residual_sq - residual_sq) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["biorth", "--max-index", "6"], ["norms", "--max-index", "6"], ["expand", "--cutoff", "6"]],
+    ids=lambda argv: argv[0],
+)
+def test_cli_runs_no_per_pair_quadrature(tmp_path, monkeypatch, argv):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate_coupled(*args, **kwargs)
+
+    monkeypatch.setattr(modes, "integrate_coupled", counted)
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    assert calls == []

@@ -29,9 +29,12 @@ def _hermite_recurrence_oracle(n, t):
 def test_hermite_scaled_matches_raw():
     t = np.linspace(-3, 3, 11)
     for n in (0, 1, 5, 9):
-        raw, _ = _hermite_recurrence_oracle(n, t)
-        scale = math.sqrt(2.0**n * math.factorial(n))
-        assert np.allclose(hermite_scaled(n, t), raw / scale, rtol=1e-12)
+        table = hermite_scaled(n, t)
+        assert table.shape == (n + 1, t.size)
+        for k, row in enumerate(table):
+            raw, _ = _hermite_recurrence_oracle(k, t)
+            scale = math.sqrt(2.0**k * math.factorial(k))
+            assert np.allclose(row, raw / scale, rtol=1e-12)
 
 
 def test_hermite_function_jet_orthonormal_and_ode():
