@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
+import numpy.random  # noqa: F401  (loaded here, not inside the first draw)
 
 from . import __version__, fock, modes, wkb
 from .operators import identity_report_json, verify_identities
@@ -454,7 +455,10 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     try:
-        header, rows = spec.rows(cfg)
+        # a non-finite cell is reported below; numpy's warnings would only
+        # repeat it on stderr
+        with np.errstate(all="ignore"):
+            header, rows = spec.rows(cfg)
     except MemoryError as exc:
         return _fail(2, f"error: out of memory: {exc}")
     except fock.SolverConvergenceError as exc:

@@ -4,8 +4,8 @@ The two-boson Hamiltonian conserves the occupation difference d = m - n, so
 its matrix in the number basis splits into tridiagonal blocks indexed by
 d in [-N, N] after a permutation.  Everything expensive here (eigenvalues,
 support energies, sigma_min grids) runs block-by-block; blocks with equal
-|d| are identical matrices, so only d >= 0 is ever solved.  Dense and CSR
-forms are scattered from the blocks only when a caller asks for them.
+|d| are identical matrices, so only d >= 0 is ever solved.  The dense form
+is scattered from the blocks only when a caller asks for it.
 
 sigma_min evaluation uses exact skip bounds so large-d blocks are only
 touched when they can actually lower the minimum:
@@ -34,8 +34,7 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigvalsh_tridiagonal
+import numpy.random  # noqa: F401  (loaded here, not inside the first draw)
 
 #: bytes of one batched-SVD stack of shifted blocks
 _SVD_STACK_BYTES = 32 * 2**20
@@ -53,6 +52,13 @@ _INVIT_RTOL = 1e-15
 _NEWTON_GUARD_DPS = 20
 #: Newton steps allowed per root before the solve counts as failed
 _NEWTON_MAX_STEPS = 60
+#: support energies stop when a Newton step or bracket is this small,
+#: relative to the block's Gershgorin scale (LAPACK ?stebz's default)
+_SUPPORT_RTOL = 4 * np.finfo(float).eps
+#: Newton or bisection steps allowed per support energy
+_SUPPORT_MAX_STEPS = 100
+#: normals drawn per chunk of Rayleigh-quotient vectors, which bounds memory
+_RAYLEIGH_CHUNK_ENTRIES = 2**16
 
 
 class SolverConvergenceError(RuntimeError):
@@ -90,22 +96,26 @@ class FockMatrix:
             raise IndexError(f"block {d} outside [-N, N]")
         return [(k + d, k) if d >= 0 else (k, k - d) for k in range(self.n_max + 1 - abs(d))]
 
-    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, col, value) of every stored entry, scattered from the blocks."""
-        rows, cols, vals = [], [], []
+    def _tridiagonal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(order, diag, sub, sup): the matrix permuted to its d-blocks in
+        ascending d, which is tridiagonal; order[i] is the lexicographic
+        index of row i, and the couplings across block boundaries are 0."""
+        order, diag, sub, sup = [], [], [], []
         for d in range(-self.n_max, self.n_max + 1):
-            idx = np.array([self.index(m, n) for m, n in self.block_members(d)])
-            diag, sub, sup = _block_tridiag(self.kind, self.n_max, self.gamma, d, self.theta)
-            rows += [idx, idx[1:], idx[:-1]]
-            cols += [idx, idx[:-1], idx[1:]]
-            vals += [diag, sub, sup]
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+            order += [self.index(m, n) for m, n in self.block_members(d)]
+            block_diag, block_sub, block_sup = _block_tridiag(self.kind, self.n_max, self.gamma, d, self.theta)
+            diag.append(block_diag)
+            sub += [block_sub, [0]]
+            sup += [block_sup, [0]]
+        return np.array(order), np.concatenate(diag), np.concatenate(sub)[:-1], np.concatenate(sup)[:-1]
 
     @cached_property
     def mat(self) -> np.ndarray:
-        rows, cols, vals = self._entries()
-        out = np.zeros((self.dim, self.dim), dtype=vals.dtype)
-        out[rows, cols] = vals
+        order, diag, sub, sup = self._tridiagonal()
+        out = np.zeros((self.dim, self.dim), dtype=np.result_type(diag, sub))
+        out[order, order] = diag
+        out[order[1:], order[:-1]] = sub
+        out[order[:-1], order[1:]] = sup
         return out
 
     def block(self, d: int) -> np.ndarray:
@@ -136,8 +146,8 @@ def _block_tridiag(kind: str, n_max: int, gamma: float, d: int, theta: float | N
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def _check_theta(theta: float):
-    if not abs(theta) < math.pi / 2:
+def _check_theta(theta):
+    if not np.all(np.abs(theta) < math.pi / 2):
         raise ValueError("theta must satisfy |theta| < pi/2 (operator unbounded below)")
 
 
@@ -150,15 +160,6 @@ def build_matrix(kind: str, n_max: int, gamma: float, theta: float | None = None
     if kind == "ReTheta":
         _check_theta(theta)
     return FockMatrix(n_max, gamma, kind, theta)
-
-
-def build_sparse(kind: str, n_max: int, gamma: float) -> sparse.csr_matrix:
-    """CSR truncation of H or H* (for matvec-heavy paths)."""
-    if kind not in ("H", "Hstar"):
-        raise ValueError("sparse path supports H and Hstar")
-    fm = build_matrix(kind, n_max, gamma)
-    rows, cols, vals = fm._entries()
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(fm.dim, fm.dim))
 
 
 def _block_dense(kind: str, n_max: int, gamma: float, d: int, theta: float | None = None):
@@ -285,23 +286,103 @@ def support_energy_closed(gamma: float, theta: float) -> float | None:
     return math.sqrt(val) if val > 0 else None
 
 
-def support_energy_numeric(n_max: int, gamma: float, theta: float) -> float:
-    """Smallest eigenvalue of the truncated Re(e^{-i theta} H).
+def _pivots(diag: np.ndarray, off_sq: np.ndarray, lam: np.ndarray):
+    """Sturm test and Newton step for det(T - lam), one Hermitian
+    tridiagonal T per column of `diag` (its diagonal) and `off_sq` (its
+    squared |off-diagonal|).
 
-    Per block the matrix is Hermitian tridiagonal; eigenvalues depend only
-    on |off-diagonal|, so a real bisection solve applies."""
-    _check_theta(theta)
-    best = math.inf
-    for d in range(0, n_max + 1):
-        diag, sub, _ = _block_tridiag("ReTheta", n_max, gamma, d, theta)
-        if len(diag) == 1:
-            low = diag[0]
-        else:
-            low = eigvalsh_tridiagonal(diag, np.abs(sub), select="i", select_range=(0, 0))[0]
-        best = min(best, float(low))
-        if (d + 2.0) * math.cos(theta) > best:
+    The LDL^T pivots q_0 = a_0 - lam, q_k = a_k - lam - b_{k-1}^2 / q_{k-1}
+    are all positive exactly when lam is left of the lowest eigenvalue, and
+    det = prod q_k, so the Newton step -det/det' is -1 / sum q_k'/q_k, with
+    q_k'/q_k = (b_{k-1}^2 / q_{k-1} * q_{k-1}'/q_{k-1} - 1) / q_k.
+    Returns (left, step)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shifted = diag - lam
+        q = shifted[0]
+        ratio_deriv = -1.0 / q
+        log_deriv = ratio_deriv.copy()
+        lowest = q.copy()
+        for a, b_sq in zip(shifted[1:], off_sq):
+            ratio = b_sq / q
+            q = a - ratio
+            ratio_deriv = (ratio * ratio_deriv - 1.0) / q
+            log_deriv += ratio_deriv
+            np.minimum(lowest, q, out=lowest)
+        return lowest > 0, -1.0 / log_deriv
+
+
+def _lowest_eigenvalues(diag: np.ndarray, off_sq: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of each column's Hermitian tridiagonal matrix, by
+    Newton's method on det(T - lam) from the Gershgorin lower bound.
+
+    Left of the lowest eigenvalue every pivot is positive and Newton rises
+    monotonically to it, so a pivot <= 0 means rounding carried a step onto
+    or past it.  Each point keeps a bracket: the last lam with all pivots
+    positive, and the last without (at first the smallest diagonal entry,
+    a Rayleigh quotient).  Newton continues from wherever it landed; a step
+    that would leave the bracket, or is not finite, is replaced by its
+    midpoint.  A point stops when its step or its bracket is within
+    _SUPPORT_RTOL of the block's Gershgorin scale; a bound that already has
+    a pivot <= 0 is the eigenvalue (as when the couplings vanish).  Raises
+    SolverConvergenceError on a non-finite bound or after
+    _SUPPORT_MAX_STEPS steps, rather than return an unconverged value."""
+    off = np.sqrt(off_sq)
+    radius = np.zeros_like(diag)
+    radius[:-1] += off
+    radius[1:] += off
+    lo = np.min(diag - radius, axis=0)
+    hi = np.min(diag, axis=0)
+    if not np.all(np.isfinite(lo)):
+        raise SolverConvergenceError("support energy: non-finite Gershgorin bound")
+    tol = _SUPPORT_RTOL * np.maximum(np.abs(lo), np.max(np.abs(diag) + radius, axis=0))
+    out = np.empty_like(lo)
+    active = np.arange(lo.size)
+    lam = lo
+    for _ in range(_SUPPORT_MAX_STEPS):
+        left, step = _pivots(diag, off_sq, lam)
+        lo, hi = np.where(left, lam, lo), np.where(left, hi, lam)
+        newton = lam + step
+        mid = 0.5 * (lo + hi)
+        out[active] = np.where(np.isfinite(newton), np.clip(newton, lo, hi), mid)
+        lam = np.where((lo < newton) & (newton < hi), newton, mid)
+        keep = ~(np.abs(step) <= tol) & (hi - lo > tol)
+        if not keep.all():
+            active, diag, off_sq = active[keep], diag[:, keep], off_sq[:, keep]
+            lo, hi, lam, tol = lo[keep], hi[keep], lam[keep], tol[keep]
+            if not active.size:
+                return out
+    raise SolverConvergenceError(f"support energy not converged in {_SUPPORT_MAX_STEPS} steps")
+
+
+def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
+    """Smallest eigenvalue of the truncated Re(e^{-i theta} H) at each theta.
+
+    Per block the matrix is Hermitian tridiagonal with diagonal
+    (d + 2k + 1) cos theta and |off-diagonal| |gamma sin theta| c_k, and
+    its eigenvalues depend on nothing else; every theta is solved at once,
+    block by block, by _lowest_eigenvalues.  A theta leaves after block d
+    once (d + 2) cos theta exceeds its minimum so far."""
+    thetas = np.asarray(thetas, dtype=float)
+    _check_theta(thetas)
+    cos = np.cos(thetas).ravel()
+    with np.errstate(over="ignore"):
+        coupling = (gamma * np.sin(thetas).ravel()) ** 2
+    best = np.full(cos.size, np.inf)
+    active = np.arange(cos.size)
+    for d in range(n_max + 1):
+        if not active.size:
             break
-    return best
+        diag, coupling_sq = _block_data(n_max, d)
+        low = _lowest_eigenvalues(np.outer(diag, cos[active]), np.outer(coupling_sq, coupling[active]))
+        best[active] = np.minimum(best[active], low)
+        active = active[~((d + 2.0) * cos[active] > best[active])]
+    return best.reshape(thetas.shape)
+
+
+def support_energy_numeric(n_max: int, gamma: float, theta: float) -> float:
+    """Smallest eigenvalue of the truncated Re(e^{-i theta} H): the one-theta
+    case of support_energies."""
+    return float(support_energies(n_max, gamma, [theta])[0])
 
 
 @dataclass(frozen=True)
@@ -321,31 +402,41 @@ def numerical_range_boundary(n_max: int, gamma: float, thetas) -> list[Numerical
     (x, y) = (E cos t - E' sin t, E sin t + E' cos t) with the closed-form
     E and its derivative; samples without a supporting line are skipped.
     """
+    thetas = np.asarray(thetas, dtype=float).ravel()
+    _check_theta(thetas)
+    closed = [support_energy_closed(gamma, theta) for theta in thetas]
+    kept = [i for i, value in enumerate(closed) if value is not None]
+    numeric = support_energies(n_max, gamma, thetas[kept])
     rows = []
-    for theta in np.asarray(thetas, dtype=float):
-        _check_theta(theta)
-        closed = support_energy_closed(gamma, theta)
-        if closed is None:
-            continue
-        numeric = support_energy_numeric(n_max, gamma, theta)
-        deriv = -math.sin(theta) * math.cos(theta) * (1.0 + gamma * gamma) / closed
-        x = closed * math.cos(theta) - deriv * math.sin(theta)
-        y = closed * math.sin(theta) + deriv * math.cos(theta)
+    for i, e_numeric in zip(kept, numeric):
+        theta, e_closed = float(thetas[i]), closed[i]
+        deriv = -math.sin(theta) * math.cos(theta) * (1.0 + gamma * gamma) / e_closed
+        x = e_closed * math.cos(theta) - deriv * math.sin(theta)
+        y = e_closed * math.sin(theta) + deriv * math.cos(theta)
         env = math.copysign(abs(gamma) * math.sqrt(max(x * x - 1.0, 0.0)), y)
-        rows.append(NumericalRangePoint(float(theta), numeric, closed, x, y, env))
+        rows.append(NumericalRangePoint(theta, float(e_numeric), e_closed, x, y, env))
     return rows
 
 
 def rayleigh_quotients(n_max: int, gamma: float, count: int, seed: int = 0) -> np.ndarray:
-    """<A psi, psi> for `count` random complex unit vectors (fixed seed)."""
-    mat = build_sparse("H", n_max, gamma)
+    """<A psi, psi> for `count` random complex unit vectors (fixed seed).
+
+    Vector i is standard_normal(dim) + 1j * standard_normal(dim), drawn in
+    turn from one generator; drawing a chunk of vectors at once gives the
+    same stream.  A psi is one tridiagonal matvec on the vectors permuted
+    to the d-blocks."""
+    order, diag, sub, sup = build_matrix("H", n_max, gamma)._tridiagonal()
     rng = np.random.default_rng(seed)
-    dim = mat.shape[0]
     out = np.empty(count, dtype=complex)
-    for i in range(count):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        out[i] = np.vdot(v, mat @ v)
+    chunk = max(1, _RAYLEIGH_CHUNK_ENTRIES // (2 * diag.size))
+    for lo in range(0, count, chunk):
+        draws = rng.standard_normal((min(chunk, count - lo), 2, diag.size))
+        v = (draws[:, 0] + 1j * draws[:, 1])[:, order]
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        av = diag * v
+        av[:, 1:] += sub * v[:, :-1]
+        av[:, :-1] += sup * v[:, 1:]
+        out[lo : lo + chunk] = np.einsum("ij,ij->i", v.conj(), av)
     return out
 
 

@@ -22,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss as _leggauss
-from scipy.special import logsumexp
 
 
 @lru_cache(maxsize=16)
@@ -157,7 +156,9 @@ def _log_gaussian_integral(c: float, half_width: float, n0: int = 64, rtol: floa
     def value_at(n):
         t, w = leggauss(n)
         x = half_width * t
-        return float(logsumexp(c * x * x + np.log(w * half_width)))
+        terms = c * x * x + np.log(w * half_width)
+        top = float(np.max(terms))  # shifted out, so exp cannot overflow
+        return top + math.log(np.sum(np.exp(terms - top))) if math.isfinite(top) else top
 
     return _doubling(value_at, n0, rtol, n_cap)
 

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhboson import __version__
-from nhboson.cli import ENV_OUTDIR, SIZE_RANGES, SVD_GAMMA_MAX, RunConfig, _build_parser, main
+from nhboson.cli import COMMANDS, ENV_OUTDIR, SIZE_RANGES, SVD_GAMMA_MAX, RunConfig, _build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -297,6 +299,57 @@ def test_non_finite_results_exit_3_without_artifact(tmp_path, capsys, argv):
     assert code == 3
     assert "non-finite result" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["biorth", "norms", "expand"])
+def test_huge_gamma_stderr_is_only_the_error(tmp_path, capfd, command):
+    code, out = run(tmp_path, command, "--gamma", "1e308")
+    assert code == 3
+    assert capfd.readouterr().err == "nhboson: non-finite result: NaN in the output rows\n"
+    assert not out.exists()
+
+
+#: every command at a small size, for runs in a fresh interpreter
+SMALL_RUNS = {
+    "verify-algebra": (),
+    "spectrum": ("--truncation", "3"),
+    "numrange": ("--truncation", "3", "--theta-steps", "5"),
+    "pseudo": ("--truncation", "3", "--res", "5"),
+    "biorth": ("--max-index", "1", "--nodes", "8"),
+    "norms": ("--max-index", "1", "--nodes", "8"),
+    "accretive": ("--truncation", "3", "--vectors", "5"),
+    "wkb": ("--hbars", "0.2"),
+    "expand": ("--cutoff", "1", "--nodes", "8"),
+}
+
+
+def _fresh_interpreter(code: str) -> str:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_small_runs_cover_every_command():
+    assert set(SMALL_RUNS) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_commands_run_without_scipy(tmp_path, command):
+    argv = [command, *SMALL_RUNS[command], "--out", str(tmp_path / "artifact")]
+    code = (
+        "import sys\n"
+        "from nhboson.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code).splitlines()[-1] == "False"
+
+
+def test_package_imports_without_scipy():
+    assert _fresh_interpreter("import sys, nhboson; print('scipy' in sys.modules)").strip() == "False"
 
 
 def test_wkb_underflowing_hbar_exits_3_fast(tmp_path):

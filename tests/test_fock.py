@@ -188,10 +188,21 @@ def test_dense_matrix_matches_ladder_action(kind, theta):
             assert np.array_equal(got, want)
 
 
-def test_sparse_matches_dense():
-    dense = fock.build_matrix("H", 7, 0.45).mat
-    sp = fock.build_sparse("H", 7, 0.45).toarray()
-    assert np.array_equal(dense, sp)
+@pytest.mark.parametrize("chunk_entries", [None, 2 * 64 * 3], ids=["default_chunks", "chunks_of_3"])
+def test_rayleigh_quotients_match_per_vector_reference(monkeypatch, chunk_entries):
+    # 700 vectors are one full chunk of 512 and a part, or 233 chunks of 3
+    # and a part; either way the draws are the per-vector stream
+    if chunk_entries:
+        monkeypatch.setattr(fock, "_RAYLEIGH_CHUNK_ENTRIES", chunk_entries)
+    mat = fock.build_matrix("H", 7, 0.45).mat
+    rng = np.random.default_rng(11)
+    want = []
+    for _ in range(700):
+        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        v /= np.linalg.norm(v)
+        want.append(np.vdot(v, mat @ v))
+    got = fock.rayleigh_quotients(7, 0.45, 700, seed=11)
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_block_eigenvalues_match_full_dense_solve():
@@ -281,6 +292,69 @@ def test_support_energy_numeric_matches_min_eig_of_dense():
     want = float(np.linalg.eigvalsh(fm.mat)[0])
     got = fock.support_energy_numeric(n_max, gamma, theta)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def _min_block_eigenvalue(n_max, gamma, theta):
+    fm = fock.build_matrix("ReTheta", n_max, gamma, theta=theta)
+    return min(np.linalg.eigvalsh(fm.block(d))[0] for d in range(n_max + 1))
+
+
+@pytest.mark.parametrize(
+    "n_max, gamma, thetas",
+    [
+        (12, 0.5, np.linspace(-1.4, 1.4, 57)),
+        (12, 0.5, [math.pi / 2 - 1e-6, -(math.pi / 2 - 1e-6), math.pi / 2 - 1e-3]),
+        (9, 0.0, [-1.5, -0.3, 0.0, 0.7, 1.5]),  # diagonal blocks
+        (0, 0.5, [-1.2, 0.0, 0.4]),  # one block, of size 1
+        (1, 0.5, [-1.2, 0.0, 0.4]),  # blocks of size 2 and 1
+        (10, 0.9, [0.85, 1.1, -1.4]),  # lowest eigenvalue near 0, and below it
+        (20, 10.0, [-0.1, 0.05, 1.0]),
+    ],
+)
+def test_support_energies_match_dense_eigvalsh(n_max, gamma, thetas):
+    got = fock.support_energies(n_max, gamma, thetas)
+    want = np.array([_min_block_eigenvalue(n_max, gamma, t) for t in thetas])
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+    assert [fock.support_energy_numeric(n_max, gamma, t) for t in thetas] == got.tolist()
+
+
+@pytest.mark.parametrize("n_max, gamma, theta", [(8, 0.5, 0.6), (8, 2.0, -1.3), (6, 0.0, 0.4), (15, 0.9, 1.5)])
+def test_lowest_eigenvalues_match_eigvalsh_on_every_block(n_max, gamma, theta):
+    # support energies only ever solve block 0: its lowest eigenvalue is at
+    # most its first diagonal entry cos theta, so the (d + 2) cos theta exit
+    # fires after it.  The solver itself must hold on every block
+    fm = fock.build_matrix("ReTheta", n_max, gamma, theta=theta)
+    for d in range(n_max + 1):
+        diag, coupling_sq = fock._block_data(n_max, d)
+        got = fock._lowest_eigenvalues(
+            diag[:, None] * math.cos(theta), coupling_sq[:, None] * (gamma * math.sin(theta)) ** 2
+        )
+        assert got[0] == pytest.approx(np.linalg.eigvalsh(fm.block(d))[0], rel=1e-12)
+
+
+def test_support_energies_bisect_where_newton_fails(monkeypatch):
+    # a non-finite Newton step (as an exact zero pivot gives) is replaced by
+    # the midpoint of the bracket, from which Newton still finds the lowest
+    # eigenvalue
+    pivots, calls = fock._pivots, []
+
+    def faulty(*args):
+        left, step = pivots(*args)
+        calls.append(None)
+        return left, (np.full_like(step, np.nan) if len(calls) == 2 else step)
+
+    monkeypatch.setattr(fock, "_pivots", faulty)
+    thetas = [-1.0, 0.0, 0.6]
+    want = [_min_block_eigenvalue(12, 0.5, t) for t in thetas]
+    assert np.allclose(fock.support_energies(12, 0.5, thetas), want, rtol=1e-12, atol=0)
+
+
+def test_support_energies_raise_rather_than_return_unconverged(monkeypatch):
+    with pytest.raises(fock.SolverConvergenceError):
+        fock.support_energies(10, 1e200, [0.5])  # gamma^2 sin^2 overflows
+    monkeypatch.setattr(fock, "_SUPPORT_MAX_STEPS", 2)
+    with pytest.raises(fock.SolverConvergenceError):
+        fock.support_energies(10, 0.5, [0.5])
 
 
 def test_support_energy_truncation_monotone_from_above():

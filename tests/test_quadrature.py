@@ -72,6 +72,56 @@ def test_rule_invariants(n):
     assert np.allclose(rule.nodes, -rule.nodes[::-1], atol=0)  # exact symmetry
 
 
+def _exact_weights(n, nodes):
+    """w_i = 2^(n-1) n! sqrt(pi) / (n^2 H_{n-1}(x_i)^2) in mpmath at 60
+    digits, at the exact zeros x_i of H_n (one Newton step from `nodes`)."""
+    from mpmath import mp
+
+    def hermite_pair(x):  # H_{n-1}(x), H_n(x)
+        prev, cur = mp.mpf(1), 2 * x
+        for k in range(1, n):
+            prev, cur = cur, 2 * x * cur - 2 * k * prev
+        return prev, cur
+
+    with mp.workdps(60):
+        scale = mp.mpf(2) ** (n - 1) * mp.factorial(n) * mp.sqrt(mp.pi) / n**2
+        out = []
+        for node in nodes:
+            x = mp.mpf(float(node))
+            below, at = hermite_pair(x)
+            x -= at / (2 * n * below)  # H_n' = 2n H_{n-1}
+            out.append(scale / hermite_pair(x)[0] ** 2)
+        return out
+
+
+@pytest.mark.parametrize("n", [60, 94, 130, 200, 336, 512])
+def test_weights_match_exact_christoffel_values(n):
+    # the tail weights fall to 1e-300 and below; each must keep its
+    # relative accuracy, which eigenvector-based weights lose from n ~ 90
+    rule = gauss_hermite(n)
+    half = slice(n // 2, None)  # the rule is exactly symmetric
+    exact = _exact_weights(n, rule.nodes[half])
+    worst = max(
+        float(abs(w - e) / e) for w, e in zip(rule.weights[half].tolist(), exact) if e > 1e-300
+    )
+    assert worst <= 1e-12
+
+
+def test_rule_matches_scipy_eigenvector_rule():
+    from scipy.linalg import eigh_tridiagonal
+
+    sizes = [*range(2, 129), *range(135, 513, 7), 512]
+    for n in sizes:
+        off = np.sqrt(np.arange(1, n) / 2.0)
+        nodes, vecs = eigh_tridiagonal(np.zeros(n), off, lapack_driver="stebz")
+        weights = SQRT_PI * vecs[0] ** 2
+        rule = gauss_hermite(n)
+        # the oracle's tail weights are wrong in relative terms, so the
+        # weights are compared in absolute terms
+        assert np.max(np.abs(rule.nodes - 0.5 * (nodes - nodes[::-1]))) <= 1e-13, n
+        assert np.max(np.abs(rule.weights - 0.5 * (weights + weights[::-1]))) <= 1e-15 * SQRT_PI, n
+
+
 def test_rule_bounds():
     with pytest.raises(ValueError):
         gauss_hermite(0)
