@@ -360,8 +360,16 @@ def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
     Per block the matrix is Hermitian tridiagonal with diagonal
     (d + 2k + 1) cos theta and |off-diagonal| |gamma sin theta| c_k, and
     its eigenvalues depend on nothing else; every theta is solved at once,
-    block by block, by _lowest_eigenvalues.  A theta leaves after block d
-    once (d + 2) cos theta exceeds its minimum so far."""
+    block by block, by _lowest_eigenvalues.
+
+    Where cos theta >= |gamma sin theta| block 0 holds the minimum, so it is
+    solved alone; elsewhere every block is solved.  Proof: phase block d+1's
+    off-diagonals to <= 0 and take its Perron ground vector u >= 0, |u| = 1.
+    Padded with one 0 it is a trial vector for block d, and the two Rayleigh
+    quotients differ by cos theta - 2 |gamma sin theta| sum_k delta_k u_k u_k+1
+    with delta_k = sqrt(k+1) (sqrt(d+k+2) - sqrt(d+k+1)) <= 1/2.  As
+    sum_k u_k u_k+1 <= 1 the difference is >= cos theta - |gamma sin theta|
+    >= 0, so block d's lowest eigenvalue is at most block d+1's."""
     thetas = np.asarray(thetas, dtype=float)
     _check_theta(thetas)
     cos = np.cos(thetas).ravel()
@@ -375,7 +383,7 @@ def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
         diag, coupling_sq = _block_data(n_max, d)
         low = _lowest_eigenvalues(np.outer(diag, cos[active]), np.outer(coupling_sq, coupling[active]))
         best[active] = np.minimum(best[active], low)
-        active = active[~((d + 2.0) * cos[active] > best[active])]
+        active = active[cos[active] ** 2 < coupling[active]]
     return best.reshape(thetas.shape)
 
 

@@ -259,14 +259,20 @@ def expand_amplitudes(
     psi must be evaluable on numpy arrays and is assumed to lie in the span
     of the right eigenfunctions up to the cutoff; the returned residual_sq
     (physical norm of psi minus its reconstruction) diagnoses violations.
-    psi is evaluated once, on the tensor grid of the mapped 1D rule.
+    psi is evaluated once, on the tensor grid of the mapped 1D rule.  A psi
+    from mode_superposition at this gamma gives its de-Gaussianized part
+    directly through its `poly_part`, so outer nodes where psi underflows
+    while the Gaussian's inverse overflows stay finite.
     """
     omega = math.hypot(1.0, gamma)
     x, w, p = _oscillator_table(omega, cutoff, n_nodes)
     gx, gy = np.meshgrid(x, x, indexing="ij")
     weights = np.outer(w, w)
     # de-Gaussianized psi: psi = G * e^(-w (x^2+y^2)) * e^(2 g x y) on the span
-    bare = psi(gx, gy) * np.exp(omega * (gx * gx + gy * gy) - 2.0 * gamma * gx * gy)
+    if getattr(psi, "gamma", None) == gamma:
+        bare = psi.poly_part(gx, gy)
+    else:
+        bare = psi(gx, gy) * np.exp(omega * (gx * gx + gy * gy) - 2.0 * gamma * gx * gy)
     scale = math.sqrt(2.0 * omega / math.pi)
     coeffs = scale * p @ (weights * bare) @ p.T
     norm_sq = float(np.sum(weights * bare**2))
@@ -282,17 +288,24 @@ def expand_amplitudes(
 
 
 def mode_superposition(coeffs: np.ndarray, gamma: float) -> Callable:
-    """Callable sum_{mn} c_mn Psi_mn for a (M+1)x(N+1) coefficient array."""
+    """Callable sum_{mn} c_mn Psi_mn for a (M+1)x(N+1) coefficient array.
+
+    Its `poly_part(x, y)` is the sum with the Gaussian and coupling factors
+    stripped, from one Hermite table: psi = poly_part * e^(2 g x y - w (x^2+y^2)),
+    and its `gamma` is the coupling those factors belong to."""
     coeffs = np.asarray(coeffs, dtype=float)
     omega = math.hypot(1.0, gamma)
     s = math.sqrt(2.0 * omega)
 
+    def poly_part(x, y):
+        hx = hermite_scaled(coeffs.shape[0] - 1, s * np.asarray(x, dtype=float))
+        hy = hermite_scaled(coeffs.shape[1] - 1, s * np.asarray(y, dtype=float))
+        return s / math.sqrt(math.pi) * np.einsum("m...,mn,n...->...", hx, coeffs, hy)
+
     def psi(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        hx = hermite_scaled(coeffs.shape[0] - 1, s * x)
-        hy = hermite_scaled(coeffs.shape[1] - 1, s * y)
-        gauss = np.exp(2.0 * gamma * x * y - omega * (x * x + y * y))
-        return s / math.sqrt(math.pi) * gauss * np.einsum("m...,mn,n...->...", hx, coeffs, hy)
+        return np.exp(2.0 * gamma * x * y - omega * (x * x + y * y)) * poly_part(x, y)
 
+    psi.poly_part, psi.gamma = poly_part, gamma
     return psi

@@ -1,129 +1,31 @@
 """Exact coefficient arithmetic for the operator calculus.
 
-Coefficients live in the commutative ring
-
-    R = Q[g, (1+g^2)^(-1)][r] / (r^4 - (1+g^2)),
-
-where ``g`` is the real coupling constant and ``r`` plays the role of
-(1+g^2)^(1/4), so that quarter-power frequency factors are exact.  An
-element is stored as four gamma-rational parts (one per residual power
-r^0..r^3); each part is a rational polynomial in g whose denominator is a
-power of (1+g^2).  The representation is canonical: parts are reduced so no
-(1+g^2) factor divides the numerator while the denominator power is
-positive, which makes equality a plain comparison.
+Coefficients live in R = Q[g, r, r^(-1)] / (r^4 - 1 - g^2): ``g`` is the real
+coupling constant and ``r`` plays the role of (1+g^2)^(1/4), so quarter-power
+frequency factors and their inverses are exact.  As g^2 = r^4 - 1, every
+element is uniquely a + b g with a, b Laurent polynomials in r, stored as a
+map from (power of r, power of g in {0, 1}) to a nonzero Fraction.  The form
+is canonical, so equality is a plain comparison, and products need the one
+rewrite rule g * g -> r^4 - 1.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-
-# gamma-polynomials are coefficient tuples, index = power of g
-_BASE = (Fraction(1), Fraction(0), Fraction(1))  # 1 + g^2
-
-
-def _trim(p):
-    n = len(p)
-    while n and not p[n - 1]:
-        n -= 1
-    return tuple(p[:n])
-
-
-def _padd(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
-def _pneg(p):
-    return tuple(-c for c in p)
-
-
-def _pmul(p, q):
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
-
-
-def _pscale(p, c):
-    if not c:
-        return ()
-    return _trim([a * c for a in p])
-
-
-def _pdiv_base(p):
-    """Divide by 1+g^2; returns (quotient, exact) with exact=False if a
-    nonzero remainder exists."""
-    rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - 2, 0)
-    for i in range(len(rem) - 1, 1, -1):
-        c = rem[i]
-        if c:
-            quo[i - 2] = c
-            rem[i] = Fraction(0)
-            rem[i - 2] -= c
-    if any(rem[:2]) or any(rem[2:]):
-        return (), False
-    return _trim(quo), True
-
-
-def _peval(p, g0: float) -> float:
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * g0 + float(c)
-    return acc
-
-
-def _base_pow(k: int):
-    out = (Fraction(1),)
-    for _ in range(k):
-        out = _pmul(out, _BASE)
-    return out
-
-
-def _part_reduce(num, dpow):
-    num = _trim(num)
-    if not num:
-        return (), 0
-    while dpow > 0:
-        quo, exact = _pdiv_base(num)
-        if not exact:
-            break
-        num, dpow = quo, dpow - 1
-    return num, dpow
-
-
-def _part_add(a, b):
-    (n1, d1), (n2, d2) = a, b
-    d = max(d1, d2)
-    n = _padd(_pmul(n1, _base_pow(d - d1)), _pmul(n2, _base_pow(d - d2)))
-    return _part_reduce(n, d)
-
-
-def _part_mul(a, b):
-    (n1, d1), (n2, d2) = a, b
-    return _part_reduce(_pmul(n1, n2), d1 + d2)
-
-
-_ZERO_PART = ((), 0)
 
 
 class RingElem:
-    """Immutable element of Q[g, (1+g^2)^(-1)][r] / (r^4 - (1+g^2))."""
+    """Immutable element a + b g of Q[r, r^(-1)][g] / (g^2 - (r^4 - 1))."""
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_terms",)
 
-    def __init__(self, parts=None):
-        if parts is None:
-            parts = (_ZERO_PART,) * 4
-        self._parts = tuple(parts)
+    def __init__(self, terms=()):
+        """Sum ((r power, g power), Fraction) pairs by key; drop zero sums."""
+        out = {}
+        for key, c in terms:
+            out[key] = out.get(key, 0) + c
+        self._terms = {key: c for key, c in out.items() if c}
 
     # -- constructors ---------------------------------------------------
 
@@ -137,27 +39,19 @@ class RingElem:
 
     @classmethod
     def rational(cls, q) -> "RingElem":
-        q = Fraction(q)
-        part = ((q,), 0) if q else _ZERO_PART
-        return cls((part, _ZERO_PART, _ZERO_PART, _ZERO_PART))
+        return cls([((0, 0), Fraction(q))])
 
     @classmethod
     def gamma(cls, power: int = 1) -> "RingElem":
-        num = (Fraction(0),) * power + (Fraction(1),)
-        return cls(((num, 0), _ZERO_PART, _ZERO_PART, _ZERO_PART))
+        out = cls.one()
+        for _ in range(power):
+            out = out * cls([((0, 1), Fraction(1))])
+        return out
 
     @classmethod
     def rho(cls, power: int = 1) -> "RingElem":
-        """r^power for any integer power; r^(-1) is r^3/(1+g^2)."""
-        m = power % 4
-        carry = (power - m) // 4
-        if carry >= 0:
-            part = (_base_pow(carry), 0)
-        else:
-            part = ((Fraction(1),), -carry)
-        parts = [_ZERO_PART] * 4
-        parts[m] = part
-        return cls(parts)
+        """r^power for any integer power."""
+        return cls([((power, 0), Fraction(1))])
 
     @classmethod
     def omega(cls, power: int = 1) -> "RingElem":
@@ -167,13 +61,12 @@ class RingElem:
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other) -> "RingElem":
-        other = _as_ring(other)
-        return RingElem(tuple(_part_add(a, b) for a, b in zip(self._parts, other._parts)))
+        return RingElem([*self._terms.items(), *_as_ring(other)._terms.items()])
 
     __radd__ = __add__
 
     def __neg__(self) -> "RingElem":
-        return RingElem(tuple((_pneg(n), d) for n, d in self._parts))
+        return RingElem((key, -c) for key, c in self._terms.items())
 
     def __sub__(self, other) -> "RingElem":
         return self + (-_as_ring(other))
@@ -183,26 +76,22 @@ class RingElem:
 
     def __mul__(self, other) -> "RingElem":
         other = _as_ring(other)
-        parts = [_ZERO_PART] * 4
-        for i, a in enumerate(self._parts):
-            if not a[0]:
-                continue
-            for j, b in enumerate(other._parts):
-                if not b[0]:
-                    continue
-                prod = _part_mul(a, b)
-                carry, m = divmod(i + j, 4)
-                if carry:
-                    prod = _part_reduce(_pmul(prod[0], _base_pow(carry)), prod[1])
-                parts[m] = _part_add(parts[m], prod)
-        return RingElem(parts)
+        terms = []
+        for (i, j), a in self._terms.items():
+            for (k, l), b in other._terms.items():
+                c = a * b
+                if j and l:  # g * g -> r^4 - 1
+                    terms += [((i + k + 4, 0), c), ((i + k, 0), -c)]
+                else:
+                    terms.append(((i + k, j + l), c))
+        return RingElem(terms)
 
     __rmul__ = __mul__
 
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(not n for n, _ in self._parts)
+        return not self._terms
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -212,44 +101,39 @@ class RingElem:
             other = RingElem.rational(other)
         if not isinstance(other, RingElem):
             return NotImplemented
-        return self._parts == other._parts
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(self._parts)
+        return hash(frozenset(self._terms.items()))
 
     def gamma_negated(self) -> "RingElem":
         """Substitute g -> -g (r is untouched: 1+g^2 is even in g)."""
-        parts = []
-        for n, d in self._parts:
-            parts.append((tuple(-c if i % 2 else c for i, c in enumerate(n)), d))
-        return RingElem(parts)
+        return RingElem(((i, j), -c if j else c) for (i, j), c in self._terms.items())
 
     def evaluate(self, gamma0: float) -> float:
-        """Numeric value with r = (1+gamma0^2)^(1/4)."""
-        base = 1.0 + gamma0 * gamma0
-        quarter = base ** 0.25
+        """Numeric value with g = gamma0 and r = (1+gamma0^2)^(1/4).
+
+        g^2 is stored as r^4 - 1, which cancels in floats for small gamma0, so
+        the terms sharing an r power mod 4 are summed in Fractions, with gamma0
+        exact, and rounded once (to +-inf past the float range).  A
+        non-finite gamma0 is evaluated in floats throughout."""
+        g = Fraction(float(gamma0)) if math.isfinite(gamma0) else gamma0
+        sums = [0] * 4
+        for (i, j), c in self._terms.items():
+            q, m = divmod(i, 4)
+            sums[m] += c * (1 + g * g) ** q * g**j
         total = 0.0
-        for r, (n, d) in enumerate(self._parts):
-            if n:
-                total += _peval(n, gamma0) / base**d * quarter**r
+        for m, s in enumerate(sums):
+            if s:
+                try:
+                    s = float(s)
+                except OverflowError:
+                    s = math.inf if s > 0 else -math.inf
+                total += s * (1.0 + gamma0 * gamma0) ** (m / 4)
         return total
 
     def __repr__(self):
-        chunks = []
-        for r, (n, d) in enumerate(self._parts):
-            if not n:
-                continue
-            poly = " + ".join(
-                f"{c}" if i == 0 else (f"{c}*g" if i == 1 else f"{c}*g^{i}")
-                for i, c in enumerate(n)
-                if c
-            )
-            s = f"({poly})"
-            if d:
-                s += f"/(1+g^2)^{d}" if d > 1 else "/(1+g^2)"
-            if r:
-                s += f"*r^{r}" if r > 1 else "*r"
-            chunks.append(s)
+        chunks = [f"{c}*r^{i}" + ("*g" if j else "") for (i, j), c in sorted(self._terms.items())]
         return " + ".join(chunks) if chunks else "0"
 
 

@@ -187,6 +187,18 @@ def test_expand_round_trip_rows(tmp_path):
     assert max(float(r[4]) for r in rows) < 1e-8
 
 
+@pytest.mark.parametrize("nodes", ["200", "300", "512"])
+@pytest.mark.parametrize("gamma", ["0.5", "3", "-3", "-100"])
+@pytest.mark.parametrize("cutoff", ["1", "8"])
+def test_expand_at_large_node_counts(tmp_path, cutoff, gamma, nodes):
+    # psi underflows at the outer nodes while e^(w (x^2+y^2) - 2 g x y)
+    # overflows; the superposition's polynomial part is contracted instead
+    code, out = run(tmp_path, "expand", f"--gamma={gamma}", "--cutoff", cutoff, "--nodes", nodes)
+    assert code == 0
+    _, rows = read_csv(out)
+    assert max(float(r[4]) for r in rows) < 1e-14
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -320,9 +320,8 @@ def test_support_energies_match_dense_eigvalsh(n_max, gamma, thetas):
 
 @pytest.mark.parametrize("n_max, gamma, theta", [(8, 0.5, 0.6), (8, 2.0, -1.3), (6, 0.0, 0.4), (15, 0.9, 1.5)])
 def test_lowest_eigenvalues_match_eigvalsh_on_every_block(n_max, gamma, theta):
-    # support energies only ever solve block 0: its lowest eigenvalue is at
-    # most its first diagonal entry cos theta, so the (d + 2) cos theta exit
-    # fires after it.  The solver itself must hold on every block
+    # support energies solve block 0 alone where cos theta >= |gamma sin theta|
+    # and every block elsewhere.  The solver itself must hold on every block
     fm = fock.build_matrix("ReTheta", n_max, gamma, theta=theta)
     for d in range(n_max + 1):
         diag, coupling_sq = fock._block_data(n_max, d)
@@ -330,6 +329,23 @@ def test_lowest_eigenvalues_match_eigvalsh_on_every_block(n_max, gamma, theta):
             diag[:, None] * math.cos(theta), coupling_sq[:, None] * (gamma * math.sin(theta)) ** 2
         )
         assert got[0] == pytest.approx(np.linalg.eigvalsh(fm.block(d))[0], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "gamma, theta, blocks",
+    [(10.0, -0.1, list(range(41))), (0.5, 0.6, [0])],  # cos < |g sin|, cos >= |g sin|
+)
+def test_support_energies_skip_blocks_only_where_block_0_is_proven_lowest(monkeypatch, gamma, theta, blocks):
+    lowest, seen = fock._lowest_eigenvalues, []
+
+    def recording(diag, off_sq):
+        seen.append(40 + 1 - diag.shape[0])  # block d has 41 - d rows
+        return lowest(diag, off_sq)
+
+    monkeypatch.setattr(fock, "_lowest_eigenvalues", recording)
+    got = fock.support_energies(40, gamma, [theta])
+    assert seen == blocks
+    assert got[0] == pytest.approx(_min_block_eigenvalue(40, gamma, theta), rel=1e-12)
 
 
 def test_support_energies_bisect_where_newton_fails(monkeypatch):

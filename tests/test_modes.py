@@ -276,6 +276,18 @@ def test_expand_amplitudes_warns_outside_span():
         expand_amplitudes(psi, gamma, 1)
 
 
+def test_expand_amplitudes_evaluates_a_superposition_of_another_gamma():
+    # poly_part is de-Gaussianized for the superposition's own gamma, so at
+    # another gamma psi must be evaluated like any other callable
+    true = np.random.default_rng(7).standard_normal((3, 3))
+    psi = mode_superposition(true, 0.5)
+    with pytest.warns(UserWarning, match="residual"):
+        got = expand_amplitudes(psi, 0.7, 2)
+    with pytest.warns(UserWarning, match="residual"):
+        want = expand_amplitudes(lambda x, y: psi(x, y), 0.7, 2)
+    assert np.array_equal(got.coeffs, want.coeffs)
+
+
 # -- tabulated paths against the per-pair reference ----------------------------
 
 _CROSS = [(g, nodes) for g in (0.5, -0.75, 1.5) for nodes in (48, 96)]

@@ -82,3 +82,33 @@ def test_evaluate_is_homomorphism(a, b, gamma0):
     prod = (a * b).evaluate(gamma0)
     direct = a.evaluate(gamma0) * b.evaluate(gamma0)
     assert prod == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+_CANCELLING = {
+    "g^2": (lambda: RingElem.gamma(2), lambda g: g * g),
+    "g^2 r^-4": (lambda: RingElem.gamma(2) * RingElem.rho(-4), lambda g: g * g / (1 + g * g)),
+    "g r^-1": (lambda: RingElem.gamma() * RingElem.rho(-1), lambda g: g * (1 + g * g) ** -0.25),
+    "r^4": (lambda: RingElem.rho(4), lambda g: 1 + g * g),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CANCELLING))
+@pytest.mark.parametrize("gamma0", [1e-8, 1e-3, 1e5])
+def test_evaluate_does_not_cancel_g_squared(name, gamma0):
+    # g^2 is stored as r^4 - 1; evaluating that naively returns 0 at 1e-8
+    elem, direct = _CANCELLING[name]
+    assert elem().evaluate(gamma0) == pytest.approx(direct(gamma0), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("gamma0", [1e200, -1e200, math.inf, -math.inf, math.nan])
+def test_evaluate_does_not_raise_out_of_float_range(gamma0):
+    elems = [make() for make, _ in _CANCELLING.values()]
+    elems += [RingElem.rho(9) * 3, RingElem.gamma(3) * RingElem.rho(-9) - 1]
+    for e in elems:
+        assert isinstance(e.evaluate(gamma0), float)
+
+
+def test_hash_is_canonical():
+    x = RingElem.gamma() * Fraction(3, 7) + RingElem.rho(1)
+    base = RingElem.rational(1) + RingElem.gamma(2)
+    assert hash(x * base * RingElem.rho(-4)) == hash(x)
