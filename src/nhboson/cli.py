@@ -25,7 +25,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded here, not inside the first draw)
 
 from . import __version__, fock, modes, wkb
-from .operators import identity_report_json, verify_identities
+from .operators import verify_identities
 
 ENV_OUTDIR = "NHBOSON_OUTDIR"
 
@@ -131,9 +131,8 @@ class RunConfig:
 
 
 def _rows_verify(cfg: RunConfig):
-    checks = verify_identities()
     gamma = None if cfg.gamma_symbolic else cfg.gamma
-    rows = json.loads(identity_report_json(checks, gamma=gamma))
+    rows = [c.as_dict(gamma) for c in verify_identities()]
     header = list(rows[0].keys()) if rows else []
     return header, [[row[k] for k in header] for row in rows]
 

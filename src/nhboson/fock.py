@@ -18,7 +18,9 @@ touched when they can actually lower the minimum:
 A block's remaining points are solved together by inverse iteration on a
 batched tridiagonal LU with partial pivoting (LAPACK ?gttrf/?gttrs, one
 Python loop over rows vectorized over points), so a step costs O(size) per
-point rather than the O(size^3) of a dense SVD.  The batched dense SVD is
+point rather than the O(size^3) of a dense SVD.  The parity x -> -x maps
+each block to its transpose, so the adjoint solve each step needs is a
+forward solve with the same LU.  The batched dense SVD is
 the reference path: it takes batches too small to pay for the row loop and
 every point the iteration does not settle (a zero pivot, a non-finite
 estimate, or a convergence rate too slow for the step cap).  Results agree
@@ -59,6 +61,10 @@ _SUPPORT_RTOL = 4 * np.finfo(float).eps
 _SUPPORT_MAX_STEPS = 100
 #: normals drawn per chunk of Rayleigh-quotient vectors, which bounds memory
 _RAYLEIGH_CHUNK_ENTRIES = 2**16
+#: largest 1 - Re q and y^2 - g^2 (x^2 - 1) a Rayleigh quotient q may show
+#: and still count as inside the hyperbolic region, for rounding
+_ACCRETIVE_X_TOL = 1e-10
+_ACCRETIVE_HYPER_TOL = 1e-8
 
 
 class SolverConvergenceError(RuntimeError):
@@ -494,9 +500,9 @@ def _gttrf(diag, sub, sup, zs: np.ndarray):
         return 1.0 / d, dl, du, du2, swap
 
 
-def _gttrs(factors, b: np.ndarray, transpose: bool) -> None:
-    """Overwrite b with (zI - B)^-1 b, or with (zI - B)^-T b, column by
-    column, from _gttrf's factors (LAPACK ?gttrs for N and T)."""
+def _gttrs(factors, b: np.ndarray) -> None:
+    """Overwrite b with (zI - B)^-1 b, column by column, from _gttrf's
+    factors (LAPACK ?gttrs)."""
     inv_d, dl, du, du2, swap = factors
     n = inv_d.shape[0]
     pivoted = swap.any(axis=1).tolist()
@@ -506,34 +512,19 @@ def _gttrs(factors, b: np.ndarray, transpose: bool) -> None:
         np.multiply(coef, b[j], out=tmp)
         b[i] -= tmp
 
-    if not transpose:
-        for i in range(n - 1):
-            if pivoted[i]:
-                lo = np.where(swap[i], b[i + 1], b[i])
-                b[i + 1] = np.where(swap[i], b[i], b[i + 1]) - dl[i] * lo
-                b[i] = lo
-            else:
-                subtract(i + 1, dl[i], i)
-        for i in range(n - 1, -1, -1):
-            if i + 1 < n:
-                subtract(i, du[i], i + 1)
-            if i + 2 < n and pivoted[i]:
-                subtract(i, du2[i], i + 2)
-            b[i] *= inv_d[i]
-        return
-    for i in range(n):
-        if i >= 1:
-            subtract(i, du[i - 1], i - 1)
-        if i >= 2 and pivoted[i - 2]:
-            subtract(i, du2[i - 2], i - 2)
-        b[i] *= inv_d[i]
-    for i in range(n - 2, -1, -1):
+    for i in range(n - 1):
         if pivoted[i]:
-            rest = b[i] - dl[i] * b[i + 1]
-            b[i] = np.where(swap[i], b[i + 1], rest)
-            b[i + 1] = np.where(swap[i], rest, b[i + 1])
+            lo = np.where(swap[i], b[i + 1], b[i])
+            b[i + 1] = np.where(swap[i], b[i], b[i + 1]) - dl[i] * lo
+            b[i] = lo
         else:
-            subtract(i, dl[i], i + 1)
+            subtract(i + 1, dl[i], i)
+    for i in range(n - 1, -1, -1):
+        if i + 1 < n:
+            subtract(i, du[i], i + 1)
+        if i + 2 < n and pivoted[i]:
+            subtract(i, du2[i], i + 2)
+        b[i] *= inv_d[i]
 
 
 def _sigma_min_svd(block: np.ndarray, zs: np.ndarray, d: int) -> np.ndarray:
@@ -558,6 +549,11 @@ def _sigma_min_invit(diag, sub, sup, zs: np.ndarray) -> np.ndarray:
     already tridiagonal, so no Schur step is needed).  NaN marks the points
     left to the SVD.
 
+    The adjoint solve reuses the same LU.  B is real and its subdiagonal is
+    minus its superdiagonal (true of every H block), so B^T = S B S with the
+    parity S = diag(1, -1, 1, ...), the block form of H* = P H P for
+    P: x -> -x.  Hence (zI - B)^-H v = S conj((zI - B)^-1 conj(S v)).
+
     In exact arithmetic the sigma estimates fall monotonically.  A point has
     converged when its last step is within _INVIT_RTOL of sigma and so is
     the rest of the fall that the rate of its last two steps predicts;
@@ -578,10 +574,12 @@ def _sigma_min_invit(diag, sub, sup, zs: np.ndarray) -> np.ndarray:
             if active.size * size < _INVIT_MIN_WORK:
                 break
             np.conjugate(v, out=v)
-            _gttrs(factors, v, transpose=True)
-            np.conjugate(v, out=v)  # v = (zI - B)^-H v
+            v[1::2] *= -1  # v = conj(S v)
+            _gttrs(factors, v)
+            np.conjugate(v, out=v)
+            v[1::2] *= -1  # v = (zI - B)^-H v
             v /= np.linalg.norm(v, axis=0)
-            _gttrs(factors, v, transpose=False)
+            _gttrs(factors, v)
             growth = np.linalg.norm(v, axis=0)
             v /= growth
             prev, sigma = sigma, 1.0 / growth
@@ -719,8 +717,6 @@ def accretivity_check(
     points,
     n_vectors: int = 1000,
     seed: int = 0,
-    x_tol: float = 1e-10,
-    hyper_tol: float = 1e-8,
 ) -> AccretivityReport:
     """Resolvent bound sigma_min(zI - A) >= |Re z| at left-halfplane samples,
     plus containment of random Rayleigh quotients in the hyperbolic region."""
@@ -734,7 +730,7 @@ def accretivity_check(
     ]
     quotients = rayleigh_quotients(n_max, gamma, n_vectors, seed)
     x_excess, hyper_excess = hyperbola_excess(quotients, gamma)
-    ok = x_excess <= x_tol and hyper_excess <= hyper_tol
+    ok = x_excess <= _ACCRETIVE_X_TOL and hyper_excess <= _ACCRETIVE_HYPER_TOL
     return AccretivityReport(rows, 1.0 - x_excess, hyper_excess, ok)
 
 

@@ -25,6 +25,10 @@ import numpy as np
 
 from .quadrature import gauss_hermite, hermite_function_jet, hermite_scaled, integrate_coupled
 
+#: expand_amplitudes warns when the residual norm^2 of its reconstruction
+#: exceeds this, as psi then lies outside the truncated span
+_EXPAND_WARN_RESIDUAL = 1e-6
+
 
 class ModeKind(Enum):
     """Mode families: base oscillator, right eigenfunctions, left
@@ -252,7 +256,6 @@ def expand_amplitudes(
     gamma: float,
     cutoff: int,
     n_nodes: int = 96,
-    warn_threshold: float = 1e-6,
 ) -> ExpansionResult:
     """Probability amplitudes c_mn = <<psi, Psi_mn>> for m, n <= cutoff.
 
@@ -278,9 +281,9 @@ def expand_amplitudes(
     norm_sq = float(np.sum(weights * bare**2))
     residual_sq = float(np.sum(weights * (bare - scale * p.T @ coeffs @ p) ** 2))
     defect = abs(float(np.sum(coeffs**2)) - norm_sq)
-    if residual_sq > warn_threshold:
+    if residual_sq > _EXPAND_WARN_RESIDUAL:
         warnings.warn(
-            f"expansion residual {residual_sq:.3e} exceeds {warn_threshold:.1e}; "
+            f"expansion residual {residual_sq:.3e} exceeds {_EXPAND_WARN_RESIDUAL:.1e}; "
             "input may lie outside the truncated span",
             stacklevel=2,
         )

@@ -7,7 +7,9 @@ coefficients.  Composition rewrites with the Leibniz rule
     dx^k . x^i = sum_s C(k,s) C(i,s) s! x^(i-s) dx^(k-s)
 
 until normal order, exactly.  Since x-type and y-type symbols commute, a
-product factorizes into independent 1D rewrites.
+product factorizes into independent 1D rewrites.  As in ``ring``, one
+constructor sums (monomial, coefficient) pairs and drops zero sums, so every
+operator is canonical when built and equality is a plain comparison.
 
 The module also builds the concrete operators of the coupled two-boson
 model (ladder operators, the non-self-adjoint Hamiltonian and its
@@ -55,16 +57,17 @@ class OperatorPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[Mono, RingElem] | None = None):
-        clean: dict[Mono, RingElem] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if isinstance(coeff, (int, Fraction)):
-                    coeff = RingElem.rational(coeff)
-                if coeff:
-                    _check_mono(mono)
-                    clean[mono] = coeff
-        self._terms = clean
+    def __init__(self, terms=()):
+        """Sum (monomial, coefficient) pairs, or a mapping of them, by
+        monomial; int and Fraction coefficients are coerced, zero sums dropped."""
+        out: dict[Mono, RingElem] = {}
+        for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
+            if isinstance(coeff, (int, Fraction)):
+                coeff = RingElem.rational(coeff)
+            if coeff:
+                _check_mono(mono)
+                out[mono] = out[mono] + coeff if mono in out else coeff
+        self._terms = {mono: c for mono, c in out.items() if c}
 
     # -- constructors ---------------------------------------------------
 
@@ -98,9 +101,6 @@ class OperatorPoly:
 
     # -- linear structure -------------------------------------------------
 
-    def terms(self) -> dict[Mono, RingElem]:
-        return dict(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -116,32 +116,16 @@ class OperatorPoly:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "OperatorPoly") -> "OperatorPoly":
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = out.get(mono)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff:
-                out[mono] = coeff
-            else:
-                out.pop(mono, None)
-        res = OperatorPoly.__new__(OperatorPoly)
-        res._terms = out
-        return res
+        return OperatorPoly([*self._terms.items(), *other._terms.items()])
 
     def __neg__(self) -> "OperatorPoly":
-        res = OperatorPoly.__new__(OperatorPoly)
-        res._terms = {m: -c for m, c in self._terms.items()}
-        return res
+        return OperatorPoly((m, -c) for m, c in self._terms.items())
 
     def __sub__(self, other: "OperatorPoly") -> "OperatorPoly":
         return self + (-other)
 
     def scaled(self, factor) -> "OperatorPoly":
-        if isinstance(factor, (int, Fraction)):
-            factor = RingElem.rational(factor)
-        res = OperatorPoly.__new__(OperatorPoly)
-        res._terms = {m: c * factor for m, c in self._terms.items() if c * factor}
-        return res
+        return OperatorPoly((m, c * factor) for m, c in self._terms.items())
 
     def __mul__(self, other: "OperatorPoly") -> "OperatorPoly":
         return compose(self, other)
@@ -152,9 +136,7 @@ class OperatorPoly:
         return max((k + l for (_, _, k, l) in self._terms), default=0)
 
     def gamma_negated(self) -> "OperatorPoly":
-        res = OperatorPoly.__new__(OperatorPoly)
-        res._terms = {m: c.gamma_negated() for m, c in self._terms.items()}
-        return res
+        return OperatorPoly((m, c.gamma_negated()) for m, c in self._terms.items())
 
     def evaluate_coeffs(self, gamma0: float) -> dict[Mono, float]:
         """Numeric coefficient map at a concrete coupling value."""
@@ -177,24 +159,14 @@ class OperatorPoly:
 
 def compose(p: OperatorPoly, q: OperatorPoly) -> OperatorPoly:
     """Normal-ordered operator product p q."""
-    out: dict[Mono, RingElem] = {}
-    for (i1, j1, k1, l1), c1 in p._terms.items():
-        for (i2, j2, k2, l2), c2 in q._terms.items():
-            c12 = c1 * c2
-            for cx, i, k in _mul_1d(i1, k1, i2, k2):
-                for cy, j, l in _mul_1d(j1, l1, j2, l2):
-                    mono = (i, j, k, l)
-                    _check_mono(mono)
-                    coeff = c12 * (cx * cy)
-                    acc = out.get(mono)
-                    coeff = coeff if acc is None else acc + coeff
-                    if coeff:
-                        out[mono] = coeff
-                    else:
-                        out.pop(mono, None)
-    res = OperatorPoly.__new__(OperatorPoly)
-    res._terms = out
-    return res
+    return OperatorPoly(
+        ((i, j, k, l), c12 * (cx * cy))
+        for (i1, j1, k1, l1), c1 in p._terms.items()
+        for (i2, j2, k2, l2), c2 in q._terms.items()
+        for c12 in (c1 * c2,)  # one ring product per pair of terms
+        for cx, i, k in _mul_1d(i1, k1, i2, k2)
+        for cy, j, l in _mul_1d(j1, l1, j2, l2)
+    )
 
 
 def commutator(p: OperatorPoly, q: OperatorPoly) -> OperatorPoly:
@@ -202,16 +174,16 @@ def commutator(p: OperatorPoly, q: OperatorPoly) -> OperatorPoly:
 
 
 def formal_adjoint(p: OperatorPoly) -> OperatorPoly:
-    """Formal L^2 adjoint: x* = x, dx* = -dx, factor order reversed.
+    """Formal L^2 adjoint: x* = x, dx* = -dx, factor order reversed, so
+    (c x^i y^j dx^k dy^l)* = (-1)^(k+l) c dx^k dy^l x^i y^j, normal-ordered.
 
     Coefficients are real (rational in the coupling), so no conjugation."""
-    out = OperatorPoly.zero()
-    for (i, j, k, l), c in p._terms.items():
-        sign = -1 if (k + l) % 2 else 1
-        deriv = OperatorPoly.monomial(k=k, l=l)
-        mult = OperatorPoly.monomial(i=i, j=j)
-        out = out + compose(deriv, mult).scaled(c * sign)
-    return out
+    return OperatorPoly(
+        ((i2, j2, k2, l2), c * ((-1) ** (k + l) * cx * cy))
+        for (i, j, k, l), c in p._terms.items()
+        for cx, i2, k2 in _mul_1d(0, k, i, 0)
+        for cy, j2, l2 in _mul_1d(0, l, j, 0)
+    )
 
 
 def conjugate_by_gaussian(p: OperatorPoly, sign: int) -> OperatorPoly:
@@ -240,14 +212,21 @@ def conjugate_by_gaussian(p: OperatorPoly, sign: int) -> OperatorPoly:
 # -- model operators -----------------------------------------------------
 
 
+def _lowering(axis: int, rho_power: int) -> OperatorPoly:
+    """r^p q + (1/(2 r^p)) dq for the coordinate q = x (axis 0) or y (axis 1)."""
+    q = tuple(int(n == axis) for n in range(4))
+    dq = tuple(int(n == axis + 2) for n in range(4))
+    return OperatorPoly({q: RingElem.rho(rho_power), dq: RingElem.rho(-rho_power) * Fraction(1, 2)})
+
+
 def lowering_x() -> OperatorPoly:
     """a = x + (1/2) dx."""
-    return OperatorPoly.x() + OperatorPoly.dx().scaled(Fraction(1, 2))
+    return _lowering(0, 0)
 
 
 def lowering_y() -> OperatorPoly:
     """b = y + (1/2) dy."""
-    return OperatorPoly.y() + OperatorPoly.dy().scaled(Fraction(1, 2))
+    return _lowering(1, 0)
 
 
 def raising_x() -> OperatorPoly:
@@ -260,15 +239,12 @@ def raising_y() -> OperatorPoly:
 
 def dressed_lowering_x() -> OperatorPoly:
     """g = r x + (1/(2r)) dx, r = (1+g^2)^(1/4)."""
-    return OperatorPoly.x().scaled(RingElem.rho(1)) + OperatorPoly.dx().scaled(
-        RingElem.rho(-1) * Fraction(1, 2)
-    )
+    return _lowering(0, 1)
 
 
 def dressed_lowering_y() -> OperatorPoly:
-    return OperatorPoly.y().scaled(RingElem.rho(1)) + OperatorPoly.dy().scaled(
-        RingElem.rho(-1) * Fraction(1, 2)
-    )
+    """h = r y + (1/(2r)) dy."""
+    return _lowering(1, 1)
 
 
 def dressed_raising_x() -> OperatorPoly:
@@ -344,16 +320,18 @@ class IdentityCheck:
     passed: bool
     residual: OperatorPoly
 
-    @property
-    def status(self) -> str:
-        return "pass" if self.passed else "fail"
-
-    def as_dict(self) -> dict:
-        return {
+    def as_dict(self, gamma: float | None = None) -> dict:
+        """Report row; with a numeric gamma, the residual's coefficients are
+        also evaluated and the largest magnitude reported."""
+        row = {
             "identity_name": self.name,
-            "status": self.status,
+            "status": "pass" if self.passed else "fail",
             "residual_monomial_count": len(self.residual),
         }
+        if gamma is not None:
+            vals = self.residual.evaluate_coeffs(gamma).values()
+            row["max_abs_residual_coeff"] = max(map(abs, vals), default=0.0)
+        return row
 
 
 def verify_identities() -> list[IdentityCheck]:
@@ -407,15 +385,7 @@ def verify_identities() -> list[IdentityCheck]:
 
 
 def identity_report_json(checks=None, gamma: float | None = None) -> str:
-    """JSON report; with a numeric gamma, residual coefficients are also
-    evaluated and the largest magnitude reported per identity."""
+    """JSON list of the as_dict(gamma) rows of `checks` (default: the suite)."""
     if checks is None:
         checks = verify_identities()
-    rows = []
-    for c in checks:
-        row = c.as_dict()
-        if gamma is not None:
-            vals = c.residual.evaluate_coeffs(gamma)
-            row["max_abs_residual_coeff"] = max(map(abs, vals.values()), default=0.0)
-        rows.append(row)
-    return json.dumps(rows, indent=2)
+    return json.dumps([c.as_dict(gamma) for c in checks], indent=2)

@@ -115,22 +115,17 @@ class RingElem:
 
         g^2 is stored as r^4 - 1, which cancels in floats for small gamma0, so
         the terms sharing an r power mod 4 are summed in Fractions, with gamma0
-        exact, and rounded once (to +-inf past the float range).  A
-        non-finite gamma0 is evaluated in floats throughout."""
+        exact; _sum_in_r then adds those four sums times r^m without losing
+        digits to their cancellation.  A non-finite gamma0 is evaluated in
+        floats throughout."""
         g = Fraction(float(gamma0)) if math.isfinite(gamma0) else gamma0
         sums = [0] * 4
         for (i, j), c in self._terms.items():
             q, m = divmod(i, 4)
             sums[m] += c * (1 + g * g) ** q * g**j
-        total = 0.0
-        for m, s in enumerate(sums):
-            if s:
-                try:
-                    s = float(s)
-                except OverflowError:
-                    s = math.inf if s > 0 else -math.inf
-                total += s * (1.0 + gamma0 * gamma0) ** (m / 4)
-        return total
+        if isinstance(g, Fraction):
+            return _sum_in_r(sums, 1 + g * g)
+        return float(sum(s * (1.0 + g * g) ** (m / 4) for m, s in enumerate(sums) if s))
 
     def __repr__(self):
         chunks = [f"{c}*r^{i}" + ("*g" if j else "") for (i, j), c in sorted(self._terms.items())]
@@ -143,3 +138,38 @@ def _as_ring(v) -> RingElem:
     if isinstance(v, (int, Fraction)):
         return RingElem.rational(v)
     raise TypeError(f"cannot coerce {type(v).__name__} into RingElem")
+
+
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """sqrt(q) if it is rational, else None (q > 0 is in lowest terms)."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else None
+
+
+def _sum_in_r(sums: list, base: Fraction) -> float:
+    """sum_m sums[m] r^m as a float (+-inf past the float range), for
+    Fractions sums[m] and r = base^(1/len(sums)).
+
+    While base is a rational square, r^(L/2) is rational and the top half of
+    the sums folds into the bottom half.  The powers of r left are linearly
+    independent over Q (x^L - base is irreducible), so the total is 0 only if
+    every sum is; otherwise it is summed in mpmath at a precision doubled
+    until the total exceeds its largest part times 2^(70 - precision), about
+    2^64 times the rounding error of the parts."""
+    while len(sums) > 1 and (root := _rational_sqrt(base)) is not None:
+        half = len(sums) // 2
+        sums = [lo + root * hi for lo, hi in zip(sums[:half], sums[half:])]
+        base = root
+    if not any(sums):
+        return 0.0
+    import mpmath  # here only: importing nhboson.cli does not load mpmath
+
+    prec = 128
+    while True:
+        with mpmath.workprec(prec):
+            r = mpmath.root(mpmath.mpf(base.numerator) / base.denominator, len(sums))
+            parts = [mpmath.mpf(s.numerator) / s.denominator * r**m for m, s in enumerate(sums) if s]
+            total = mpmath.fsum(parts)
+            if abs(total) > max(map(abs, parts)) * mpmath.ldexp(1, 70 - prec):
+                return float(total)
+        prec *= 2

@@ -607,3 +607,37 @@ def test_block_members_bounds():
         fm.block_members(4)
     with pytest.raises(IndexError):
         fm.index(4, 0)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.5])
+def test_parity_maps_every_block_to_its_transpose(gamma):
+    # the adjoint solve of the inverse iteration rests on B^T = S B S
+    n_max = 6
+    for d in range(n_max + 1):
+        block = fock._block_dense("H", n_max, gamma, d)
+        parity = np.diag(np.where(np.arange(block.shape[0]) % 2, -1.0, 1.0))
+        assert np.array_equal(parity @ block @ parity, block.T)
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.5])
+def test_gttrs_matches_dense_solve_at_hard_points(gamma):
+    n_max = 40
+    zs = _hard_points(n_max, gamma)
+    rng = np.random.default_rng(7)
+    for d in (0, 1, n_max // 2, n_max - 1):
+        diag, sub, sup = fock._block_tridiag("H", n_max, gamma, d)
+        factors = fock._gttrf(diag, sub, sup, zs)
+        if d == 0:
+            assert factors[-1].any()  # the tiny leading pivots were swapped away
+        rhs = rng.standard_normal((diag.size, zs.size)) + 1j * rng.standard_normal((diag.size, zs.size))
+        got = rhs.copy()
+        fock._gttrs(factors, got)
+        block = fock._block_dense("H", n_max, gamma, d)
+        for col, z in enumerate(zs):
+            shifted = z * np.eye(diag.size) - block
+            cond = np.linalg.cond(shifted)
+            if cond > 1e12:
+                continue  # at an eigenvalue the solve is meaningless
+            want = np.linalg.solve(shifted, rhs[:, col])
+            err = np.linalg.norm(got[:, col] - want) / np.linalg.norm(want)
+            assert err < 1e-14 * cond

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nhboson.modes import ModeFunction, ModeKind
 from nhboson.operators import (
     DegreeLimitError,
+    IdentityCheck,
     OperatorPoly,
     commutator,
     compose,
@@ -232,3 +233,42 @@ def test_gaussian_exponent_is_multiplication_operator():
     s = gaussian_exponent()
     assert s.derivative_order() == 0
     assert formal_adjoint(s) == s
+
+
+def test_constructor_sums_duplicates_and_drops_cancelled_terms():
+    m = (1, 0, 2, 0)
+    assert OperatorPoly([(m, 1), (m, -1)]).is_zero()
+    assert OperatorPoly([(m, 1), (m, Fraction(1, 2))]) == OperatorPoly.monomial(1, 0, 2, 0, Fraction(3, 2))
+    # a mapping is read as its (monomial, coefficient) pairs; zeros never reach the degree guard
+    assert OperatorPoly({m: RingElem.gamma(), (9, 9, 0, 0): 0}) == OperatorPoly.monomial(1, 0, 2, 0, RingElem.gamma())
+    with pytest.raises(DegreeLimitError):
+        OperatorPoly([((9, 8, 0, 0), 1), ((9, 8, 0, 0), 2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(operator_polys())
+def test_adjoint_matches_termwise_composition(p):
+    # the definition: (c x^i y^j dx^k dy^l)* = (-1)^(k+l) c dx^k dy^l x^i y^j
+    expected = OperatorPoly.zero()
+    for (i, j, k, l), c in p._terms.items():
+        term = compose(OperatorPoly.monomial(k=k, l=l), OperatorPoly.monomial(i=i, j=j))
+        expected = expected + term.scaled(c * (-1) ** (k + l))
+    assert formal_adjoint(p) == expected
+
+
+@pytest.mark.parametrize("gamma", [None, 0.5])
+def test_identity_rows_match_report_json(gamma):
+    rows = [c.as_dict(gamma) for c in verify_identities()]
+    assert rows == json.loads(identity_report_json(gamma=gamma))
+    assert ("max_abs_residual_coeff" in rows[0]) == (gamma is not None)
+
+
+def test_failed_identity_row_reports_its_residual():
+    residual = OperatorPoly.x().scaled(RingElem.gamma() * 2) + OperatorPoly.dy().scaled(-3)
+    row = IdentityCheck("broken", False, residual).as_dict(0.25)
+    assert row == {
+        "identity_name": "broken",
+        "status": "fail",
+        "residual_monomial_count": 2,
+        "max_abs_residual_coeff": 3.0,
+    }

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,3 +113,41 @@ def test_hash_is_canonical():
     x = RingElem.gamma() * Fraction(3, 7) + RingElem.rho(1)
     base = RingElem.rational(1) + RingElem.gamma(2)
     assert hash(x * base * RingElem.rho(-4)) == hash(x)
+
+
+def _mp_value(terms, gamma0):
+    """80-digit value of sum c g^j r^i over ((i, j), c) terms."""
+    with mpmath.workdps(80):
+        g = mpmath.mpf(gamma0)
+        r = mpmath.root(1 + g * g, 4)
+        return sum(mpmath.mpf(c.numerator) / c.denominator * g**j * r**i for (i, j), c in terms)
+
+
+_GROUPS_CANCEL = [((7, 4), Fraction(-2)), ((4, 4), Fraction(1, 2)), ((8, 4), Fraction(3, 2))]
+
+
+@pytest.mark.parametrize("gamma0", [1e-3, 1e-5, 1e-8])
+def test_evaluate_resolves_cancelling_rho_groups(gamma0):
+    # g^4 (-2 r^7 + r^4/2 + 3/2 r^8): the r^0 and r^3 groups cancel to 1e-65 at 1e-8
+    e = RingElem.zero()
+    for (i, j), c in _GROUPS_CANCEL:
+        e = e + RingElem.gamma(j) * RingElem.rho(i) * c
+    expected = float(_mp_value(_GROUPS_CANCEL, gamma0))
+    assert e.evaluate(gamma0) == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+def test_evaluate_is_exactly_zero_where_rational_rho_powers_cancel():
+    # at gamma0 = 3/4, 1 + g^2 = 25/16, so r^2 = 5/4 is rational and r is not
+    for e in (
+        RingElem.rho(2) - Fraction(5, 4),
+        RingElem.rho(3) - RingElem.rho(1) * Fraction(5, 4),
+        RingElem.rho(6) * 16 - RingElem.rho(2) * 25 + RingElem.gamma() - Fraction(3, 4),
+    ):
+        assert e and e.evaluate(0.75) == 0.0
+    assert RingElem.rho(1).evaluate(0.75) == pytest.approx(math.sqrt(1.25), rel=1e-15)
+
+
+def test_evaluate_folds_a_rational_rho():
+    # at gamma0 = 0, r = 1: every power of r is rational, and the sum is exact
+    assert (RingElem.rho(3) - RingElem.rho(-2) + RingElem.gamma(2)).evaluate(0.0) == 0.0
+    assert (RingElem.rho(1) * Fraction(1, 3)).evaluate(0.0) == 1 / 3
