@@ -2,10 +2,11 @@
 
 The two-boson Hamiltonian conserves the occupation difference d = m - n, so
 its matrix in the number basis splits into tridiagonal blocks indexed by
-d in [-N, N] after a permutation.  Everything expensive here (eigenvalues,
-support energies, sigma_min grids) runs block-by-block; blocks with equal
-|d| are identical matrices, so only d >= 0 is ever solved.  The dense form
-is scattered from the blocks only when a caller asks for it.
+d in [-N, N] after a permutation.  H is the only matrix built here; H* is
+its transpose, and support_energies forms the Re(e^{-i theta} H) blocks
+from _block_data.  Everything expensive (eigenvalues, support energies,
+sigma_min grids) runs block-by-block; blocks with equal |d| are equal, so
+only d >= 0 is solved.  The dense form is scattered from them on request.
 
 sigma_min evaluation uses exact skip bounds so large-d blocks are only
 touched when they can actually lower the minimum:
@@ -77,15 +78,13 @@ class SolverConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockMatrix:
-    """Truncation of H, H* or Re(e^{-i theta} H) on modes m, n <= N.
+    """Truncation of H on modes m, n <= N.
 
     The d-blocks define it; the dense `mat` is scattered from them on first
     access."""
 
     n_max: int
     gamma: float
-    kind: str
-    theta: float | None
 
     @property
     def dim(self) -> int:
@@ -109,7 +108,7 @@ class FockMatrix:
         order, diag, sub, sup = [], [], [], []
         for d in range(-self.n_max, self.n_max + 1):
             order += [self.index(m, n) for m, n in self.block_members(d)]
-            block_diag, block_sub, block_sup = _block_tridiag(self.kind, self.n_max, self.gamma, d, self.theta)
+            block_diag, block_sub, block_sup = _block_tridiag(self.n_max, self.gamma, d)
             diag.append(block_diag)
             sub += [block_sub, [0]]
             sup += [block_sup, [0]]
@@ -124,10 +123,6 @@ class FockMatrix:
         out[order[:-1], order[1:]] = sup
         return out
 
-    def block(self, d: int) -> np.ndarray:
-        idx = [self.index(m, n) for m, n in self.block_members(d)]
-        return self.mat[np.ix_(idx, idx)]
-
 
 def _block_data(n_max: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Integer diagonal d + 2k + 1 and squared couplings (d + k + 1)(k + 1)
@@ -138,18 +133,11 @@ def _block_data(n_max: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return d + 2 * k + 1, (d + k[1:]) * k[1:]
 
 
-def _block_tridiag(kind: str, n_max: int, gamma: float, d: int, theta: float | None = None):
+def _block_tridiag(n_max: int, gamma: float, d: int):
     """(diag, sub, sup) of block d; sub couples k -> k+1 (row k+1)."""
     diag, coupling_sq = _block_data(n_max, d)
-    diag = diag.astype(float)
     c = np.sqrt(coupling_sq)
-    if kind == "H":
-        return diag, -gamma * c, +gamma * c
-    if kind == "Hstar":
-        return diag, +gamma * c, -gamma * c
-    if kind == "ReTheta":
-        return diag * math.cos(theta), 1j * gamma * math.sin(theta) * c, -1j * gamma * math.sin(theta) * c
-    raise ValueError(f"unknown matrix kind {kind!r}")
+    return diag.astype(float), -gamma * c, +gamma * c
 
 
 def _check_theta(theta):
@@ -157,60 +145,33 @@ def _check_theta(theta):
         raise ValueError("theta must satisfy |theta| < pi/2 (operator unbounded below)")
 
 
-def build_matrix(kind: str, n_max: int, gamma: float, theta: float | None = None) -> FockMatrix:
+def build_matrix(n_max: int, gamma: float) -> FockMatrix:
     """Validated truncation; its dense form is built only when `.mat` is read."""
     if n_max < 0:
         raise ValueError("truncation must be >= 0")
-    if kind not in ("H", "Hstar", "ReTheta"):
-        raise ValueError(f"unknown matrix kind {kind!r}")
-    if kind == "ReTheta":
-        _check_theta(theta)
-    return FockMatrix(n_max, gamma, kind, theta)
+    return FockMatrix(n_max, gamma)
 
 
-def _block_dense(kind: str, n_max: int, gamma: float, d: int, theta: float | None = None):
-    diag, sub, sup = _block_tridiag(kind, n_max, gamma, d, theta)
-    mat = np.diag(diag.astype(complex if kind == "ReTheta" else float))
+def _block_dense(n_max: int, gamma: float, d: int):
+    diag, sub, sup = _block_tridiag(n_max, gamma, d)
+    mat = np.diag(diag)
     if len(diag) > 1:
         mat += np.diag(sub, -1) + np.diag(sup, 1)
     return mat
 
 
-def eigenvalues(fm: FockMatrix, vectors: bool = False):
-    """Spectrum of the truncation, solved block by block.
-
-    Returns sorted eigenvalues (by real part, then imaginary); with
-    vectors=True also a matrix of unit right eigenvectors embedded in the
-    full lexicographic basis, satisfying ||A v - lambda v|| <= 1e-10 ||A||.
-    """
-    width = fm.n_max + 1
-    cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    vals: list[complex] = []
-    vecs: list[np.ndarray] = []
-    for d in range(-fm.n_max, fm.n_max + 1):
-        if abs(d) not in cache:
-            block = _block_dense(fm.kind, fm.n_max, fm.gamma, abs(d), fm.theta)
-            try:
-                w, v = np.linalg.eig(block)
-            except np.linalg.LinAlgError as exc:
-                raise SolverConvergenceError(
-                    f"eigensolve failed on block d={d}", block=d
-                ) from exc
-            cache[abs(d)] = (w, v)
-        w, v = cache[abs(d)]
-        vals.extend(w)
-        if vectors:
-            members = [m * width + n for m, n in fm.block_members(d)]
-            for col in range(v.shape[1]):
-                full = np.zeros(fm.dim, dtype=complex)
-                full[members] = v[:, col]
-                vecs.append(full)
-    vals = np.asarray(vals)
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    if not vectors:
-        return vals
-    return vals, np.asarray(vecs)[order].T
+def eigenvalues(fm: FockMatrix) -> np.ndarray:
+    """Spectrum of the truncation, sorted by real part, then imaginary; each
+    block d > 0 is solved once and its values count for -d too."""
+    vals = []
+    for d in range(fm.n_max + 1):
+        try:
+            w = np.linalg.eigvals(_block_dense(fm.n_max, fm.gamma, d))
+        except np.linalg.LinAlgError as exc:
+            raise SolverConvergenceError(f"eigensolve failed on block d={d}", block=d) from exc
+        vals += [w, w] if d else [w]
+    vals = np.concatenate(vals)
+    return vals[np.lexsort((vals.imag, vals.real))]
 
 
 def _newton_root(diag, pair_products, seed: complex, tol, d: int):
@@ -264,7 +225,7 @@ def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 
             diag, coupling_sq = (a.tolist() for a in _block_data(n_max, d))
             pair_products = [-g2 * s for s in coupling_sq]  # sub * sup = -gamma^2 c^2
             try:
-                seeds = np.linalg.eigvals(_block_dense("H", n_max, gamma, d))
+                seeds = np.linalg.eigvals(_block_dense(n_max, gamma, d))
             except np.linalg.LinAlgError as exc:
                 raise SolverConvergenceError(f"eigensolve failed on block d={d}", block=d) from exc
             seeds = seeds[np.lexsort((seeds.imag, seeds.real))][:count]
@@ -393,12 +354,6 @@ def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
     return best.reshape(thetas.shape)
 
 
-def support_energy_numeric(n_max: int, gamma: float, theta: float) -> float:
-    """Smallest eigenvalue of the truncated Re(e^{-i theta} H): the one-theta
-    case of support_energies."""
-    return float(support_energies(n_max, gamma, [theta])[0])
-
-
 @dataclass(frozen=True)
 class NumericalRangePoint:
     theta: float
@@ -439,7 +394,7 @@ def rayleigh_quotients(n_max: int, gamma: float, count: int, seed: int = 0) -> n
     turn from one generator; drawing a chunk of vectors at once gives the
     same stream.  A psi is one tridiagonal matvec on the vectors permuted
     to the d-blocks."""
-    order, diag, sub, sup = build_matrix("H", n_max, gamma)._tridiagonal()
+    order, diag, sub, sup = build_matrix(n_max, gamma)._tridiagonal()
     rng = np.random.default_rng(seed)
     out = np.empty(count, dtype=complex)
     chunk = max(1, _RAYLEIGH_CHUNK_ENTRIES // (2 * diag.size))
@@ -578,11 +533,10 @@ def _sigma_min_invit(diag, sub, sup, zs: np.ndarray) -> np.ndarray:
             _gttrs(factors, v)
             np.conjugate(v, out=v)
             v[1::2] *= -1  # v = (zI - B)^-H v
-            v /= np.linalg.norm(v, axis=0)
+            v *= 1.0 / np.linalg.norm(v, axis=0)
             _gttrs(factors, v)
-            growth = np.linalg.norm(v, axis=0)
-            v /= growth
-            prev, sigma = sigma, 1.0 / growth
+            prev, sigma = sigma, 1.0 / np.linalg.norm(v, axis=0)
+            v *= sigma
             step = prev - sigma
             rate = step / last_step
             geometric = (rate > 0) & (rate < 1)
@@ -595,8 +549,9 @@ def _sigma_min_invit(diag, sub, sup, zs: np.ndarray) -> np.ndarray:
             out[active[done]] = sigma[done]
             keep = ~(done | failed | (steps + needed > max_steps))
             if not keep.all():
-                active, v, sigma, step = active[keep], v[:, keep], sigma[keep], step[keep]
-                factors = tuple(part[:, keep] for part in factors)
+                # compress keeps the rows C-contiguous, as _gttrs's row loop needs
+                active, v, sigma, step = active[keep], v.compress(keep, axis=1), sigma[keep], step[keep]
+                factors = tuple(part.compress(keep, axis=1) for part in factors)
             last_step = step
     return out
 
@@ -604,14 +559,14 @@ def _sigma_min_invit(diag, sub, sup, zs: np.ndarray) -> np.ndarray:
 def _sigma_min_block(n_max: int, gamma: float, d: int, zs: np.ndarray) -> np.ndarray:
     """sigma_min(zI - B_d) at each z: by inverse iteration where it pays,
     by batched SVD for small batches and for the points it leaves."""
-    diag, sub, sup = _block_tridiag("H", n_max, gamma, d)
+    diag, sub, sup = _block_tridiag(n_max, gamma, d)
     out = np.full(zs.size, np.nan)
     if zs.size * diag.size >= _INVIT_MIN_WORK:
         for part in np.array_split(np.arange(zs.size), -(-zs.size // _INVIT_CHUNK)):
             out[part] = _sigma_min_invit(diag, sub, sup, zs[part])
     redo = np.flatnonzero(np.isnan(out))
     if redo.size:
-        block = _block_dense("H", n_max, gamma, d).astype(complex)
+        block = _block_dense(n_max, gamma, d).astype(complex)
         out[redo] = _sigma_min_svd(block, zs[redo], d)
     return out
 
@@ -626,7 +581,7 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     for d in range(0, n_max + 1):
         if np.all(np.maximum(d + 1.0 - zs.real, 0.0) >= smin):
             break  # every remaining block is bounded away from the minimum
-        diag, sub, sup = _block_tridiag("H", n_max, gamma, d)
+        diag, sub, sup = _block_tridiag(n_max, gamma, d)
         size = len(diag)
         offs = np.abs(sup)
         radius = np.zeros(size)
@@ -737,8 +692,7 @@ def accretivity_check(
 def spectrum_rows(n_max: int, gamma: float) -> list[tuple[int, complex, float, float]]:
     """Sorted eigenvalues paired index-wise with the exact levels
     (1+m+n) sqrt(1+g^2); returns (index, eigenvalue, closed_form, abs_err)."""
-    fm = build_matrix("H", n_max, gamma)
-    vals = eigenvalues(fm)
+    vals = eigenvalues(build_matrix(n_max, gamma))
     omega = math.hypot(1.0, gamma)
     exact = np.sort(
         np.array([(1 + m + n) * omega for m in range(n_max + 1) for n in range(n_max + 1)])
@@ -757,11 +711,3 @@ def z_from_string(text: str) -> complex:
         return complex(cleaned)
     except ValueError as exc:
         raise ValueError(f"cannot parse complex number {text!r}") from exc
-
-
-def eigenvalue_residuals(fm: FockMatrix) -> np.ndarray:
-    """||A v - lambda v|| per eigenpair (unit vectors); backward-stability
-    diagnostic for the eigenvalues() contract."""
-    vals, vecs = eigenvalues(fm, vectors=True)
-    res = fm.mat @ vecs - vecs * vals[None, :]
-    return np.linalg.norm(res, axis=0)

@@ -173,9 +173,7 @@ class NormIntegralRow:
     log_left_norm: float
 
 
-def wkb_integrals(
-    summand: QuadraticSummand, energy: float, hbars, n0: int = 64
-) -> list[NormIntegralRow]:
+def wkb_integrals(summand: QuadraticSummand, energy: float, hbars) -> list[NormIntegralRow]:
     """The three hbar-scaling integrals over the classically allowed interval.
 
     |Psi|^2 = e^(-2 Im S / hbar) and |Psi_tilde|^2 = e^(+2 Im S / hbar) are
@@ -194,14 +192,14 @@ def wkb_integrals(
         hbar = float(hbar)
         if hbar <= 0:
             raise ValueError("hbar must be positive")
-        log_i1 = _log_gaussian_integral(+c / hbar, x_t, n0)
-        log_i2 = _log_gaussian_integral(-c / hbar, x_t, n0)
+        log_i1 = _log_gaussian_integral(+c / hbar, x_t)
+        log_i2 = _log_gaussian_integral(-c / hbar, x_t)
 
         def cross(x):
             phase = 1j * (left(x) - np.conj(right(x))) / hbar
             return np.exp(phase).real
 
-        i3 = _converged_quadrature(cross, x_t, n0)
+        i3 = _converged_quadrature(cross, x_t)
         with np.errstate(over="ignore"):  # +inf past the float range is intended
             i1, i2 = float(np.exp(log_i1)), float(np.exp(log_i2))
         rows.append(NormIntegralRow(hbar, i1, i2, i3, log_i1, log_i2))

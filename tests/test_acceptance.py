@@ -117,7 +117,7 @@ def test_criterion_05_m_accretive_resolvent_bound():
 def test_criterion_06_pseudospectrum_sanity():
     n_max, gamma = 40, 0.5
     grid = fock.pseudospectrum(n_max, gamma)  # default [-1,8]x[-4,4], 161x161
-    fm = fock.build_matrix("H", n_max, gamma)
+    fm = fock.build_matrix(n_max, gamma)
     vals = fock.eigenvalues(fm)
     norm = float(np.linalg.norm(fm.mat, 2))
 

@@ -1,6 +1,7 @@
 """Truncated matrices: structure, eigensolves, numerical range,
 pseudospectra and accretivity."""
 
+import cmath
 import math
 import tracemalloc
 
@@ -11,8 +12,9 @@ from nhboson import fock
 
 
 def _ladder_matrix(kind, n_max, gamma, theta=None):
-    """Dense truncation filled entry by entry from the ladder action on
-    |m,n>; the reference for the block-scattered FockMatrix.mat."""
+    """Dense truncation of H, H* ("Hstar") or Re(e^{-i theta} H)
+    ("ReTheta") filled entry by entry from the ladder action on |m,n>; the
+    reference for FockMatrix.mat and for the support-energy blocks."""
     width = n_max + 1
     mat = np.zeros((width * width, width * width), dtype=complex if kind == "ReTheta" else float)
     sign = -1.0 if kind == "Hstar" else 1.0
@@ -35,6 +37,14 @@ def _ladder_matrix(kind, n_max, gamma, theta=None):
                 if m and n:
                     mat[(m - 1) * width + (n - 1), col] = sign * gamma * down
     return mat
+
+
+def _block(mat, n_max, d):
+    """Block d of a dense lexicographic truncation: the rows and columns of
+    the pairs (m, n) with m - n = d."""
+    members = [(k + d, k) if d >= 0 else (k, k - d) for k in range(n_max + 1 - abs(d))]
+    idx = [m * (n_max + 1) + n for m, n in members]
+    return mat[np.ix_(idx, idx)]
 
 
 def _mp_eig_lowest(n_max, gamma, count, dps):
@@ -72,7 +82,7 @@ def _svd_sweep(n_max, gamma, zs):
         todo = np.flatnonzero(d + 1.0 - zs.real < smin)
         if todo.size == 0:
             break
-        block = fock._block_dense("H", n_max, gamma, d)
+        block = fock._block_dense(n_max, gamma, d)
         shifted = zs[todo, None, None] * np.eye(block.shape[0]) - block
         smin[todo] = np.minimum(smin[todo], np.linalg.svd(shifted, compute_uv=False)[:, -1])
     return smin
@@ -86,7 +96,7 @@ def _hard_points(n_max, gamma):
     points just right of a block's first diagonal entry d + 1 (a tiny
     leading pivot, which the LU must pivot away), and the size-1 block d = N
     at and next to its eigenvalue N + 1, where the pivot is exactly zero."""
-    blocks = [fock._block_dense("H", n_max, gamma, d) for d in range(n_max + 1)]
+    blocks = [fock._block_dense(n_max, gamma, d) for d in range(n_max + 1)]
     eigs = np.concatenate([np.linalg.eigvals(blocks[d]) for d in (0, 1, 2, n_max // 2, n_max - 1)])
     every = np.concatenate([np.linalg.eigvals(b) for b in blocks])
     real = np.unique(every[np.abs(every.imag) < 1e-9].real)
@@ -99,20 +109,20 @@ def _hard_points(n_max, gamma):
 
 
 def test_smallest_truncation_is_scalar_one():
-    fm = fock.build_matrix("H", 0, 0.7)
+    fm = fock.build_matrix(0, 0.7)
     assert fm.mat.shape == (1, 1)
     assert fm.mat[0, 0] == 1.0
 
 
 def test_ladder_entry_example():
     # a*b* |0,0> = |1,1>, canonical sign carries -gamma
-    fm = fock.build_matrix("H", 2, 0.5)
+    fm = fock.build_matrix(2, 0.5)
     assert fm.mat[fm.index(1, 1), fm.index(0, 0)] == pytest.approx(-0.5)
     assert fm.mat[fm.index(0, 0), fm.index(1, 1)] == pytest.approx(0.5)
 
 
 def test_zero_coupling_is_diagonal():
-    fm = fock.build_matrix("H", 4, 0.0)
+    fm = fock.build_matrix(4, 0.0)
     assert np.allclose(fm.mat, np.diag(fm.mat.diagonal()))
     want = sorted(m + n + 1 for m in range(5) for n in range(5))
     assert np.allclose(np.sort(fm.mat.diagonal()), want)
@@ -120,7 +130,7 @@ def test_zero_coupling_is_diagonal():
 
 def test_diagonal_multiplicity_pattern():
     n_max = 5
-    fm = fock.build_matrix("H", n_max, 0.0)
+    fm = fock.build_matrix(n_max, 0.0)
     vals = fock.eigenvalues(fm).real
     for k in range(n_max + 1):
         assert np.sum(np.isclose(vals, k + 1)) == k + 1
@@ -130,26 +140,25 @@ def test_trace_is_coupling_independent():
     n_max = 6
     want = sum(m + n + 1 for m in range(n_max + 1) for n in range(n_max + 1))
     for gamma in (0.0, 0.5, 0.9):
-        fm = fock.build_matrix("H", n_max, gamma)
+        fm = fock.build_matrix(n_max, gamma)
         assert np.trace(fm.mat) == pytest.approx(want, rel=1e-14)
 
 
 def test_adjoint_matrix_is_transpose():
-    a = fock.build_matrix("H", 5, 0.6).mat
-    b = fock.build_matrix("Hstar", 5, 0.6).mat
-    assert np.array_equal(b, a.T)
+    a = fock.build_matrix(5, 0.6).mat
+    assert np.array_equal(_ladder_matrix("Hstar", 5, 0.6), a.T)
 
 
 def test_block_permutation_is_exact_tridiagonal():
-    fm = fock.build_matrix("H", 6, 0.5)
+    fm = fock.build_matrix(6, 0.5)
     total = 0
     for d in range(-6, 7):
-        block = fm.block(d)
+        block = _block(fm.mat, 6, d)
         total += block.shape[0]
         # tridiagonal: nothing beyond the first off-diagonals
         beyond = np.triu(block, 2) + np.tril(block, -2)
         assert not beyond.any()
-        diag, sub, sup = fock._block_tridiag("H", 6, 0.5, d)
+        diag, sub, sup = fock._block_tridiag(6, 0.5, d)
         assert np.allclose(block.diagonal(), diag)
         if block.shape[0] > 1:
             assert np.allclose(np.diag(block, -1), sub)
@@ -160,7 +169,7 @@ def test_block_permutation_is_exact_tridiagonal():
 def test_block_diagonalization_is_permutation_similarity():
     """Reordering the basis by blocks turns the matrix exactly block
     diagonal: no couplings between different d sectors exist at all."""
-    fm = fock.build_matrix("H", 5, 0.7)
+    fm = fock.build_matrix(5, 0.7)
     perm = []
     sizes = []
     for d in range(-5, 6):
@@ -171,7 +180,7 @@ def test_block_diagonalization_is_permutation_similarity():
     expected = np.zeros_like(permuted)
     lo = 0
     for d, size in zip(range(-5, 6), sizes):
-        expected[lo : lo + size, lo : lo + size] = fm.block(d)
+        expected[lo : lo + size, lo : lo + size] = _block(fm.mat, 5, d)
         lo += size
     assert np.array_equal(permuted, expected)
 
@@ -180,12 +189,20 @@ def test_block_diagonalization_is_permutation_similarity():
     "kind, theta", [("H", None), ("Hstar", None), ("ReTheta", 0.7), ("ReTheta", -1.2)]
 )
 def test_dense_matrix_matches_ladder_action(kind, theta):
+    # H* is the transpose of H, and Re(e^{-i theta} H) its Hermitian part
+    # (e^{-i theta} H + e^{i theta} H^T) / 2
     for n_max in range(8):
         for gamma in (0.0, 0.45, -0.7):
-            got = fock.build_matrix(kind, n_max, gamma, theta).mat
+            h = fock.build_matrix(n_max, gamma).mat
+            if kind == "H":
+                got = h
+            elif kind == "Hstar":
+                got = h.T
+            else:
+                got = (cmath.exp(-1j * theta) * h + cmath.exp(1j * theta) * h.T) / 2
             want = _ladder_matrix(kind, n_max, gamma, theta)
             assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+            assert np.allclose(got, want, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("chunk_entries", [None, 2 * 64 * 3], ids=["default_chunks", "chunks_of_3"])
@@ -194,7 +211,7 @@ def test_rayleigh_quotients_match_per_vector_reference(monkeypatch, chunk_entrie
     # and a part; either way the draws are the per-vector stream
     if chunk_entries:
         monkeypatch.setattr(fock, "_RAYLEIGH_CHUNK_ENTRIES", chunk_entries)
-    mat = fock.build_matrix("H", 7, 0.45).mat
+    mat = fock.build_matrix(7, 0.45).mat
     rng = np.random.default_rng(11)
     want = []
     for _ in range(700):
@@ -207,7 +224,7 @@ def test_rayleigh_quotients_match_per_vector_reference(monkeypatch, chunk_entrie
 
 def test_block_eigenvalues_match_full_dense_solve():
     n_max, gamma = 8, 0.5
-    fm = fock.build_matrix("H", n_max, gamma)
+    fm = fock.build_matrix(n_max, gamma)
     by_blocks = fock.eigenvalues(fm)
     full = np.linalg.eigvals(fm.mat)
     assert by_blocks.shape == full.shape
@@ -218,15 +235,8 @@ def test_block_eigenvalues_match_full_dense_solve():
     assert gap.min(axis=1).max() < 1e-10
 
 
-def test_eigenpair_backward_residuals():
-    fm = fock.build_matrix("H", 12, 0.5)
-    norm = np.linalg.norm(fm.mat, 2)
-    res = fock.eigenvalue_residuals(fm)
-    assert res.max() <= 1e-10 * norm
-
-
 def test_lowest_eigenvalue_converges_to_ground_level():
-    got = fock.eigenvalues(fock.build_matrix("H", 30, 0.5))[0]
+    got = fock.eigenvalues(fock.build_matrix(30, 0.5))[0]
     assert abs(got - math.sqrt(1.25)) < 1e-6
     assert abs(got.imag) < 1e-10
 
@@ -266,16 +276,13 @@ def test_precise_raises_rather_than_return_unconverged(monkeypatch):
         fock.lowest_eigenvalues_precise(10, 0.5, 6)
 
 
-def test_hermitian_part_is_hermitian():
-    fm = fock.build_matrix("ReTheta", 5, 0.5, theta=0.7)
-    assert np.array_equal(fm.mat, fm.mat.conj().T)
-
-
 def test_hermitian_part_rejects_bad_theta():
     with pytest.raises(ValueError):
-        fock.build_matrix("ReTheta", 3, 0.5, theta=math.pi / 2)
+        fock.support_energies(3, 0.5, [0.2, math.pi / 2])
     with pytest.raises(ValueError):
-        fock.support_energy_numeric(10, 0.5, -math.pi / 2)
+        fock.support_energies(10, 0.5, -math.pi / 2)
+    with pytest.raises(ValueError):
+        fock.numerical_range_boundary(10, 0.5, [math.pi / 2])
 
 
 def test_support_energy_closed_form_values():
@@ -288,15 +295,14 @@ def test_support_energy_closed_form_values():
 
 def test_support_energy_numeric_matches_min_eig_of_dense():
     n_max, gamma, theta = 8, 0.5, 0.6
-    fm = fock.build_matrix("ReTheta", n_max, gamma, theta=theta)
-    want = float(np.linalg.eigvalsh(fm.mat)[0])
-    got = fock.support_energy_numeric(n_max, gamma, theta)
+    want = float(np.linalg.eigvalsh(_ladder_matrix("ReTheta", n_max, gamma, theta))[0])
+    got = fock.support_energies(n_max, gamma, [theta])[0]
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def _min_block_eigenvalue(n_max, gamma, theta):
-    fm = fock.build_matrix("ReTheta", n_max, gamma, theta=theta)
-    return min(np.linalg.eigvalsh(fm.block(d))[0] for d in range(n_max + 1))
+    mat = _ladder_matrix("ReTheta", n_max, gamma, theta)
+    return min(np.linalg.eigvalsh(_block(mat, n_max, d))[0] for d in range(n_max + 1))
 
 
 @pytest.mark.parametrize(
@@ -315,20 +321,20 @@ def test_support_energies_match_dense_eigvalsh(n_max, gamma, thetas):
     got = fock.support_energies(n_max, gamma, thetas)
     want = np.array([_min_block_eigenvalue(n_max, gamma, t) for t in thetas])
     assert np.allclose(got, want, rtol=1e-12, atol=0)
-    assert [fock.support_energy_numeric(n_max, gamma, t) for t in thetas] == got.tolist()
+    assert [fock.support_energies(n_max, gamma, [t])[0] for t in thetas] == got.tolist()
 
 
 @pytest.mark.parametrize("n_max, gamma, theta", [(8, 0.5, 0.6), (8, 2.0, -1.3), (6, 0.0, 0.4), (15, 0.9, 1.5)])
 def test_lowest_eigenvalues_match_eigvalsh_on_every_block(n_max, gamma, theta):
     # support energies solve block 0 alone where cos theta >= |gamma sin theta|
     # and every block elsewhere.  The solver itself must hold on every block
-    fm = fock.build_matrix("ReTheta", n_max, gamma, theta=theta)
+    mat = _ladder_matrix("ReTheta", n_max, gamma, theta)
     for d in range(n_max + 1):
         diag, coupling_sq = fock._block_data(n_max, d)
         got = fock._lowest_eigenvalues(
             diag[:, None] * math.cos(theta), coupling_sq[:, None] * (gamma * math.sin(theta)) ** 2
         )
-        assert got[0] == pytest.approx(np.linalg.eigvalsh(fm.block(d))[0], rel=1e-12)
+        assert got[0] == pytest.approx(np.linalg.eigvalsh(_block(mat, n_max, d))[0], rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -378,7 +384,7 @@ def test_support_energy_truncation_monotone_from_above():
     # the solver noise floor at these N (decay ratio ~0.585 per step)
     gamma, theta = 0.5, 1.05
     closed = fock.support_energy_closed(gamma, theta)
-    vals = [fock.support_energy_numeric(n, gamma, theta) for n in (10, 20, 40)]
+    vals = [fock.support_energies(n, gamma, [theta])[0] for n in (10, 20, 40)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] >= closed - 1e-12
     assert vals[2] - closed < 1e-6
@@ -434,7 +440,7 @@ def test_rayleigh_real_at_zero_coupling():
 
 def test_sigma_min_matches_brute_force():
     n_max, gamma = 7, 0.5
-    fm = fock.build_matrix("H", n_max, gamma)
+    fm = fock.build_matrix(n_max, gamma)
     rng = np.random.default_rng(11)
     zs = rng.standard_normal(10) * 4 + 2 + 1j * rng.standard_normal(10) * 3
     fast = fock.sigma_min_points(n_max, gamma, zs)
@@ -447,7 +453,7 @@ def test_sigma_min_matches_brute_force():
 
 def test_sigma_min_vanishes_at_eigenvalues():
     n_max, gamma = 10, 0.5
-    fm = fock.build_matrix("H", n_max, gamma)
+    fm = fock.build_matrix(n_max, gamma)
     vals = fock.eigenvalues(fm)
     norm = np.linalg.norm(fm.mat, 2)
     sig = fock.sigma_min_points(n_max, gamma, vals[:12])
@@ -456,7 +462,7 @@ def test_sigma_min_vanishes_at_eigenvalues():
 
 def test_sigma_min_below_distance_to_spectrum():
     n_max, gamma = 10, 0.5
-    vals = fock.eigenvalues(fock.build_matrix("H", n_max, gamma))
+    vals = fock.eigenvalues(fock.build_matrix(n_max, gamma))
     rng = np.random.default_rng(5)
     zs = rng.standard_normal(40) * 5 + 3 + 1j * rng.standard_normal(40) * 3
     sig = fock.sigma_min_points(n_max, gamma, zs)
@@ -492,7 +498,7 @@ def test_pseudospectrum_grid_properties():
     assert np.all(np.isfinite(grid.sigma_min))
     # conjugate symmetry of the grid values
     assert np.array_equal(grid.sigma_min, grid.sigma_min[::-1, :])
-    vals = fock.eigenvalues(fock.build_matrix("H", 8, 0.5))
+    vals = fock.eigenvalues(fock.build_matrix(8, 0.5))
     pts = grid.points().ravel()
     dist = np.min(np.abs(pts[:, None] - vals[None, :]), axis=1)
     assert np.all(grid.sigma_min.ravel() <= dist + 1e-8)
@@ -559,6 +565,24 @@ def test_inverse_iteration_matches_svd_sweep_at_hard_points(monkeypatch, gamma):
     assert forced[zs == n_max + 1] == 0.0
 
 
+def test_inverse_iteration_batch_stays_c_contiguous(monkeypatch):
+    # _gttrs loops over rows, each a vector over the batch's points; once
+    # converged points leave, the compacted batch must still be row-major
+    calls = []
+    original = fock._gttrs
+
+    def recording(factors, b):
+        contiguous = b.flags.c_contiguous and all(part.flags.c_contiguous for part in factors)
+        calls.append((b.shape, contiguous))
+        return original(factors, b)
+
+    monkeypatch.setattr(fock, "_gttrs", recording)
+    fock.sigma_min_points(40, 0.5, _hard_points(40, 0.5))
+    shapes = [shape for shape, _ in calls]
+    assert any(a[0] == b[0] and a[1] > b[1] for a, b in zip(shapes, shapes[1:]))  # a batch compacted
+    assert all(contiguous for _, contiguous in calls)
+
+
 def test_inverse_iteration_cap_falls_back_to_svd(monkeypatch):
     n_max, gamma = 40, 0.5
     zs = _hard_points(n_max, gamma)
@@ -602,7 +626,7 @@ def test_z_from_string():
 
 
 def test_block_members_bounds():
-    fm = fock.build_matrix("H", 3, 0.1)
+    fm = fock.build_matrix(3, 0.1)
     with pytest.raises(IndexError):
         fm.block_members(4)
     with pytest.raises(IndexError):
@@ -614,7 +638,7 @@ def test_parity_maps_every_block_to_its_transpose(gamma):
     # the adjoint solve of the inverse iteration rests on B^T = S B S
     n_max = 6
     for d in range(n_max + 1):
-        block = fock._block_dense("H", n_max, gamma, d)
+        block = fock._block_dense(n_max, gamma, d)
         parity = np.diag(np.where(np.arange(block.shape[0]) % 2, -1.0, 1.0))
         assert np.array_equal(parity @ block @ parity, block.T)
 
@@ -625,14 +649,14 @@ def test_gttrs_matches_dense_solve_at_hard_points(gamma):
     zs = _hard_points(n_max, gamma)
     rng = np.random.default_rng(7)
     for d in (0, 1, n_max // 2, n_max - 1):
-        diag, sub, sup = fock._block_tridiag("H", n_max, gamma, d)
+        diag, sub, sup = fock._block_tridiag(n_max, gamma, d)
         factors = fock._gttrf(diag, sub, sup, zs)
         if d == 0:
             assert factors[-1].any()  # the tiny leading pivots were swapped away
         rhs = rng.standard_normal((diag.size, zs.size)) + 1j * rng.standard_normal((diag.size, zs.size))
         got = rhs.copy()
         fock._gttrs(factors, got)
-        block = fock._block_dense("H", n_max, gamma, d)
+        block = fock._block_dense(n_max, gamma, d)
         for col, z in enumerate(zs):
             shifted = z * np.eye(diag.size) - block
             cond = np.linalg.cond(shifted)
