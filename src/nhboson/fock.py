@@ -2,11 +2,15 @@
 
 The two-boson Hamiltonian conserves the occupation difference d = m - n, so
 its matrix in the number basis splits into tridiagonal blocks indexed by
-d in [-N, N] after a permutation.  H is the only matrix built here; H* is
-its transpose, and support_energies forms the Re(e^{-i theta} H) blocks
-from _block_data.  Everything expensive (eigenvalues, support energies,
-sigma_min grids) runs block-by-block; blocks with equal |d| are equal, so
-only d >= 0 is solved.  The dense form is scattered from them on request.
+d in [-N, N] after a permutation.  Every entry point is a function of
+(N, gamma) over one block form (diag, off): the diagonal and the
+superdiagonal, the subdiagonal being -off.  H is the only matrix built
+here; H* is its transpose, and support_energies forms the
+Re(e^{-i theta} H) blocks from _block_data.  Everything expensive
+(eigenvalues, support energies, sigma_min grids) runs block-by-block;
+blocks with equal |d| are equal, so only d >= 0 is solved.  build_matrix
+scatters the dense matrix from the blocks as a reference for tests; no
+command needs it.
 
 sigma_min evaluation uses exact skip bounds so large-d blocks are only
 touched when they can actually lower the minimum:
@@ -21,11 +25,11 @@ batched tridiagonal LU with partial pivoting (LAPACK ?gttrf/?gttrs, one
 Python loop over rows vectorized over points), so a step costs O(size) per
 point rather than the O(size^3) of a dense SVD.  The parity x -> -x maps
 each block to its transpose, so the adjoint solve each step needs is a
-forward solve with the same LU.  The batched dense SVD is
-the reference path: it takes batches too small to pay for the row loop and
-every point the iteration does not settle (a zero pivot, a non-finite
-estimate, or a convergence rate too slow for the step cap).  Results agree
-with dense SVD to 1e-12; no unconverged value is returned.
+forward solve with the same LU.  The batched dense SVD is the reference
+path: it takes batches too small to pay for the row loop and every point
+the iteration does not settle (a zero pivot, a non-finite estimate, or a
+convergence rate too slow for the step cap).  Results agree with dense
+SVD to 1e-12; no unconverged value is returned.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -76,54 +79,6 @@ class SolverConvergenceError(RuntimeError):
         self.block = block
 
 
-@dataclass(frozen=True)
-class FockMatrix:
-    """Truncation of H on modes m, n <= N.
-
-    The d-blocks define it; the dense `mat` is scattered from them on first
-    access."""
-
-    n_max: int
-    gamma: float
-
-    @property
-    def dim(self) -> int:
-        return (self.n_max + 1) ** 2
-
-    def index(self, m: int, n: int) -> int:
-        if not (0 <= m <= self.n_max and 0 <= n <= self.n_max):
-            raise IndexError(f"mode ({m},{n}) outside truncation {self.n_max}")
-        return m * (self.n_max + 1) + n
-
-    def block_members(self, d: int) -> list[tuple[int, int]]:
-        """(m, n) pairs with m - n = d, ordered by the pair minimum."""
-        if not -self.n_max <= d <= self.n_max:
-            raise IndexError(f"block {d} outside [-N, N]")
-        return [(k + d, k) if d >= 0 else (k, k - d) for k in range(self.n_max + 1 - abs(d))]
-
-    def _tridiagonal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(order, diag, sub, sup): the matrix permuted to its d-blocks in
-        ascending d, which is tridiagonal; order[i] is the lexicographic
-        index of row i, and the couplings across block boundaries are 0."""
-        order, diag, sub, sup = [], [], [], []
-        for d in range(-self.n_max, self.n_max + 1):
-            order += [self.index(m, n) for m, n in self.block_members(d)]
-            block_diag, block_sub, block_sup = _block_tridiag(self.n_max, self.gamma, d)
-            diag.append(block_diag)
-            sub += [block_sub, [0]]
-            sup += [block_sup, [0]]
-        return np.array(order), np.concatenate(diag), np.concatenate(sub)[:-1], np.concatenate(sup)[:-1]
-
-    @cached_property
-    def mat(self) -> np.ndarray:
-        order, diag, sub, sup = self._tridiagonal()
-        out = np.zeros((self.dim, self.dim), dtype=np.result_type(diag, sub))
-        out[order, order] = diag
-        out[order[1:], order[:-1]] = sub
-        out[order[:-1], order[1:]] = sup
-        return out
-
-
 def _block_data(n_max: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Integer diagonal d + 2k + 1 and squared couplings (d + k + 1)(k + 1)
     of block d: the one definition of the Fock matrix.  Coupling k joins
@@ -133,11 +88,30 @@ def _block_data(n_max: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return d + 2 * k + 1, (d + k[1:]) * k[1:]
 
 
-def _block_tridiag(n_max: int, gamma: float, d: int):
-    """(diag, sub, sup) of block d; sub couples k -> k+1 (row k+1)."""
+def _block_tridiag(n_max: int, gamma: float, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of block d: off = gamma sqrt(coupling_sq) is its
+    superdiagonal, and -off its subdiagonal."""
     diag, coupling_sq = _block_data(n_max, d)
-    c = np.sqrt(coupling_sq)
-    return diag.astype(float), -gamma * c, +gamma * c
+    return diag.astype(float), gamma * np.sqrt(coupling_sq)
+
+
+def _block_dense(n_max: int, gamma: float, d: int) -> np.ndarray:
+    diag, off = _block_tridiag(n_max, gamma, d)
+    return np.diag(diag) + np.diag(off, 1) - np.diag(off, -1)
+
+
+def _gershgorin_radii(off: np.ndarray) -> np.ndarray:
+    """Gershgorin radii |off_{k-1}| + |off_k| of the rows of a tridiagonal
+    matrix with off-diagonal moduli `off`, or of one per column of `off`."""
+    radius = np.zeros((off.shape[0] + 1, *off.shape[1:]))
+    radius[:-1] += off
+    radius[1:] += off
+    return radius
+
+
+def _check_truncation(n_max: int) -> None:
+    if n_max < 0:
+        raise ValueError("truncation must be >= 0")
 
 
 def _check_theta(theta):
@@ -145,31 +119,48 @@ def _check_theta(theta):
         raise ValueError("theta must satisfy |theta| < pi/2 (operator unbounded below)")
 
 
-def build_matrix(n_max: int, gamma: float) -> FockMatrix:
-    """Validated truncation; its dense form is built only when `.mat` is read."""
-    if n_max < 0:
-        raise ValueError("truncation must be >= 0")
-    return FockMatrix(n_max, gamma)
+def _tridiagonal(n_max: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, diag, off): H permuted to its d-blocks in ascending d, one
+    tridiagonal (diag, off) with off 0 across block boundaries; order[i] is
+    the lexicographic index m (N + 1) + n of row i."""
+    _check_truncation(n_max)
+    order, diag, off = [], [], []
+    for d in range(-n_max, n_max + 1):
+        k = np.arange(n_max + 1 - abs(d))
+        order.append((k + max(d, 0)) * (n_max + 1) + k + max(-d, 0))  # (m, n) with m - n = d
+        block_diag, block_off = _block_tridiag(n_max, gamma, d)
+        diag.append(block_diag)
+        off += [block_off, [0.0]]
+    return np.concatenate(order), np.concatenate(diag), np.concatenate(off)[:-1]
 
 
-def _block_dense(n_max: int, gamma: float, d: int):
-    diag, sub, sup = _block_tridiag(n_max, gamma, d)
-    mat = np.diag(diag)
-    if len(diag) > 1:
-        mat += np.diag(sub, -1) + np.diag(sup, 1)
-    return mat
+def build_matrix(n_max: int, gamma: float) -> np.ndarray:
+    """Dense truncation of H on modes m, n <= N, row m (N + 1) + n for
+    |m, n>, scattered from the d-blocks: a test reference no command needs."""
+    order, diag, off = _tridiagonal(n_max, gamma)
+    out = np.zeros((order.size, order.size))
+    out[order, order] = diag
+    out[order[:-1], order[1:]] = off
+    out[order[1:], order[:-1]] = -off
+    return out
 
 
-def eigenvalues(fm: FockMatrix) -> np.ndarray:
+def _block_eigenvalues(n_max: int, gamma: float, d: int) -> np.ndarray:
+    """Eigenvalues of block d, sorted by real part, then imaginary."""
+    try:
+        w = np.linalg.eigvals(_block_dense(n_max, gamma, d))
+    except np.linalg.LinAlgError as exc:
+        raise SolverConvergenceError(f"eigensolve failed on block d={d}", block=d) from exc
+    return w[np.lexsort((w.imag, w.real))]
+
+
+def eigenvalues(n_max: int, gamma: float) -> np.ndarray:
     """Spectrum of the truncation, sorted by real part, then imaginary; each
     block d > 0 is solved once and its values count for -d too."""
+    _check_truncation(n_max)
     vals = []
-    for d in range(fm.n_max + 1):
-        try:
-            w = np.linalg.eigvals(_block_dense(fm.n_max, fm.gamma, d))
-        except np.linalg.LinAlgError as exc:
-            raise SolverConvergenceError(f"eigensolve failed on block d={d}", block=d) from exc
-        vals += [w, w] if d else [w]
+    for d in range(n_max + 1):
+        vals += [_block_eigenvalues(n_max, gamma, d)] * (2 if d else 1)
     vals = np.concatenate(vals)
     return vals[np.lexsort((vals.imag, vals.real))]
 
@@ -179,8 +170,9 @@ def _newton_root(diag, pair_products, seed: complex, tol, d: int):
     the current mpmath precision.
 
     det and its derivative come from the three-term recurrence
-    p_{k+1} = (a_k - lambda) p_k - (sub * sup)_{k-1} p_{k-1}, which needs
-    only the diagonal a and the products sub * sup of the coupled pairs."""
+    p_{k+1} = (a_k - lambda) p_k - q_{k-1} p_{k-1}, which needs only the
+    diagonal a and the products q_k = -off_k^2 of the entries coupling rows
+    k and k + 1."""
     from mpmath import mp
 
     lam = mp.mpc(seed)
@@ -223,20 +215,13 @@ def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 
         g2 = mp.mpf(gamma) ** 2
         for d in range(n_max + 1):
             diag, coupling_sq = (a.tolist() for a in _block_data(n_max, d))
-            pair_products = [-g2 * s for s in coupling_sq]  # sub * sup = -gamma^2 c^2
-            try:
-                seeds = np.linalg.eigvals(_block_dense(n_max, gamma, d))
-            except np.linalg.LinAlgError as exc:
-                raise SolverConvergenceError(f"eigensolve failed on block d={d}", block=d) from exc
-            seeds = seeds[np.lexsort((seeds.imag, seeds.real))][:count]
+            pair_products = [-g2 * s for s in coupling_sq]  # -off^2 = -gamma^2 c^2
+            seeds = _block_eigenvalues(n_max, gamma, d)[:count]
             roots = [_newton_root(diag, pair_products, complex(z), tol, d) for z in seeds]
             if any(abs(a - b) < coincident for a, b in combinations(roots, 2)):
                 raise SolverConvergenceError(f"Newton roots coincide on block d={d}", block=d)
             reals = sorted(mp.re(z) for z in roots)
-            vals.extend(reals)
-            if d:
-                vals.extend(reals)
-            vals.sort()
+            vals = sorted(vals + (2 * reals if d else reals))
             if len(vals) >= count and vals[count - 1] < d + 2:
                 break
     with mp.workdps(dps):
@@ -293,10 +278,7 @@ def _lowest_eigenvalues(diag: np.ndarray, off_sq: np.ndarray) -> np.ndarray:
     a pivot <= 0 is the eigenvalue (as when the couplings vanish).  Raises
     SolverConvergenceError on a non-finite bound or after
     _SUPPORT_MAX_STEPS steps, rather than return an unconverged value."""
-    off = np.sqrt(off_sq)
-    radius = np.zeros_like(diag)
-    radius[:-1] += off
-    radius[1:] += off
+    radius = _gershgorin_radii(np.sqrt(off_sq))
     lo = np.min(diag - radius, axis=0)
     hi = np.min(diag, axis=0)
     if not np.all(np.isfinite(lo)):
@@ -314,7 +296,8 @@ def _lowest_eigenvalues(diag: np.ndarray, off_sq: np.ndarray) -> np.ndarray:
         lam = np.where((lo < newton) & (newton < hi), newton, mid)
         keep = ~(np.abs(step) <= tol) & (hi - lo > tol)
         if not keep.all():
-            active, diag, off_sq = active[keep], diag[:, keep], off_sq[:, keep]
+            # compress keeps the rows C-contiguous, as _pivots's row loop needs
+            active, diag, off_sq = active[keep], diag.compress(keep, axis=1), off_sq.compress(keep, axis=1)
             lo, hi, lam, tol = lo[keep], hi[keep], lam[keep], tol[keep]
             if not active.size:
                 return out
@@ -394,7 +377,7 @@ def rayleigh_quotients(n_max: int, gamma: float, count: int, seed: int = 0) -> n
     turn from one generator; drawing a chunk of vectors at once gives the
     same stream.  A psi is one tridiagonal matvec on the vectors permuted
     to the d-blocks."""
-    order, diag, sub, sup = build_matrix(n_max, gamma)._tridiagonal()
+    order, diag, off = _tridiagonal(n_max, gamma)
     rng = np.random.default_rng(seed)
     out = np.empty(count, dtype=complex)
     chunk = max(1, _RAYLEIGH_CHUNK_ENTRIES // (2 * diag.size))
@@ -403,8 +386,8 @@ def rayleigh_quotients(n_max: int, gamma: float, count: int, seed: int = 0) -> n
         v = (draws[:, 0] + 1j * draws[:, 1])[:, order]
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         av = diag * v
-        av[:, 1:] += sub * v[:, :-1]
-        av[:, :-1] += sup * v[:, 1:]
+        av[:, 1:] -= off * v[:, :-1]
+        av[:, :-1] += off * v[:, 1:]
         out[lo : lo + chunk] = np.einsum("ij,ij->i", v.conj(), av)
     return out
 
@@ -420,10 +403,10 @@ def hyperbola_excess(points, gamma: float) -> tuple[float, float]:
 # -- sigma_min machinery ----------------------------------------------------
 
 
-def _gttrf(diag, sub, sup, zs: np.ndarray):
+def _gttrf(diag, off, zs: np.ndarray):
     """LU factors with partial pivoting of zI - B for every z in `zs` at once,
-    following LAPACK ?gttrf; B has diagonal `diag`, subdiagonal `sub` (row
-    k+1) and superdiagonal `sup`.
+    following LAPACK ?gttrf; B has diagonal `diag`, superdiagonal `off` and
+    subdiagonal -off.
 
     Returns (inv_d, dl, du, du2, swap), each with one column per point: the
     reciprocals of U's diagonal, U's two superdiagonals, L's multipliers,
@@ -432,8 +415,8 @@ def _gttrf(diag, sub, sup, zs: np.ndarray):
     non-finite entries give NaNs; solves carry either to that point's
     columns only."""
     d = zs[None, :] - diag[:, None]
-    dl = np.repeat(-sub[:, None], zs.size, axis=1).astype(complex)
-    du = np.repeat(-sup[:, None], zs.size, axis=1).astype(complex)
+    dl = np.repeat(off[:, None], zs.size, axis=1).astype(complex)
+    du = np.repeat(-off[:, None], zs.size, axis=1).astype(complex)
     du2 = np.zeros((max(d.shape[0] - 2, 0), zs.size), dtype=complex)
     swap = np.zeros(dl.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -497,17 +480,17 @@ def _sigma_min_svd(block: np.ndarray, zs: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _sigma_min_invit(diag, sub, sup, zs: np.ndarray) -> np.ndarray:
+def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
     """sigma_min(zI - B) at each z, as 1/||(zI - B)^-1|| by inverse iteration
     v <- (zI - B)^-1 (zI - B)^-H v on batched tridiagonal LU factors
     (Trefethen, "Computation of pseudospectra", Acta Numerica 8, 1999; B is
     already tridiagonal, so no Schur step is needed).  NaN marks the points
     left to the SVD.
 
-    The adjoint solve reuses the same LU.  B is real and its subdiagonal is
-    minus its superdiagonal (true of every H block), so B^T = S B S with the
-    parity S = diag(1, -1, 1, ...), the block form of H* = P H P for
-    P: x -> -x.  Hence (zI - B)^-H v = S conj((zI - B)^-1 conj(S v)).
+    The adjoint solve reuses the same LU.  B is real with superdiagonal off
+    and subdiagonal -off, so B^T = S B S with the parity
+    S = diag(1, -1, 1, ...), the block form of H* = P H P for P: x -> -x.
+    Hence (zI - B)^-H v = S conj((zI - B)^-1 conj(S v)).
 
     In exact arithmetic the sigma estimates fall monotonically.  A point has
     converged when its last step is within _INVIT_RTOL of sigma and so is
@@ -519,7 +502,7 @@ def _sigma_min_invit(diag, sub, sup, zs: np.ndarray) -> np.ndarray:
     once it holds fewer than _INVIT_MIN_WORK / size points."""
     size = diag.size
     out = np.full(zs.size, np.nan)
-    factors = _gttrf(diag, sub, sup, zs)
+    factors = _gttrf(diag, off, zs)
     active = np.arange(zs.size)
     v = np.full((size, zs.size), 1 / math.sqrt(size), dtype=complex)
     sigma = last_step = np.full(active.size, np.inf)
@@ -559,11 +542,11 @@ def _sigma_min_invit(diag, sub, sup, zs: np.ndarray) -> np.ndarray:
 def _sigma_min_block(n_max: int, gamma: float, d: int, zs: np.ndarray) -> np.ndarray:
     """sigma_min(zI - B_d) at each z: by inverse iteration where it pays,
     by batched SVD for small batches and for the points it leaves."""
-    diag, sub, sup = _block_tridiag(n_max, gamma, d)
+    diag, off = _block_tridiag(n_max, gamma, d)
     out = np.full(zs.size, np.nan)
     if zs.size * diag.size >= _INVIT_MIN_WORK:
         for part in np.array_split(np.arange(zs.size), -(-zs.size // _INVIT_CHUNK)):
-            out[part] = _sigma_min_invit(diag, sub, sup, zs[part])
+            out[part] = _sigma_min_invit(diag, off, zs[part])
     redo = np.flatnonzero(np.isnan(out))
     if redo.size:
         block = _block_dense(n_max, gamma, d).astype(complex)
@@ -581,16 +564,9 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     for d in range(0, n_max + 1):
         if np.all(np.maximum(d + 1.0 - zs.real, 0.0) >= smin):
             break  # every remaining block is bounded away from the minimum
-        diag, sub, sup = _block_tridiag(n_max, gamma, d)
-        size = len(diag)
-        offs = np.abs(sup)
-        radius = np.zeros(size)
-        if size > 1:
-            radius[:-1] += offs
-            radius[1:] += offs
-        johnson = np.min(
-            np.abs(zs[:, None] - diag[None, :]) - radius[None, :], axis=1
-        )
+        diag, off = _block_tridiag(n_max, gamma, d)
+        radius = _gershgorin_radii(np.abs(off))
+        johnson = np.min(np.abs(zs[:, None] - diag[None, :]) - radius[None, :], axis=1)
         bound = np.maximum(np.maximum(d + 1.0 - zs.real, johnson), 0.0)
         todo = np.flatnonzero(~(bound >= smin))  # a NaN bound rules nothing out
         if todo.size == 0:
@@ -692,7 +668,7 @@ def accretivity_check(
 def spectrum_rows(n_max: int, gamma: float) -> list[tuple[int, complex, float, float]]:
     """Sorted eigenvalues paired index-wise with the exact levels
     (1+m+n) sqrt(1+g^2); returns (index, eigenvalue, closed_form, abs_err)."""
-    vals = eigenvalues(build_matrix(n_max, gamma))
+    vals = eigenvalues(n_max, gamma)
     omega = math.hypot(1.0, gamma)
     exact = np.sort(
         np.array([(1 + m + n) * omega for m in range(n_max + 1) for n in range(n_max + 1)])

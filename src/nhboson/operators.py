@@ -19,7 +19,6 @@ identity suite over them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -383,9 +382,3 @@ def verify_identities() -> list[IdentityCheck]:
     )
     return checks
 
-
-def identity_report_json(checks=None, gamma: float | None = None) -> str:
-    """JSON list of the as_dict(gamma) rows of `checks` (default: the suite)."""
-    if checks is None:
-        checks = verify_identities()
-    return json.dumps([c.as_dict(gamma) for c in checks], indent=2)

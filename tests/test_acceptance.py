@@ -117,9 +117,8 @@ def test_criterion_05_m_accretive_resolvent_bound():
 def test_criterion_06_pseudospectrum_sanity():
     n_max, gamma = 40, 0.5
     grid = fock.pseudospectrum(n_max, gamma)  # default [-1,8]x[-4,4], 161x161
-    fm = fock.build_matrix(n_max, gamma)
-    vals = fock.eigenvalues(fm)
-    norm = float(np.linalg.norm(fm.mat, 2))
+    vals = fock.eigenvalues(n_max, gamma)
+    norm = float(np.linalg.norm(fock.build_matrix(n_max, gamma), 2))
 
     pts = grid.points().ravel()
     sig = grid.sigma_min.ravel()

@@ -14,7 +14,7 @@ from nhboson import fock
 def _ladder_matrix(kind, n_max, gamma, theta=None):
     """Dense truncation of H, H* ("Hstar") or Re(e^{-i theta} H)
     ("ReTheta") filled entry by entry from the ladder action on |m,n>; the
-    reference for FockMatrix.mat and for the support-energy blocks."""
+    reference for build_matrix and for the support-energy blocks."""
     width = n_max + 1
     mat = np.zeros((width * width, width * width), dtype=complex if kind == "ReTheta" else float)
     sign = -1.0 if kind == "Hstar" else 1.0
@@ -39,11 +39,16 @@ def _ladder_matrix(kind, n_max, gamma, theta=None):
     return mat
 
 
-def _block(mat, n_max, d):
-    """Block d of a dense lexicographic truncation: the rows and columns of
-    the pairs (m, n) with m - n = d."""
+def _block_index(n_max, d):
+    """Lexicographic indices m (N + 1) + n of the pairs (m, n) with
+    m - n = d, ordered by the pair minimum."""
     members = [(k + d, k) if d >= 0 else (k, k - d) for k in range(n_max + 1 - abs(d))]
-    idx = [m * (n_max + 1) + n for m, n in members]
+    return [m * (n_max + 1) + n for m, n in members]
+
+
+def _block(mat, n_max, d):
+    """Block d of a dense lexicographic truncation."""
+    idx = _block_index(n_max, d)
     return mat[np.ix_(idx, idx)]
 
 
@@ -109,29 +114,28 @@ def _hard_points(n_max, gamma):
 
 
 def test_smallest_truncation_is_scalar_one():
-    fm = fock.build_matrix(0, 0.7)
-    assert fm.mat.shape == (1, 1)
-    assert fm.mat[0, 0] == 1.0
+    mat = fock.build_matrix(0, 0.7)
+    assert mat.shape == (1, 1)
+    assert mat[0, 0] == 1.0
 
 
 def test_ladder_entry_example():
-    # a*b* |0,0> = |1,1>, canonical sign carries -gamma
-    fm = fock.build_matrix(2, 0.5)
-    assert fm.mat[fm.index(1, 1), fm.index(0, 0)] == pytest.approx(-0.5)
-    assert fm.mat[fm.index(0, 0), fm.index(1, 1)] == pytest.approx(0.5)
+    # a*b* |0,0> = |1,1>, canonical sign carries -gamma; |m,n> is row 3m + n
+    mat = fock.build_matrix(2, 0.5)
+    assert mat[4, 0] == pytest.approx(-0.5)
+    assert mat[0, 4] == pytest.approx(0.5)
 
 
 def test_zero_coupling_is_diagonal():
-    fm = fock.build_matrix(4, 0.0)
-    assert np.allclose(fm.mat, np.diag(fm.mat.diagonal()))
+    mat = fock.build_matrix(4, 0.0)
+    assert np.allclose(mat, np.diag(mat.diagonal()))
     want = sorted(m + n + 1 for m in range(5) for n in range(5))
-    assert np.allclose(np.sort(fm.mat.diagonal()), want)
+    assert np.allclose(np.sort(mat.diagonal()), want)
 
 
 def test_diagonal_multiplicity_pattern():
     n_max = 5
-    fm = fock.build_matrix(n_max, 0.0)
-    vals = fock.eigenvalues(fm).real
+    vals = fock.eigenvalues(n_max, 0.0).real
     for k in range(n_max + 1):
         assert np.sum(np.isclose(vals, k + 1)) == k + 1
 
@@ -140,47 +144,42 @@ def test_trace_is_coupling_independent():
     n_max = 6
     want = sum(m + n + 1 for m in range(n_max + 1) for n in range(n_max + 1))
     for gamma in (0.0, 0.5, 0.9):
-        fm = fock.build_matrix(n_max, gamma)
-        assert np.trace(fm.mat) == pytest.approx(want, rel=1e-14)
+        assert np.trace(fock.build_matrix(n_max, gamma)) == pytest.approx(want, rel=1e-14)
 
 
 def test_adjoint_matrix_is_transpose():
-    a = fock.build_matrix(5, 0.6).mat
+    a = fock.build_matrix(5, 0.6)
     assert np.array_equal(_ladder_matrix("Hstar", 5, 0.6), a.T)
 
 
 def test_block_permutation_is_exact_tridiagonal():
-    fm = fock.build_matrix(6, 0.5)
+    mat = fock.build_matrix(6, 0.5)
     total = 0
     for d in range(-6, 7):
-        block = _block(fm.mat, 6, d)
+        block = _block(mat, 6, d)
         total += block.shape[0]
         # tridiagonal: nothing beyond the first off-diagonals
         beyond = np.triu(block, 2) + np.tril(block, -2)
         assert not beyond.any()
-        diag, sub, sup = fock._block_tridiag(6, 0.5, d)
-        assert np.allclose(block.diagonal(), diag)
-        if block.shape[0] > 1:
-            assert np.allclose(np.diag(block, -1), sub)
-            assert np.allclose(np.diag(block, 1), sup)
-    assert total == fm.dim
+        diag, off = fock._block_tridiag(6, 0.5, d)
+        assert np.array_equal(block.diagonal(), diag)
+        assert np.array_equal(np.diag(block, 1), off)
+        assert np.array_equal(np.diag(block, -1), -off)
+    assert total == mat.shape[0] == 49
 
 
 def test_block_diagonalization_is_permutation_similarity():
     """Reordering the basis by blocks turns the matrix exactly block
     diagonal: no couplings between different d sectors exist at all."""
-    fm = fock.build_matrix(5, 0.7)
-    perm = []
-    sizes = []
-    for d in range(-5, 6):
-        members = [fm.index(m, n) for m, n in fm.block_members(d)]
-        perm.extend(members)
-        sizes.append(len(members))
-    permuted = fm.mat[np.ix_(perm, perm)]
+    mat = fock.build_matrix(5, 0.7)
+    perm = [i for d in range(-5, 6) for i in _block_index(5, d)]
+    assert np.array_equal(fock._tridiagonal(5, 0.7)[0], perm)
+    permuted = mat[np.ix_(perm, perm)]
     expected = np.zeros_like(permuted)
     lo = 0
-    for d, size in zip(range(-5, 6), sizes):
-        expected[lo : lo + size, lo : lo + size] = _block(fm.mat, 5, d)
+    for d in range(-5, 6):
+        size = 6 - abs(d)
+        expected[lo : lo + size, lo : lo + size] = _block(mat, 5, d)
         lo += size
     assert np.array_equal(permuted, expected)
 
@@ -193,7 +192,7 @@ def test_dense_matrix_matches_ladder_action(kind, theta):
     # (e^{-i theta} H + e^{i theta} H^T) / 2
     for n_max in range(8):
         for gamma in (0.0, 0.45, -0.7):
-            h = fock.build_matrix(n_max, gamma).mat
+            h = fock.build_matrix(n_max, gamma)
             if kind == "H":
                 got = h
             elif kind == "Hstar":
@@ -211,7 +210,7 @@ def test_rayleigh_quotients_match_per_vector_reference(monkeypatch, chunk_entrie
     # and a part; either way the draws are the per-vector stream
     if chunk_entries:
         monkeypatch.setattr(fock, "_RAYLEIGH_CHUNK_ENTRIES", chunk_entries)
-    mat = fock.build_matrix(7, 0.45).mat
+    mat = fock.build_matrix(7, 0.45)
     rng = np.random.default_rng(11)
     want = []
     for _ in range(700):
@@ -224,9 +223,8 @@ def test_rayleigh_quotients_match_per_vector_reference(monkeypatch, chunk_entrie
 
 def test_block_eigenvalues_match_full_dense_solve():
     n_max, gamma = 8, 0.5
-    fm = fock.build_matrix(n_max, gamma)
-    by_blocks = fock.eigenvalues(fm)
-    full = np.linalg.eigvals(fm.mat)
+    by_blocks = fock.eigenvalues(n_max, gamma)
+    full = np.linalg.eigvals(fock.build_matrix(n_max, gamma))
     assert by_blocks.shape == full.shape
     # multiset agreement: sorting ties of conjugate pairs may differ between
     # the two solvers, so compare via two-sided nearest-neighbour distance
@@ -236,7 +234,7 @@ def test_block_eigenvalues_match_full_dense_solve():
 
 
 def test_lowest_eigenvalue_converges_to_ground_level():
-    got = fock.eigenvalues(fock.build_matrix(30, 0.5))[0]
+    got = fock.eigenvalues(30, 0.5)[0]
     assert abs(got - math.sqrt(1.25)) < 1e-6
     assert abs(got.imag) < 1e-10
 
@@ -354,6 +352,22 @@ def test_support_energies_skip_blocks_only_where_block_0_is_proven_lowest(monkey
     assert got[0] == pytest.approx(_min_block_eigenvalue(40, gamma, theta), rel=1e-12)
 
 
+def test_support_energy_batch_stays_c_contiguous(monkeypatch):
+    # _pivots loops over rows, each a vector over the batch's points; once
+    # converged points leave, the compacted batch must still be row-major
+    pivots, calls = fock._pivots, []
+
+    def recording(diag, off_sq, lam):
+        calls.append((diag.shape, diag.flags.c_contiguous and off_sq.flags.c_contiguous))
+        return pivots(diag, off_sq, lam)
+
+    monkeypatch.setattr(fock, "_pivots", recording)
+    fock.support_energies(40, 10.0, np.linspace(-1.4, 1.4, 300))
+    shapes = [shape for shape, _ in calls]
+    assert any(a[0] == b[0] and a[1] > b[1] > 1 for a, b in zip(shapes, shapes[1:]))  # a batch compacted
+    assert all(contiguous for _, contiguous in calls)
+
+
 def test_support_energies_bisect_where_newton_fails(monkeypatch):
     # a non-finite Newton step (as an exact zero pivot gives) is replaced by
     # the midpoint of the bracket, from which Newton still finds the lowest
@@ -440,29 +454,26 @@ def test_rayleigh_real_at_zero_coupling():
 
 def test_sigma_min_matches_brute_force():
     n_max, gamma = 7, 0.5
-    fm = fock.build_matrix(n_max, gamma)
+    mat = fock.build_matrix(n_max, gamma)
     rng = np.random.default_rng(11)
     zs = rng.standard_normal(10) * 4 + 2 + 1j * rng.standard_normal(10) * 3
     fast = fock.sigma_min_points(n_max, gamma, zs)
-    eye = np.eye(fm.dim)
-    brute = np.array(
-        [np.linalg.svd(z * eye - fm.mat, compute_uv=False)[-1] for z in zs]
-    )
+    eye = np.eye(mat.shape[0])
+    brute = np.array([np.linalg.svd(z * eye - mat, compute_uv=False)[-1] for z in zs])
     assert np.max(np.abs(fast - brute)) < 1e-12
 
 
 def test_sigma_min_vanishes_at_eigenvalues():
     n_max, gamma = 10, 0.5
-    fm = fock.build_matrix(n_max, gamma)
-    vals = fock.eigenvalues(fm)
-    norm = np.linalg.norm(fm.mat, 2)
+    vals = fock.eigenvalues(n_max, gamma)
+    norm = np.linalg.norm(fock.build_matrix(n_max, gamma), 2)
     sig = fock.sigma_min_points(n_max, gamma, vals[:12])
     assert np.max(sig) <= 1e-8 * norm
 
 
 def test_sigma_min_below_distance_to_spectrum():
     n_max, gamma = 10, 0.5
-    vals = fock.eigenvalues(fock.build_matrix(n_max, gamma))
+    vals = fock.eigenvalues(n_max, gamma)
     rng = np.random.default_rng(5)
     zs = rng.standard_normal(40) * 5 + 3 + 1j * rng.standard_normal(40) * 3
     sig = fock.sigma_min_points(n_max, gamma, zs)
@@ -498,7 +509,7 @@ def test_pseudospectrum_grid_properties():
     assert np.all(np.isfinite(grid.sigma_min))
     # conjugate symmetry of the grid values
     assert np.array_equal(grid.sigma_min, grid.sigma_min[::-1, :])
-    vals = fock.eigenvalues(fock.build_matrix(8, 0.5))
+    vals = fock.eigenvalues(8, 0.5)
     pts = grid.points().ravel()
     dist = np.min(np.abs(pts[:, None] - vals[None, :]), axis=1)
     assert np.all(grid.sigma_min.ravel() <= dist + 1e-8)
@@ -625,12 +636,33 @@ def test_z_from_string():
         fock.z_from_string("nope+i*")
 
 
-def test_block_members_bounds():
-    fm = fock.build_matrix(3, 0.1)
-    with pytest.raises(IndexError):
-        fm.block_members(4)
-    with pytest.raises(IndexError):
-        fm.index(4, 0)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: fock.build_matrix(n, 0.5),
+        lambda n: fock.eigenvalues(n, 0.5),
+        lambda n: fock.rayleigh_quotients(n, 0.5, 3),
+        lambda n: fock.spectrum_rows(n, 0.5),
+    ],
+    ids=["build_matrix", "eigenvalues", "rayleigh_quotients", "spectrum_rows"],
+)
+def test_negative_truncation_is_rejected(call):
+    with pytest.raises(ValueError, match="truncation"):
+        call(-1)
+
+
+def test_commands_never_build_the_dense_matrix(monkeypatch):
+    # the dense matrix is a test reference; every command's library path
+    # works on the d-blocks alone
+    def forbidden(*args):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(fock, "build_matrix", forbidden)
+    assert len(fock.spectrum_rows(6, 0.5)) == 49
+    assert fock.rayleigh_quotients(6, 0.5, 20, seed=1).shape == (20,)
+    assert fock.accretivity_check(6, 0.5, [-1.0], n_vectors=20).passed
+    assert fock.pseudospectrum(6, 0.5, (-1, 8), (-4, 4), 9).sigma_min.shape == (9, 9)
+    assert len(fock.numerical_range_boundary(6, 0.5, [-0.5, 0.0, 0.5])) == 3
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.5])
@@ -649,8 +681,8 @@ def test_gttrs_matches_dense_solve_at_hard_points(gamma):
     zs = _hard_points(n_max, gamma)
     rng = np.random.default_rng(7)
     for d in (0, 1, n_max // 2, n_max - 1):
-        diag, sub, sup = fock._block_tridiag(n_max, gamma, d)
-        factors = fock._gttrf(diag, sub, sup, zs)
+        diag, off = fock._block_tridiag(n_max, gamma, d)
+        factors = fock._gttrf(diag, off, zs)
         if d == 0:
             assert factors[-1].any()  # the tiny leading pivots were swapped away
         rhs = rng.standard_normal((diag.size, zs.size)) + 1j * rng.standard_normal((diag.size, zs.size))
