@@ -20,16 +20,14 @@ touched when they can actually lower the minimum:
 * Johnson's Gershgorin-type bound
   sigma_min(M) >= min_k(|M_kk| - (row_k + col_k)/2).
 
-A block's remaining points are solved together by inverse iteration on a
-batched tridiagonal LU with partial pivoting (LAPACK ?gttrf/?gttrs, one
-Python loop over rows vectorized over points), so a step costs O(size) per
-point rather than the O(size^3) of a dense SVD.  The parity x -> -x maps
-each block to its transpose, so the adjoint solve each step needs is a
-forward solve with the same LU.  The batched dense SVD is the reference
-path: it takes batches too small to pay for the row loop and every point
-the iteration does not settle (a zero pivot, a non-finite estimate, or a
-convergence rate too slow for the step cap).  Results agree with dense
-SVD to 1e-12; no unconverged value is returned.
+A block's remaining points are solved together by Lanczos on a batched
+tridiagonal LU (_sigma_min_invit), so a step costs O(size) per point rather
+than the O(size^3) of a dense SVD.  A point stops when successive Ritz
+values 1/sigma^2 agree to a relative 4e-15, after `size` steps at most.
+The batched dense SVD is the reference path: it takes batches too small to
+pay for the row loop and every point Lanczos does not settle.  Batches are
+sized in bytes.  Results agree with dense SVD to 1e-12; no unconverged
+value is returned.
 """
 
 from __future__ import annotations
@@ -42,26 +40,24 @@ from itertools import combinations
 import numpy as np
 import numpy.random  # noqa: F401  (loaded here, not inside the first draw)
 
-#: bytes of one batched-SVD stack of shifted blocks
-_SVD_STACK_BYTES = 32 * 2**20
-#: points per inverse-iteration batch, which keeps its rows in cache
-_INVIT_CHUNK = 4096
+#: bytes one sigma_min batch may hold: an SVD stack of shifted blocks, the
+#: LU factors and Lanczos vectors of a batch, or a chunk of Johnson bounds
+_SIGMA_MIN_BATCH_BYTES = 8 * 2**20
 #: points x block size below which a sigma_min batch goes to the SVD: the
-#: inverse iteration's Python overhead per row then outweighs the dense solves
+#: Lanczos iteration's Python overhead per row then outweighs the dense solves
 _INVIT_MIN_WORK = 2_000
-#: inverse-iteration steps that cost as much as one point's SVD, per block
-#: row; a point predicted to need more steps is re-solved by SVD
-_INVIT_STEPS_PER_ROW = 2
-#: relative change of successive sigma estimates at which a point has converged
-_INVIT_RTOL = 1e-15
+#: relative change of successive Ritz values 1/sigma^2 at which a point has
+#: converged (about 2e-15 on sigma)
+_INVIT_RTOL = 4e-15
 #: decimal digits the Newton iteration carries beyond the requested dps
 _NEWTON_GUARD_DPS = 20
 #: Newton steps allowed per root before the solve counts as failed
 _NEWTON_MAX_STEPS = 60
-#: support energies stop when a Newton step or bracket is this small,
-#: relative to the block's Gershgorin scale (LAPACK ?stebz's default)
+#: a lowest eigenvalue (support energy or Ritz value) stops when a Newton
+#: step or bracket is this small, relative to the matrix's Gershgorin scale
+#: (LAPACK ?stebz's default)
 _SUPPORT_RTOL = 4 * np.finfo(float).eps
-#: Newton or bisection steps allowed per support energy
+#: Newton or bisection steps allowed per lowest eigenvalue
 _SUPPORT_MAX_STEPS = 100
 #: normals drawn per chunk of Rayleigh-quotient vectors, which bounds memory
 _RAYLEIGH_CHUNK_ENTRIES = 2**16
@@ -208,6 +204,7 @@ def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 
     """
     from mpmath import mp
 
+    _check_truncation(n_max)
     vals: list = []
     with mp.workdps(dps + _NEWTON_GUARD_DPS):
         tol = mp.mpf(10) ** -(dps + 5)
@@ -263,9 +260,9 @@ def _pivots(diag: np.ndarray, off_sq: np.ndarray, lam: np.ndarray):
         return lowest > 0, -1.0 / log_deriv
 
 
-def _lowest_eigenvalues(diag: np.ndarray, off_sq: np.ndarray) -> np.ndarray:
-    """Lowest eigenvalue of each column's Hermitian tridiagonal matrix, by
-    Newton's method on det(T - lam) from the Gershgorin lower bound.
+def _lowest_eigenvalues(diag: np.ndarray, off_sq: np.ndarray, lower=None) -> np.ndarray:
+    """Lowest eigenvalue of each column's Hermitian tridiagonal matrix by
+    Newton's method on det(T - lam), from the Gershgorin or `lower` bound.
 
     Left of the lowest eigenvalue every pivot is positive and Newton rises
     monotonically to it, so a pivot <= 0 means rounding carried a step onto
@@ -273,17 +270,16 @@ def _lowest_eigenvalues(diag: np.ndarray, off_sq: np.ndarray) -> np.ndarray:
     positive, and the last without (at first the smallest diagonal entry,
     a Rayleigh quotient).  Newton continues from wherever it landed; a step
     that would leave the bracket, or is not finite, is replaced by its
-    midpoint.  A point stops when its step or its bracket is within
-    _SUPPORT_RTOL of the block's Gershgorin scale; a bound that already has
-    a pivot <= 0 is the eigenvalue (as when the couplings vanish).  Raises
-    SolverConvergenceError on a non-finite bound or after
-    _SUPPORT_MAX_STEPS steps, rather than return an unconverged value."""
+    midpoint.  A point stops when its step or its bracket is within tol,
+    _SUPPORT_RTOL of the block's Gershgorin scale (`lower` is moved down by
+    tol against rounding); a bound with a pivot <= 0 is the eigenvalue (as
+    when the couplings vanish).  A non-finite bound, or no convergence in
+    _SUPPORT_MAX_STEPS steps, gives a non-finite value; callers handle it."""
     radius = _gershgorin_radii(np.sqrt(off_sq))
     lo = np.min(diag - radius, axis=0)
     hi = np.min(diag, axis=0)
-    if not np.all(np.isfinite(lo)):
-        raise SolverConvergenceError("support energy: non-finite Gershgorin bound")
     tol = _SUPPORT_RTOL * np.maximum(np.abs(lo), np.max(np.abs(diag) + radius, axis=0))
+    lo = lo if lower is None else np.maximum(lo, lower - tol)
     out = np.empty_like(lo)
     active = np.arange(lo.size)
     lam = lo
@@ -301,7 +297,8 @@ def _lowest_eigenvalues(diag: np.ndarray, off_sq: np.ndarray) -> np.ndarray:
             lo, hi, lam, tol = lo[keep], hi[keep], lam[keep], tol[keep]
             if not active.size:
                 return out
-    raise SolverConvergenceError(f"support energy not converged in {_SUPPORT_MAX_STEPS} steps")
+    out[active] = np.nan
+    return out
 
 
 def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
@@ -320,20 +317,23 @@ def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
     with delta_k = sqrt(k+1) (sqrt(d+k+2) - sqrt(d+k+1)) <= 1/2.  As
     sum_k u_k u_k+1 <= 1 the difference is >= cos theta - |gamma sin theta|
     >= 0, so block d's lowest eigenvalue is at most block d+1's."""
+    _check_truncation(n_max)
     thetas = np.asarray(thetas, dtype=float)
     _check_theta(thetas)
     cos = np.cos(thetas).ravel()
-    with np.errstate(over="ignore"):
-        coupling = (gamma * np.sin(thetas).ravel()) ** 2
     best = np.full(cos.size, np.inf)
     active = np.arange(cos.size)
-    for d in range(n_max + 1):
-        if not active.size:
-            break
-        diag, coupling_sq = _block_data(n_max, d)
-        low = _lowest_eigenvalues(np.outer(diag, cos[active]), np.outer(coupling_sq, coupling[active]))
-        best[active] = np.minimum(best[active], low)
-        active = active[cos[active] ** 2 < coupling[active]]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite energies are refused below
+        coupling = (gamma * np.sin(thetas).ravel()) ** 2
+        for d in range(n_max + 1):
+            if not active.size:
+                break
+            diag, coupling_sq = _block_data(n_max, d)
+            low = _lowest_eigenvalues(np.outer(diag, cos[active]), np.outer(coupling_sq, coupling[active]))
+            best[active] = np.minimum(best[active], low)
+            active = active[cos[active] ** 2 < coupling[active]]
+    if not np.all(np.isfinite(best)):
+        raise SolverConvergenceError("support energy not converged")
     return best.reshape(thetas.shape)
 
 
@@ -435,7 +435,7 @@ def _gttrf(diag, off, zs: np.ndarray):
             if i + 1 < du.shape[0]:
                 du2[i] = np.where(sw, du[i + 1], 0)
                 du[i + 1] *= np.where(sw, -fact, 1)
-        return 1.0 / d, dl, du, du2, swap
+        return np.divide(1.0, d, out=d), dl, du, du2, swap
 
 
 def _gttrs(factors, b: np.ndarray) -> None:
@@ -465,87 +465,88 @@ def _gttrs(factors, b: np.ndarray) -> None:
         b[i] *= inv_d[i]
 
 
+def _batches(count: int, point_bytes: int) -> list[np.ndarray]:
+    """range(count) in even batches of at most _SIGMA_MIN_BATCH_BYTES."""
+    return np.array_split(np.arange(count), max(1, -(-count * point_bytes // _SIGMA_MIN_BATCH_BYTES)))
+
+
 def _sigma_min_svd(block: np.ndarray, zs: np.ndarray, d: int) -> np.ndarray:
     """sigma_min(zI - B_d) per point by batched dense SVD: the reference
-    path, taken for small batches and for points inverse iteration leaves."""
+    path, taken for small batches and for points Lanczos leaves."""
     out = np.empty(zs.size)
     eye = np.eye(block.shape[0])
-    chunk = max(1, _SVD_STACK_BYTES // (16 * block.size))
-    for lo in range(0, zs.size, chunk):
-        shifted = zs[lo : lo + chunk, None, None] * eye - block
+    for part in _batches(zs.size, 16 * block.size):
         try:
-            out[lo : lo + chunk] = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+            out[part] = np.linalg.svd(zs[part, None, None] * eye - block, compute_uv=False)[:, -1]
         except np.linalg.LinAlgError as exc:
             raise SolverConvergenceError(f"SVD failed on block d={d}", block=d) from exc
     return out
 
 
 def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
-    """sigma_min(zI - B) at each z, as 1/||(zI - B)^-1|| by inverse iteration
-    v <- (zI - B)^-1 (zI - B)^-H v on batched tridiagonal LU factors
-    (Trefethen, "Computation of pseudospectra", Acta Numerica 8, 1999; B is
+    """sigma_min(zI - B) at each z by Lanczos on the batched LU: 1/sigma^2
+    is lambda_max of C = (zI - B)^-1 (zI - B)^-H (inverse Lanczos:
+    Trefethen, "Computation of pseudospectra", Acta Numerica 8, 1999; B is
     already tridiagonal, so no Schur step is needed).  NaN marks the points
     left to the SVD.
 
-    The adjoint solve reuses the same LU.  B is real with superdiagonal off
-    and subdiagonal -off, so B^T = S B S with the parity
-    S = diag(1, -1, 1, ...), the block form of H* = P H P for P: x -> -x.
-    Hence (zI - B)^-H v = S conj((zI - B)^-1 conj(S v)).
+    C = K^2 for the antilinear K v = (zI - B)^-1 conj(S v), one solve with
+    _gttrf's factors: B is real with superdiagonal off and subdiagonal -off,
+    so B^T = S B S with the parity S = diag(1, -1, 1, ...), the block form
+    of H* = P H P for P: x -> -x, and (zI - B)^-H = S conj (zI - B)^-1 conj S.
 
-    In exact arithmetic the sigma estimates fall monotonically.  A point has
-    converged when its last step is within _INVIT_RTOL of sigma and so is
-    the rest of the fall that the rate of its last two steps predicts;
-    converged points leave the batch.  Left to the SVD are points with a
-    non-finite or zero estimate (as a zero or non-finite pivot gives),
-    points that would need more than _INVIT_STEPS_PER_ROW steps per row (as
-    their rate predicts, or as they reach that cap), and the whole batch
-    once it holds fewer than _INVIT_MIN_WORK / size points."""
+    Each point keeps two Lanczos vectors from the constant start, and its
+    recurrence alpha_k, beta_k^2; lambda_k = lambda_max(T_k) is solved by
+    _lowest_eigenvalues(-T_k).  Lost orthogonality only adds copies of
+    lambda_max after it has converged (Paige), so no basis is stored.  A
+    point stops when successive lambda agree to _INVIT_RTOL.  Left to the
+    SVD are points with a non-finite or zero estimate (a zero pivot, or a
+    failed Ritz solve), beta = 0, no convergence within `size` steps, and
+    the whole batch once it holds fewer than _INVIT_MIN_WORK / size points."""
     size = diag.size
     out = np.full(zs.size, np.nan)
     factors = _gttrf(diag, off, zs)
-    active = np.arange(zs.size)
-    v = np.full((size, zs.size), 1 / math.sqrt(size), dtype=complex)
-    sigma = last_step = np.full(active.size, np.inf)
-    max_steps = math.ceil(_INVIT_STEPS_PER_ROW * size)
+    active, lam = np.arange(zs.size), np.zeros(zs.size)
+    q = np.full((size, zs.size), 1 / math.sqrt(size), dtype=complex)
+    q_prev, alpha, beta_sq = np.zeros_like(q), np.zeros(q.shape), np.zeros(q.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for steps in range(1, max_steps + 1):
-            if active.size * size < _INVIT_MIN_WORK:
+        for k in range(size):
+            if active.size * size < max(_INVIT_MIN_WORK, 1):
                 break
-            np.conjugate(v, out=v)
-            v[1::2] *= -1  # v = conj(S v)
-            _gttrs(factors, v)
-            np.conjugate(v, out=v)
-            v[1::2] *= -1  # v = (zI - B)^-H v
-            v *= 1.0 / np.linalg.norm(v, axis=0)
-            _gttrs(factors, v)
-            prev, sigma = sigma, 1.0 / np.linalg.norm(v, axis=0)
-            v *= sigma
-            step = prev - sigma
-            rate = step / last_step
-            geometric = (rate > 0) & (rate < 1)
-            # the fall still to come if the steps keep shrinking at `rate`
-            tail = np.where(geometric, step * np.maximum(1.0, rate / (1.0 - rate)), step)
-            tol = _INVIT_RTOL * sigma
-            failed = ~(np.isfinite(sigma) & (sigma > 0))
-            done = (np.abs(tail) <= tol) & ~failed
-            needed = np.where(geometric & ~done, np.log(tol / tail) / np.log(rate), 0.0)
-            out[active[done]] = sigma[done]
-            keep = ~(done | failed | (steps + needed > max_steps))
+            w = q.copy()
+            for _ in range(2):  # w = K^2 q = C q
+                np.conjugate(w, out=w)
+                w[1::2] *= -1
+                _gttrs(factors, w)
+            alpha[k] = np.einsum("ij,ij->j", q.conj(), w).real
+            w -= alpha[k] * q + np.sqrt(beta_sq[k - 1]) * q_prev  # beta_sq[-1] is 0 at k = 0
+            beta_sq[k] = np.einsum("ij,ij->j", w.conj(), w).real
+            # T_k borders T_k-1 with alpha_k and beta_k-1, so lambda_max(T_k) is
+            # at most that of [[lambda_k-1, beta_k-1], [beta_k-1, alpha_k]]
+            half = 0.5 * (lam - alpha[k])
+            upper = lam - half + np.sqrt(half * half + beta_sq[k - 1])
+            prev, lam = lam, -_lowest_eigenvalues(-alpha[: k + 1], beta_sq[:k], -upper)  # lambda_max(T_k)
+            ok = (lam > 0) & (lam < np.inf)
+            done = ok & (np.abs(lam - prev) <= _INVIT_RTOL * lam)
+            out[active[done]] = 1.0 / np.sqrt(lam[done])
+            keep = ok & ~done & (beta_sq[k] > 0) & (beta_sq[k] < np.inf)
+            q_prev, q = q, w * (1.0 / np.sqrt(beta_sq[k]))
             if not keep.all():
                 # compress keeps the rows C-contiguous, as _gttrs's row loop needs
-                active, v, sigma, step = active[keep], v.compress(keep, axis=1), sigma[keep], step[keep]
+                active, lam = active[keep], lam[keep]
+                q, q_prev, alpha, beta_sq = (a.compress(keep, axis=1) for a in (q, q_prev, alpha, beta_sq))
                 factors = tuple(part.compress(keep, axis=1) for part in factors)
-            last_step = step
     return out
 
 
 def _sigma_min_block(n_max: int, gamma: float, d: int, zs: np.ndarray) -> np.ndarray:
-    """sigma_min(zI - B_d) at each z: by inverse iteration where it pays,
-    by batched SVD for small batches and for the points it leaves."""
+    """sigma_min(zI - B_d) at each z: by Lanczos where it pays, by batched
+    SVD for small batches and for the points it leaves."""
     diag, off = _block_tridiag(n_max, gamma, d)
     out = np.full(zs.size, np.nan)
     if zs.size * diag.size >= _INVIT_MIN_WORK:
-        for part in np.array_split(np.arange(zs.size), -(-zs.size // _INVIT_CHUNK)):
+        # LU factors, three Lanczos vectors and the recurrence: ~8 complex per row
+        for part in _batches(zs.size, 128 * diag.size):
             out[part] = _sigma_min_invit(diag, off, zs[part])
     redo = np.flatnonzero(np.isnan(out))
     if redo.size:
@@ -558,15 +559,17 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     """sigma_min(zI - A_N) per point, min over tridiagonal blocks.
 
     Blocks are visited in ascending d; each is applied only at points where
-    the exact lower bounds cannot rule it out."""
+    the exact lower bounds cannot rule it out; the Johnson bound is formed
+    in batches, so its memory does not grow with the number of points."""
     zs = np.asarray(zs, dtype=complex).ravel()
-    smin = np.full(zs.size, np.inf)
+    smin, johnson = np.full(zs.size, np.inf), np.empty(zs.size)
     for d in range(0, n_max + 1):
         if np.all(np.maximum(d + 1.0 - zs.real, 0.0) >= smin):
             break  # every remaining block is bounded away from the minimum
         diag, off = _block_tridiag(n_max, gamma, d)
         radius = _gershgorin_radii(np.abs(off))
-        johnson = np.min(np.abs(zs[:, None] - diag[None, :]) - radius[None, :], axis=1)
+        for part in _batches(zs.size, 32 * diag.size):
+            johnson[part] = np.min(np.abs(zs[part, None] - diag) - radius, axis=1)
         bound = np.maximum(np.maximum(d + 1.0 - zs.real, johnson), 0.0)
         todo = np.flatnonzero(~(bound >= smin))  # a NaN bound rules nothing out
         if todo.size == 0:
@@ -581,6 +584,7 @@ def sigma_min_points(n_max: int, gamma: float, zs) -> np.ndarray:
     The matrix is real, so only Re z and |Im z| matter; points are deduped
     accordingly before the block sweep.  Raises SolverConvergenceError
     rather than return a NaN or infinite value."""
+    _check_truncation(n_max)
     zs = np.asarray(zs, dtype=complex)
     folded = zs.real.ravel() + 1j * np.abs(zs.imag.ravel())
     uniq, inverse = np.unique(folded, return_inverse=True)

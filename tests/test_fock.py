@@ -4,6 +4,7 @@ pseudospectra and accretivity."""
 import cmath
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def _mp_eig_lowest(n_max, gamma, count, dps):
 def _svd_sweep(n_max, gamma, zs):
     """sigma_min(zI - A_N) per point as the min over blocks of a batched
     dense SVD, skipping only blocks with d + 1 - Re z >= the running min:
-    the reference for the inverse-iteration sweep."""
+    the reference for the Lanczos sweep."""
     zs = np.asarray(zs, dtype=complex).ravel()
     smin = np.full(zs.size, np.inf)
     for d in range(n_max + 1):
@@ -94,9 +95,9 @@ def _svd_sweep(n_max, gamma, zs):
 
 
 def _hard_points(n_max, gamma):
-    """Points where inverse iteration is hardest, folded to Im z >= 0:
+    """Points where the Lanczos iteration is hardest, folded to Im z >= 0:
     eigenvalues of low, middle and top blocks (sigma = 0 up to rounding),
-    midpoints between adjacent real eigenvalues (sigma_1 ~ sigma_2, slowest
+    midpoints between adjacent real eigenvalues (sigma_1 ~ sigma_2, slow
     convergence), the Re z = -1 and |Im z| = 4 edges of the default grid,
     points just right of a block's first diagonal entry d + 1 (a tiny
     leading pivot, which the LU must pivot away), and the size-1 block d = N
@@ -555,57 +556,138 @@ def test_spectrum_rows_never_builds_the_dense_matrix():
     assert peak < 20e6
 
 
-@pytest.mark.parametrize("gamma", [0.5, 1.5])
-def test_inverse_iteration_matches_svd_sweep_at_hard_points(monkeypatch, gamma):
-    n_max = 40
-    zs = _hard_points(n_max, gamma)
+def _assert_matches_svd_sweep(monkeypatch, n_max, gamma, zs):
+    """sigma_min agrees with the dense SVD sweep at 1e-12, both as shipped
+    and with every batch through Lanczos; returns the forced values."""
     reference = _svd_sweep(n_max, gamma, zs)
     factored = []
     original = fock._gttrf
     monkeypatch.setattr(fock, "_gttrf", lambda *a: factored.append(a[-1].size) or original(*a))
     fast = fock._sigma_min_blockwise(n_max, gamma, zs)
-    assert sum(factored) > zs.size  # the inverse iteration did run
+    assert sum(factored) > zs.size  # the Lanczos iteration did run
     assert np.all(np.isfinite(fast))
     assert np.max(np.abs(fast - reference)) < 1e-12
-    # every batch through the inverse iteration, down to the size-1 block
-    # and its exactly zero pivot at z = N + 1
     monkeypatch.setattr(fock, "_INVIT_MIN_WORK", 0)
     forced = fock._sigma_min_blockwise(n_max, gamma, zs)
     assert np.all(np.isfinite(forced))
     assert np.max(np.abs(forced - reference)) < 1e-12
+    return forced
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.5])
+def test_inverse_iteration_matches_svd_sweep_at_hard_points(monkeypatch, gamma):
+    n_max = 40
+    zs = _hard_points(n_max, gamma)
+    forced = _assert_matches_svd_sweep(monkeypatch, n_max, gamma, zs)
+    # forced down to the size-1 block and its exactly zero pivot at z = N + 1
     assert forced[zs == n_max + 1] == 0.0
 
 
+def test_lanczos_matches_svd_sweep_in_the_far_field(monkeypatch):
+    # far right of the spectrum sigma_1 / sigma_2 is near 1, where a power
+    # iteration stalls and Lanczos needs the most steps
+    re, im = np.linspace(100, 150, 21), np.linspace(0, 20, 5)
+    _assert_matches_svd_sweep(monkeypatch, 40, 0.5, (re[None, :] + 1j * im[:, None]).ravel())
+
+
 def test_inverse_iteration_batch_stays_c_contiguous(monkeypatch):
-    # _gttrs loops over rows, each a vector over the batch's points; once
-    # converged points leave, the compacted batch must still be row-major
-    calls = []
-    original = fock._gttrs
+    # _gttrs and _pivots loop over rows, each a vector over the batch's
+    # points; once converged points leave, the compacted Lanczos vectors
+    # and recurrence must still be row-major
+    calls, ritz = [], []
+    original, lowest = fock._gttrs, fock._lowest_eigenvalues
 
     def recording(factors, b):
         contiguous = b.flags.c_contiguous and all(part.flags.c_contiguous for part in factors)
         calls.append((b.shape, contiguous))
         return original(factors, b)
 
+    def recording_ritz(diag, off_sq, lower=None):
+        ritz.append(diag.flags.c_contiguous and off_sq.flags.c_contiguous)
+        return lowest(diag, off_sq, lower)
+
     monkeypatch.setattr(fock, "_gttrs", recording)
+    monkeypatch.setattr(fock, "_lowest_eigenvalues", recording_ritz)
     fock.sigma_min_points(40, 0.5, _hard_points(40, 0.5))
     shapes = [shape for shape, _ in calls]
     assert any(a[0] == b[0] and a[1] > b[1] for a, b in zip(shapes, shapes[1:]))  # a batch compacted
     assert all(contiguous for _, contiguous in calls)
+    assert ritz and all(ritz)
 
 
 def test_inverse_iteration_cap_falls_back_to_svd(monkeypatch):
+    # with no point ever converged, every batch runs Lanczos for `size`
+    # steps (two solves each) and hands all its points to the SVD.  Past
+    # convergence, lost orthogonality adds near-equal copies of lambda_max,
+    # on which Newton converges only linearly, so the Ritz solves get more
+    # steps here: no point leaves early by a failed Ritz solve
+    n_max, gamma = 20, 0.5
+    zs = _hard_points(n_max, gamma)
+    reference = _svd_sweep(n_max, gamma, zs)
+    solved, pairs, solves = [], [], Counter()
+    original, block, gttrs = fock._sigma_min_svd, fock._sigma_min_block, fock._gttrs
+    monkeypatch.setattr(fock, "_sigma_min_svd", lambda b, z, d: solved.append(z.size) or original(b, z, d))
+    monkeypatch.setattr(fock, "_sigma_min_block", lambda n, g, d, z: pairs.append(z.size) or block(n, g, d, z))
+    monkeypatch.setattr(fock, "_gttrs", lambda f, b: solves.update([len(b)]) or gttrs(f, b))  # solves per size
+    monkeypatch.setattr(fock, "_INVIT_MIN_WORK", 0)
+    monkeypatch.setattr(fock, "_INVIT_RTOL", -1.0)
+    monkeypatch.setattr(fock, "_SUPPORT_MAX_STEPS", 1000)
+    capped = fock._sigma_min_blockwise(n_max, gamma, zs)
+    assert sum(solved) == sum(pairs)  # every point reached the cap and went to the SVD
+    assert solves[n_max + 1] == 2 * (n_max + 1)  # block 0: one batch, `size` steps
+    assert all(count <= 2 * size for size, count in solves.items())
+    assert np.max(np.abs(capped - reference)) < 1e-12
+
+
+def test_lowest_eigenvalues_mark_failed_points_alone():
+    # a column with a non-finite Gershgorin bound gets a non-finite value
+    # and leaves the other columns as they are
+    diag = np.array([[1.0, 2.0, 1.0, np.nan], [3.0, 5.0, 1.0, 1.0]])
+    off_sq = np.array([[2.0, 0.5, np.inf, 1.0]])
+    with np.errstate(all="ignore"):
+        got = fock._lowest_eigenvalues(diag, off_sq)
+    for col in range(2):
+        block = np.diag(diag[:, col]) + np.sqrt(off_sq[0, col]) * (np.eye(2, k=1) + np.eye(2, k=-1))
+        assert got[col] == pytest.approx(np.linalg.eigvalsh(block)[0], rel=1e-14)
+    assert not np.any(np.isfinite(got[2:]))
+
+
+def test_failed_ritz_solves_fall_back_to_svd_point_by_point(monkeypatch):
+    # with too few Newton steps some Ritz solves fail: those points alone go
+    # to the SVD, and the rest of their batch stays on Lanczos
     n_max, gamma = 40, 0.5
     zs = _hard_points(n_max, gamma)
     reference = _svd_sweep(n_max, gamma, zs)
-    solved = []
-    original = fock._sigma_min_svd
+    solved, pairs = [], []
+    original, block = fock._sigma_min_svd, fock._sigma_min_block
     monkeypatch.setattr(fock, "_sigma_min_svd", lambda b, z, d: solved.append(z.size) or original(b, z, d))
-    monkeypatch.setattr(fock, "_INVIT_MIN_WORK", 0)
-    monkeypatch.setattr(fock, "_INVIT_STEPS_PER_ROW", 1e-9)  # a cap of one step
-    capped = fock._sigma_min_blockwise(n_max, gamma, zs)
-    assert sum(solved) > zs.size  # points reached the cap and went to the SVD
-    assert np.max(np.abs(capped - reference)) < 1e-12
+    monkeypatch.setattr(fock, "_sigma_min_block", lambda n, g, d, z: pairs.append(z.size) or block(n, g, d, z))
+    fock._sigma_min_blockwise(n_max, gamma, zs)
+    shipped = sum(solved)
+    solved.clear(), pairs.clear()
+    monkeypatch.setattr(fock, "_SUPPORT_MAX_STEPS", 3)
+    starved = fock._sigma_min_blockwise(n_max, gamma, zs)
+    assert shipped < sum(solved) < sum(pairs)
+    assert np.max(np.abs(starved - reference)) < 1e-12
+
+
+def test_johnson_bound_is_formed_in_batches(monkeypatch):
+    # unbatched, the Johnson bound of a block is a complex (points x rows)
+    # matrix: 16 bytes x 101 rows per point here.  Batched, the heap grows
+    # only by the per-point vectors of the sweep
+    n_max = 100
+    monkeypatch.setattr(fock, "_SIGMA_MIN_BATCH_BYTES", 2**18)
+    monkeypatch.setattr(fock, "_sigma_min_block", lambda n, g, d, z: np.full(z.size, 1e300))  # visit every block
+    peaks = []
+    for count in (2_000, 8_000):
+        zs = np.linspace(-1, 8, count) + 1j
+        tracemalloc.start()
+        try:
+            fock._sigma_min_blockwise(n_max, 0.5, zs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 16 * (n_max + 1) * 6_000 / 4
 
 
 @pytest.mark.parametrize("gamma", [math.inf, math.nan])
@@ -643,8 +725,18 @@ def test_z_from_string():
         lambda n: fock.eigenvalues(n, 0.5),
         lambda n: fock.rayleigh_quotients(n, 0.5, 3),
         lambda n: fock.spectrum_rows(n, 0.5),
+        lambda n: fock.sigma_min_points(n, 0.5, [1.0]),
+        lambda n: fock.pseudospectrum(n, 0.5),
+        lambda n: fock.accretivity_check(n, 0.5, [-1.0]),
+        lambda n: fock.support_energies(n, 0.5, [0.0]),
+        lambda n: fock.numerical_range_boundary(n, 0.5, [0.0]),
+        lambda n: fock.lowest_eigenvalues_precise(n, 0.5, 2),
     ],
-    ids=["build_matrix", "eigenvalues", "rayleigh_quotients", "spectrum_rows"],
+    ids=[
+        "build_matrix", "eigenvalues", "rayleigh_quotients", "spectrum_rows", "sigma_min_points",
+        "pseudospectrum", "accretivity_check", "support_energies", "numerical_range_boundary",
+        "lowest_eigenvalues_precise",
+    ],
 )
 def test_negative_truncation_is_rejected(call):
     with pytest.raises(ValueError, match="truncation"):
@@ -667,7 +759,7 @@ def test_commands_never_build_the_dense_matrix(monkeypatch):
 
 @pytest.mark.parametrize("gamma", [0.5, 1.5])
 def test_parity_maps_every_block_to_its_transpose(gamma):
-    # the adjoint solve of the inverse iteration rests on B^T = S B S
+    # the adjoint solve of each Lanczos step rests on B^T = S B S
     n_max = 6
     for d in range(n_max + 1):
         block = fock._block_dense(n_max, gamma, d)
