@@ -3,7 +3,7 @@ two-boson oscillator with a Gaussian-shear coupling.
 
 Subpackages by concern: exact coefficient ring and normal-ordered operator
 calculus (ring, operators), Hermite/Gaussian quadrature (quadrature),
-closed-form eigenfunctions and weighted inner products (modes), truncated
+closed-form eigenfunctions and their inner products (modes), truncated
 number-basis matrices with numerical-range / pseudospectrum / accretivity
 diagnostics (fock), semiclassical phase integrals (wkb), and a data-emitting
 command line (cli).
@@ -12,13 +12,11 @@ command line (cli).
 __version__ = "0.1.0"
 
 from .modes import (  # noqa: F401
-    InnerProductKind,
     ModeFunction,
     ModeKind,
     apply_hamiltonian,
     eigenvalue,
     expand_amplitudes,
-    inner_product,
     norm_growth,
 )
 from .operators import (  # noqa: F401

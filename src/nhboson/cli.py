@@ -1,7 +1,8 @@
 """Data-emitting command line for the library.
 
 Every run writes exactly one artifact file, either CSV with a fixed header
-or a JSON envelope {tool_version, command, params, rows}.  Runs are
+or a JSON envelope {tool_version, command, params, rows}, beside its path
+and then renamed into place, so a failed run leaves none.  Runs are
 deterministic: identical configuration (including the seed) yields
 byte-identical output, floats are written in shortest round-trip form, and
 no timestamps or locale-dependent formatting are involved.
@@ -14,6 +15,7 @@ the NHBOSON_OUTDIR environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -118,13 +120,6 @@ class RunConfig:
         d["hbars"] = [float(h) for h in self.hbars]
         d["points"] = [str(p) for p in self.points]
         return d
-
-    @classmethod
-    def from_params(cls, params: dict) -> "RunConfig":
-        kwargs = dict(params)
-        kwargs["hbars"] = tuple(float(h) for h in kwargs.get("hbars", ()))
-        kwargs["points"] = tuple(str(p) for p in kwargs.get("points", ()))
-        return cls(**kwargs)
 
 
 # -- row builders ----------------------------------------------------------
@@ -406,8 +401,16 @@ def emit(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
             ],
         }
         payload = json.dumps(envelope, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(payload)
+    # a sibling file renamed into place: a write that fails leaves no artifact
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
     return path
 
 

@@ -5,9 +5,9 @@ its matrix in the number basis splits into tridiagonal blocks indexed by
 d in [-N, N] after a permutation.  Every entry point is a function of
 (N, gamma) over one block form (diag, off): the diagonal and the
 superdiagonal, the subdiagonal being -off.  H is the only matrix built
-here; H* is its transpose, and support_energies forms the
-Re(e^{-i theta} H) blocks from _block_data.  Everything expensive
-(eigenvalues, support energies, sigma_min grids) runs block-by-block;
+here; H* is its transpose, and support_energies forms block 0 of
+Re(e^{-i theta} H), the one it needs, from _block_data.  Everything
+expensive (eigenvalues, sigma_min grids) runs block-by-block;
 blocks with equal |d| are equal, so only d >= 0 is solved.  build_matrix
 scatters the dense matrix from the blocks as a reference for tests; no
 command needs it.
@@ -41,7 +41,8 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded here, not inside the first draw)
 
 #: bytes one sigma_min batch may hold: an SVD stack of shifted blocks, the
-#: LU factors and Lanczos vectors of a batch, or a chunk of Johnson bounds
+#: LU factors and Lanczos vectors of a batch, or a chunk of Johnson bounds;
+#: support_energies' theta batches use the same budget
 _SIGMA_MIN_BATCH_BYTES = 8 * 2**20
 #: points x block size below which a sigma_min batch goes to the SVD: the
 #: Lanczos iteration's Python overhead per row then outweighs the dense solves
@@ -228,10 +229,21 @@ def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 
 # -- numerical range -------------------------------------------------------
 
 
+def _support_gap(gamma: float, theta: float) -> float:
+    """cos^2 theta - (gamma sin theta)^2, the squared unit support energy.
+    It is >= 0 exactly where cos theta >= |gamma sin theta|, the region
+    where support_energies solves block 0 alone.  The closed form and
+    support_energies both decide with this one expression, so every theta
+    that has a supporting line is a theta support_energies accepts.
+    |gamma sin theta| is capped at 2, past 1 >= cos theta, so that its
+    square cannot overflow."""
+    return math.cos(theta) ** 2 - min(abs(gamma * math.sin(theta)), 2.0) ** 2
+
+
 def support_energy_closed(gamma: float, theta: float) -> float | None:
     """Unit support energy sqrt(cos^2 - g^2 sin^2); None when the
     supporting line does not exist."""
-    val = math.cos(theta) ** 2 - (gamma * math.sin(theta)) ** 2
+    val = _support_gap(gamma, theta)
     return math.sqrt(val) if val > 0 else None
 
 
@@ -302,15 +314,16 @@ def _lowest_eigenvalues(diag: np.ndarray, off_sq: np.ndarray, lower=None) -> np.
 
 
 def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
-    """Smallest eigenvalue of the truncated Re(e^{-i theta} H) at each theta.
+    """Smallest eigenvalue of the truncated Re(e^{-i theta} H) at each theta
+    with cos theta >= |gamma sin theta|, the thetas with a supporting line
+    and the only ones numerical_range_boundary asks for; any other theta
+    raises ValueError.
 
     Per block the matrix is Hermitian tridiagonal with diagonal
     (d + 2k + 1) cos theta and |off-diagonal| |gamma sin theta| c_k, and
-    its eigenvalues depend on nothing else; every theta is solved at once,
-    block by block, by _lowest_eigenvalues.
-
-    Where cos theta >= |gamma sin theta| block 0 holds the minimum, so it is
-    solved alone; elsewhere every block is solved.  Proof: phase block d+1's
+    its eigenvalues depend on nothing else.  In this region block 0 holds
+    the minimum, so it alone is solved, by _lowest_eigenvalues over theta
+    batches of at most _SIGMA_MIN_BATCH_BYTES.  Proof: phase block d+1's
     off-diagonals to <= 0 and take its Perron ground vector u >= 0, |u| = 1.
     Padded with one 0 it is a trial vector for block d, and the two Rayleigh
     quotients differ by cos theta - 2 |gamma sin theta| sum_k delta_k u_k u_k+1
@@ -320,21 +333,19 @@ def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
     _check_truncation(n_max)
     thetas = np.asarray(thetas, dtype=float)
     _check_theta(thetas)
+    if not all(_support_gap(gamma, theta) >= 0 for theta in thetas.ravel().tolist()):
+        raise ValueError("support energies need cos theta >= |gamma sin theta|")
+    diag, coupling_sq = _block_data(n_max, 0)
     cos = np.cos(thetas).ravel()
-    best = np.full(cos.size, np.inf)
-    active = np.arange(cos.size)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite energies are refused below
-        coupling = (gamma * np.sin(thetas).ravel()) ** 2
-        for d in range(n_max + 1):
-            if not active.size:
-                break
-            diag, coupling_sq = _block_data(n_max, d)
-            low = _lowest_eigenvalues(np.outer(diag, cos[active]), np.outer(coupling_sq, coupling[active]))
-            best[active] = np.minimum(best[active], low)
-            active = active[cos[active] ** 2 < coupling[active]]
-    if not np.all(np.isfinite(best)):
+    coupling = (gamma * np.sin(thetas).ravel()) ** 2
+    out = np.empty(cos.size)
+    # per theta: the two outer-product columns, _pivots's shifted copy and
+    # the compacted copies, each a float per row
+    for part in _batches(cos.size, 32 * diag.size) if cos.size else ():
+        out[part] = _lowest_eigenvalues(np.outer(diag, cos[part]), np.outer(coupling_sq, coupling[part]))
+    if not np.all(np.isfinite(out)):
         raise SolverConvergenceError("support energy not converged")
-    return best.reshape(thetas.shape)
+    return out.reshape(thetas.shape)
 
 
 @dataclass(frozen=True)
@@ -640,10 +651,6 @@ class AccretivityReport:
     @property
     def resolvent_ok(self) -> bool:
         return all(ok for *_, ok in self.rows)
-
-    @property
-    def passed(self) -> bool:
-        return self.resolvent_ok and self.rayleigh_ok
 
 
 def accretivity_check(

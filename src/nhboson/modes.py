@@ -1,4 +1,4 @@
-"""Closed-form eigenfunctions and the three inner products.
+"""Closed-form eigenfunctions and their inner products.
 
 The base modes are products of orthonormal oscillator functions in
 stretched coordinates (frequency w = sqrt(1+gamma^2)); the right and left
@@ -6,11 +6,11 @@ eigenfunction families multiply by e^(+2 gamma x y) and e^(-2 gamma x y).
 All members are unit-normalized, so biorthogonality and physical
 orthonormality both come out with constant 1.
 
-Inner products fold every Gaussian and e^(c x y) factor into the exponent
-of a coupled tensor quadrature; only scaled Hermite products are evaluated
-at the nodes, which keeps the integrands overflow-free.  `inner_product`
-does this for one pair; `gram_matrix`, `flat_norms` and `expand_amplitudes`
-tabulate every order at every node once and contract for all pairs.
+Inner products fold every Gaussian and e^(c x y) factor into the weight of
+a Gauss-Hermite rule; only scaled Hermite polynomials are evaluated at the
+nodes, which keeps the integrands overflow-free.  `gram_matrix`,
+`flat_norms` and `expand_amplitudes` tabulate every order at every node
+once and contract for all pairs at a time; there is no per-pair path.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .quadrature import gauss_hermite, hermite_function_jet, hermite_scaled, integrate_coupled
+from .quadrature import gauss_hermite, hermite_function_jet, hermite_scaled
 
 #: expand_amplitudes warns when the residual norm^2 of its reconstruction
 #: exceeds this, as psi then lies outside the truncated span
@@ -37,15 +37,6 @@ class ModeKind(Enum):
     PHI = 0
     PSI = +1
     PSI_TILDE = -1
-
-
-class InnerProductKind(Enum):
-    """Weight selector: flat L^2, physical (e^(-4 g x y)), dual
-    (e^(+4 g x y)).  Physical and dual reduce to flat at gamma = 0."""
-
-    FLAT = 0
-    PHYSICAL = -1
-    DUAL = +1
 
 
 class Jet(NamedTuple):
@@ -102,6 +93,8 @@ class ModeFunction:
         v, _, _ = hermite_function_jet(self.n, s * y)
         out = s * u * v * np.exp(self.coupling * x * y)
         return float(out) if out.ndim == 0 else out
+
+    __call__ = eval
 
     def jet(self, x, y) -> Jet:
         """Value with first and second partial derivatives."""
@@ -168,32 +161,6 @@ def eigen_residual(which: str, m: int, n: int, gamma: float, grid=None) -> float
     applied = apply_hamiltonian(f, gx, gy, which)
     reference = f.energy * f.eval(gx, gy)
     return float(np.max(np.abs(applied - reference)) / np.max(np.abs(reference)))
-
-
-def _weight_coupling(kind: InnerProductKind, gamma: float) -> float:
-    return 4.0 * gamma * kind.value
-
-
-def inner_product(
-    f: ModeFunction,
-    g: ModeFunction,
-    kind: InnerProductKind = InnerProductKind.FLAT,
-    n_nodes: int = 64,
-) -> float:
-    """<f, g> under the selected weight, by folded tensor quadrature.
-
-    Both modes are real, so conjugation is immaterial.  All exponential
-    factors (two mode Gaussians, the modes' couplings, the weight) are
-    combined into one coupled-Gaussian exponent; the quadrature is then
-    exact for the remaining polynomial factor.
-    """
-    if f.gamma != g.gamma:
-        raise ValueError("modes must share the coupling constant")
-    a = 2.0 * f.omega
-    c = 0.5 * (f.coupling + g.coupling + _weight_coupling(kind, f.gamma))
-    return integrate_coupled(
-        lambda x, y: f.poly_part(x, y) * g.poly_part(x, y), (a, a, c), n_nodes
-    )
 
 
 def _oscillator_table(omega: float, m_max: int, n_nodes: int):
@@ -265,14 +232,15 @@ def expand_amplitudes(
     psi is evaluated once, on the tensor grid of the mapped 1D rule.  A psi
     from mode_superposition at this gamma gives its de-Gaussianized part
     directly through its `poly_part`, so outer nodes where psi underflows
-    while the Gaussian's inverse overflows stay finite.
+    while the Gaussian's inverse overflows stay finite.  Any other psi,
+    a ModeFunction included, is evaluated and de-Gaussianized at the nodes.
     """
     omega = math.hypot(1.0, gamma)
     x, w, p = _oscillator_table(omega, cutoff, n_nodes)
     gx, gy = np.meshgrid(x, x, indexing="ij")
     weights = np.outer(w, w)
     # de-Gaussianized psi: psi = G * e^(-w (x^2+y^2)) * e^(2 g x y) on the span
-    if getattr(psi, "gamma", None) == gamma:
+    if isinstance(psi, _Superposition) and psi.gamma == gamma:
         bare = psi.poly_part(gx, gy)
     else:
         bare = psi(gx, gy) * np.exp(omega * (gx * gx + gy * gy) - 2.0 * gamma * gx * gy)
@@ -290,25 +258,31 @@ def expand_amplitudes(
     return ExpansionResult(coeffs, norm_sq, defect, residual_sq)
 
 
+class _Superposition:
+    """sum_{mn} c_mn Psi_mn at one gamma, from one Hermite table."""
+
+    def __init__(self, coeffs: np.ndarray, gamma: float):
+        self.coeffs, self.gamma = np.asarray(coeffs, dtype=float), gamma
+        self.omega = math.hypot(1.0, gamma)
+
+    def poly_part(self, x, y):
+        """The sum with the Gaussian and coupling factors stripped:
+        psi = poly_part * e^(2 g x y - w (x^2+y^2))."""
+        s = math.sqrt(2.0 * self.omega)
+        hx = hermite_scaled(self.coeffs.shape[0] - 1, s * np.asarray(x, dtype=float))
+        hy = hermite_scaled(self.coeffs.shape[1] - 1, s * np.asarray(y, dtype=float))
+        return s / math.sqrt(math.pi) * np.einsum("m...,mn,n...->...", hx, self.coeffs, hy)
+
+    def __call__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return np.exp(2.0 * self.gamma * x * y - self.omega * (x * x + y * y)) * self.poly_part(x, y)
+
+
 def mode_superposition(coeffs: np.ndarray, gamma: float) -> Callable:
     """Callable sum_{mn} c_mn Psi_mn for a (M+1)x(N+1) coefficient array.
 
     Its `poly_part(x, y)` is the sum with the Gaussian and coupling factors
-    stripped, from one Hermite table: psi = poly_part * e^(2 g x y - w (x^2+y^2)),
-    and its `gamma` is the coupling those factors belong to."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    omega = math.hypot(1.0, gamma)
-    s = math.sqrt(2.0 * omega)
-
-    def poly_part(x, y):
-        hx = hermite_scaled(coeffs.shape[0] - 1, s * np.asarray(x, dtype=float))
-        hy = hermite_scaled(coeffs.shape[1] - 1, s * np.asarray(y, dtype=float))
-        return s / math.sqrt(math.pi) * np.einsum("m...,mn,n...->...", hx, coeffs, hy)
-
-    def psi(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.exp(2.0 * gamma * x * y - omega * (x * x + y * y)) * poly_part(x, y)
-
-    psi.poly_part, psi.gamma = poly_part, gamma
-    return psi
+    stripped, and its `gamma` is the coupling those factors belong to;
+    expand_amplitudes reads the amplitudes of its own gamma from poly_part."""
+    return _Superposition(coeffs, gamma)

@@ -71,32 +71,12 @@ class OperatorPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "OperatorPoly":
-        return cls()
-
-    @classmethod
     def monomial(cls, i=0, j=0, k=0, l=0, coeff=1) -> "OperatorPoly":
         return cls({(i, j, k, l): coeff})
 
     @classmethod
     def one(cls) -> "OperatorPoly":
         return cls.monomial()
-
-    @classmethod
-    def x(cls) -> "OperatorPoly":
-        return cls.monomial(i=1)
-
-    @classmethod
-    def y(cls) -> "OperatorPoly":
-        return cls.monomial(j=1)
-
-    @classmethod
-    def dx(cls) -> "OperatorPoly":
-        return cls.monomial(k=1)
-
-    @classmethod
-    def dy(cls) -> "OperatorPoly":
-        return cls.monomial(l=1)
 
     # -- linear structure -------------------------------------------------
 

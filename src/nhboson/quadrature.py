@@ -2,8 +2,9 @@
 
 Provides the two evaluation flavours the package needs (square-root-factorial
 scaled tables for overflow-free polynomial parts, and orthonormal
-Hermite-function jets), Gauss-Hermite rules and a tensor scheme for 2D
-integrals against coupled Gaussians e^(-A x^2 - B y^2 + 2 C x y).
+Hermite-function jets) and Gauss-Hermite rules.  2D integrals are built in
+modes as products of 1D rules; the tests keep a rotated tensor rule for
+coupled Gaussians e^(-A x^2 - B y^2 + 2 C x y) as their per-pair reference.
 
 A rule's nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch,
 Math. Comp. 23, 1969), polished by Newton's method on psi_n; its weights
@@ -103,59 +104,3 @@ def gauss_hermite(n: int) -> QuadratureRule:
     nodes.setflags(write=False)  # instances are cached and shared
     weights.setflags(write=False)
     return QuadratureRule(n, nodes, weights)
-
-
-@dataclass(frozen=True)
-class CoupledGaussianScheme:
-    """Tensor rule for integrals weighted by e^(-A x^2 - B y^2 + 2 C x y).
-
-    The quadratic form is diagonalized by a rotation; alpha/beta are the
-    principal-axis coefficients, axes the rotation columns, and the flat
-    arrays hold the mapped 2D nodes with combined weights.
-    """
-
-    alpha: float
-    beta: float
-    axes: np.ndarray
-    rule: QuadratureRule
-    xs: np.ndarray
-    ys: np.ndarray
-    weights: np.ndarray
-
-
-@lru_cache(maxsize=4)
-def coupled_scheme(exponent: tuple, n: int = 64) -> CoupledGaussianScheme:
-    """Tensor scheme for one exponent (A, B, C), a hashable tuple.
-
-    Schemes are immutable and cached, because a command integrates many
-    mode pairs against one exponent: rebuilding the scheme per pair churned
-    the heap enough to cost glibc trims and page faults on every call.
-    Callers must not modify the arrays."""
-    a, b, c = (float(v) for v in exponent)
-    if a <= 0 or b <= 0 or a * b - c * c <= 0:
-        raise ValueError(f"non-integrable Gaussian exponent (A,B,C)=({a},{b},{c})")
-    form = np.array([[a, -c], [-c, b]])
-    lam, axes = np.linalg.eigh(form)
-    alpha, beta = float(lam[0]), float(lam[1])
-    rule = gauss_hermite(n)
-    u = rule.nodes / math.sqrt(alpha)
-    v = rule.nodes / math.sqrt(beta)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    xs = axes[0, 0] * uu + axes[0, 1] * vv
-    ys = axes[1, 0] * uu + axes[1, 1] * vv
-    weights = np.outer(rule.weights, rule.weights) / math.sqrt(alpha * beta)
-    scheme = CoupledGaussianScheme(alpha, beta, axes, rule, xs.ravel(), ys.ravel(), weights.ravel())
-    for arr in (scheme.axes, scheme.xs, scheme.ys, scheme.weights):
-        arr.setflags(write=False)
-    return scheme
-
-
-def integrate_coupled(f, exponent, n: int = 64) -> float:
-    """Integral over R^2 of f(x, y) e^(-A x^2 - B y^2 + 2 C x y).
-
-    Exact (to roundoff) whenever f is a polynomial of degree < 2n per
-    rotated axis.  f must accept numpy arrays.
-    """
-    scheme = coupled_scheme(tuple(float(v) for v in exponent), n)
-    vals = np.asarray(f(scheme.xs, scheme.ys), dtype=float)
-    return float(np.dot(scheme.weights, vals))

@@ -30,10 +30,6 @@ class RingElem:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "RingElem":
-        return cls()
-
-    @classmethod
     def one(cls) -> "RingElem":
         return cls.rational(1)
 

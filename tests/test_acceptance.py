@@ -11,14 +11,14 @@ import time
 import numpy as np
 import pytest
 
+from pair_quadrature import FLAT, PHYSICAL, inner_product
+
 from nhboson import fock, wkb
 from nhboson.modes import (
-    InnerProductKind,
     ModeFunction,
     ModeKind,
     eigen_residual,
     expand_amplitudes,
-    inner_product,
     mode_superposition,
     norm_growth,
 )
@@ -76,8 +76,8 @@ def test_criterion_03_biorthogonality_and_physical_orthonormality():
                     left = ModeFunction(ModeKind.PSI_TILDE, p, q, gamma)
                     other = ModeFunction(ModeKind.PSI, p, q, gamma)
                     want = 1.0 if (m, n) == (p, q) else 0.0
-                    bi = inner_product(right, left, InnerProductKind.FLAT, nodes)
-                    ph = inner_product(right, other, InnerProductKind.PHYSICAL, nodes)
+                    bi = inner_product(right, left, FLAT, nodes)
+                    ph = inner_product(right, other, PHYSICAL, nodes)
                     worst_bi = max(worst_bi, abs(bi - want))
                     worst_ph = max(worst_ph, abs(ph - want))
     ok = worst_bi <= 1e-8 and worst_ph <= 1e-8
@@ -168,7 +168,7 @@ def test_criterion_08_riesz_basis_failure_diagnostic():
     details = []
     for gamma in (0.5, 0.75):
         f = ModeFunction(ModeKind.PSI, 0, 0, gamma)
-        got = inner_product(f, f, InnerProductKind.FLAT, 96)
+        got = inner_product(f, f, FLAT, 96)
         want = math.hypot(1.0, gamma)
         details.append(f"||Psi00||^2({gamma}) err {abs(got - want):.2e}")
         ok_norm = ok_norm and abs(got - want) <= 1e-8

@@ -18,8 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhboson import __version__
-from nhboson.cli import COMMANDS, ENV_OUTDIR, SIZE_RANGES, SVD_GAMMA_MAX, RunConfig, _build_parser, main
+from nhboson import __version__, cli
+from nhboson.cli import (
+    COMMANDS,
+    ENV_OUTDIR,
+    SIZE_RANGES,
+    SVD_GAMMA_MAX,
+    RunConfig,
+    _build_parser,
+    _fold_dash_values,
+    _merge_config,
+    main,
+)
 
 
 def run(tmp_path, *argv):
@@ -72,17 +82,13 @@ def test_verify_algebra_numeric_gamma(tmp_path):
 
 
 def test_params_round_trip(tmp_path):
-    code, out = run(
-        tmp_path, "pseudo", "--gamma", "0.3", "--truncation", "6",
-        "--grid", "-1,3,-2,2", "--res", "7", "--format", "json",
-    )
+    argv = ["pseudo", "--gamma", "0.3", "--truncation", "6", "--grid", "-1,3,-2,2", "--res", "7", "--format", "json"]
+    code, out = run(tmp_path, *argv)
     assert code == 0
-    doc = json.loads(out.read_text())
-    cfg = RunConfig.from_params(doc["params"])
-    assert cfg == RunConfig.from_params(cfg.as_params())
-    assert cfg.gamma == 0.3
-    assert cfg.re_max == 3.0
-    assert cfg.resolution == 7
+    params = json.loads(out.read_text())["params"]
+    args = _build_parser().parse_args(_fold_dash_values([*argv, "--out", str(out)]))
+    assert params == _merge_config(args).as_params()
+    assert (params["gamma"], params["re_max"], params["resolution"]) == (0.3, 3.0, 7)
 
 
 def test_spectrum_csv_schema(tmp_path):
@@ -391,6 +397,35 @@ def test_config_file_rejects_unknown_key(tmp_path):
     cfg.write_text("bogus = 1\n")
     code = main(["norms", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_artifact_is_renamed_into_place_with_the_umask_mode(tmp_path):
+    umask = os.umask(0)
+    os.umask(umask)
+    code, out = run(tmp_path, "wkb", "--hbars", "0.5")
+    assert code == 0
+    assert os.listdir(tmp_path) == [out.name]
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_failed_write_leaves_no_artifact(tmp_path, monkeypatch, capsys):
+    # the disk fills after the first chunk of the payload is written
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            with open(self.path, "a") as fh:
+                fh.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    def full_disk_open(path, mode="r", **kwargs):
+        handle = FullDisk()
+        handle.path = path
+        return handle
+
+    monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+    code, out = run(tmp_path, "wkb", "--hbars", "0.5")
+    assert code == 2
+    assert "No space left" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_env_var_output_directory(tmp_path, monkeypatch):

@@ -307,13 +307,14 @@ def _min_block_eigenvalue(n_max, gamma, theta):
 @pytest.mark.parametrize(
     "n_max, gamma, thetas",
     [
-        (12, 0.5, np.linspace(-1.4, 1.4, 57)),
-        (12, 0.5, [math.pi / 2 - 1e-6, -(math.pi / 2 - 1e-6), math.pi / 2 - 1e-3]),
+        # every theta lies in cos theta >= |gamma sin theta|, |theta| <= atan(1/|gamma|)
+        (12, 0.5, np.linspace(-1.1, 1.1, 57)),
+        (12, 0.5, [math.atan(2) - 1e-15, -(math.atan(2) - 1e-15), math.atan(2) - 1e-3]),  # at the edge
         (9, 0.0, [-1.5, -0.3, 0.0, 0.7, 1.5]),  # diagonal blocks
-        (0, 0.5, [-1.2, 0.0, 0.4]),  # one block, of size 1
-        (1, 0.5, [-1.2, 0.0, 0.4]),  # blocks of size 2 and 1
-        (10, 0.9, [0.85, 1.1, -1.4]),  # lowest eigenvalue near 0, and below it
-        (20, 10.0, [-0.1, 0.05, 1.0]),
+        (0, 0.5, [-1.1, 0.0, 0.4]),  # one block, of size 1
+        (1, 0.5, [-1.1, 0.0, 0.4]),  # blocks of size 2 and 1
+        (10, 0.9, [0.8379, 0.83, -0.8379]),  # lowest eigenvalue near 0
+        (20, 10.0, [-0.0996, 0.05, 0.0]),
     ],
 )
 def test_support_energies_match_dense_eigvalsh(n_max, gamma, thetas):
@@ -325,8 +326,8 @@ def test_support_energies_match_dense_eigvalsh(n_max, gamma, thetas):
 
 @pytest.mark.parametrize("n_max, gamma, theta", [(8, 0.5, 0.6), (8, 2.0, -1.3), (6, 0.0, 0.4), (15, 0.9, 1.5)])
 def test_lowest_eigenvalues_match_eigvalsh_on_every_block(n_max, gamma, theta):
-    # support energies solve block 0 alone where cos theta >= |gamma sin theta|
-    # and every block elsewhere.  The solver itself must hold on every block
+    # support energies solve block 0 alone; the solver itself must hold on
+    # every block, and outside cos theta >= |gamma sin theta| too
     mat = _ladder_matrix("ReTheta", n_max, gamma, theta)
     for d in range(n_max + 1):
         diag, coupling_sq = fock._block_data(n_max, d)
@@ -338,7 +339,7 @@ def test_lowest_eigenvalues_match_eigvalsh_on_every_block(n_max, gamma, theta):
 
 @pytest.mark.parametrize(
     "gamma, theta, blocks",
-    [(10.0, -0.1, list(range(41))), (0.5, 0.6, [0])],  # cos < |g sin|, cos >= |g sin|
+    [(10.0, -0.1, []), (0.5, 0.6, [0])],  # cos < |g sin| is refused, cos >= |g sin| solves block 0
 )
 def test_support_energies_skip_blocks_only_where_block_0_is_proven_lowest(monkeypatch, gamma, theta, blocks):
     lowest, seen = fock._lowest_eigenvalues, []
@@ -348,9 +349,34 @@ def test_support_energies_skip_blocks_only_where_block_0_is_proven_lowest(monkey
         return lowest(diag, off_sq)
 
     monkeypatch.setattr(fock, "_lowest_eigenvalues", recording)
+    if not blocks:
+        with pytest.raises(ValueError, match="cos theta"):
+            fock.support_energies(40, gamma, [theta])
+        assert seen == []
+        return
     got = fock.support_energies(40, gamma, [theta])
     assert seen == blocks
     assert got[0] == pytest.approx(_min_block_eigenvalue(40, gamma, theta), rel=1e-12)
+
+
+@pytest.mark.parametrize("gamma", [0.5, -0.9, 3.0, 10.0, 1e-3, 1e200])
+def test_numerical_range_boundary_never_asks_outside_the_block_0_region(monkeypatch, gamma):
+    # at the edge theta = +-atan(1/|gamma|) the closed form and the region
+    # check round differently unless they share one predicate
+    edges = [sign * math.atan(1 / abs(gamma)) for sign in (1, -1)]
+    thetas = [float(t) for e in edges for t in (e, np.nextafter(e, 0), np.nextafter(e, 2 * e))]
+    asked = []
+    support_energies = fock.support_energies
+    monkeypatch.setattr(fock, "support_energies", lambda *a: asked.append(a[2]) or support_energies(*a))
+    rows = fock.numerical_range_boundary(6, gamma, thetas)
+    assert [p.theta for p in rows] == [t for t in thetas if fock.support_energy_closed(gamma, t) is not None]
+    assert len(asked) == 1
+    for theta in thetas:
+        if fock._support_gap(gamma, theta) < 0:
+            with pytest.raises(ValueError):
+                support_energies(6, gamma, [theta])
+        else:
+            assert support_energies(6, gamma, [theta])[0] >= 0
 
 
 def test_support_energy_batch_stays_c_contiguous(monkeypatch):
@@ -363,7 +389,7 @@ def test_support_energy_batch_stays_c_contiguous(monkeypatch):
         return pivots(diag, off_sq, lam)
 
     monkeypatch.setattr(fock, "_pivots", recording)
-    fock.support_energies(40, 10.0, np.linspace(-1.4, 1.4, 300))
+    fock.support_energies(40, 10.0, np.linspace(-0.999, 0.999, 300) * math.atan(0.1))
     shapes = [shape for shape, _ in calls]
     assert any(a[0] == b[0] and a[1] > b[1] > 1 for a, b in zip(shapes, shapes[1:]))  # a batch compacted
     assert all(contiguous for _, contiguous in calls)
@@ -387,8 +413,12 @@ def test_support_energies_bisect_where_newton_fails(monkeypatch):
 
 
 def test_support_energies_raise_rather_than_return_unconverged(monkeypatch):
-    with pytest.raises(fock.SolverConvergenceError):
-        fock.support_energies(10, 1e200, [0.5])  # gamma^2 sin^2 overflows
+    # gamma^2 sin^2 would overflow here, but the theta is outside the region
+    with pytest.raises(ValueError, match="cos theta"):
+        fock.support_energies(10, 1e200, [0.5])
+    # inside it |gamma sin theta| <= cos theta, so nothing overflows
+    closed = fock.support_energy_closed(1e200, 1e-201)
+    assert closed - 1e-12 <= fock.support_energies(10, 1e200, [1e-201])[0] <= 1.0
     monkeypatch.setattr(fock, "_SUPPORT_MAX_STEPS", 2)
     with pytest.raises(fock.SolverConvergenceError):
         fock.support_energies(10, 0.5, [0.5])
@@ -529,7 +559,7 @@ def test_pseudospectrum_rejects_huge_resolution():
 
 def test_accretivity_report():
     report = fock.accretivity_check(20, 0.5, [-0.5, -2 + 3j], n_vectors=100, seed=0)
-    assert report.passed
+    assert report.resolvent_ok and report.rayleigh_ok
     for z, sig, bound, ok in report.rows:
         assert ok and sig >= bound
     with pytest.raises(ValueError):
@@ -671,6 +701,23 @@ def test_failed_ritz_solves_fall_back_to_svd_point_by_point(monkeypatch):
     assert np.max(np.abs(starved - reference)) < 1e-12
 
 
+def test_support_energies_are_formed_in_batches(monkeypatch):
+    # unbatched, block 0's diagonal and couplings are (rows x thetas)
+    # matrices: 8 bytes x 101 rows per theta each, and _pivots copies one
+    n_max = 100
+    monkeypatch.setattr(fock, "_SIGMA_MIN_BATCH_BYTES", 2**18)
+    peaks = []
+    for count in (2_000, 8_000):
+        thetas = np.linspace(-1.1, 1.1, count)
+        tracemalloc.start()
+        try:
+            fock.support_energies(n_max, 0.5, thetas)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8 * (n_max + 1) * 6_000 / 4
+
+
 def test_johnson_bound_is_formed_in_batches(monkeypatch):
     # unbatched, the Johnson bound of a block is a complex (points x rows)
     # matrix: 16 bytes x 101 rows per point here.  Batched, the heap grows
@@ -752,7 +799,8 @@ def test_commands_never_build_the_dense_matrix(monkeypatch):
     monkeypatch.setattr(fock, "build_matrix", forbidden)
     assert len(fock.spectrum_rows(6, 0.5)) == 49
     assert fock.rayleigh_quotients(6, 0.5, 20, seed=1).shape == (20,)
-    assert fock.accretivity_check(6, 0.5, [-1.0], n_vectors=20).passed
+    report = fock.accretivity_check(6, 0.5, [-1.0], n_vectors=20)
+    assert report.resolvent_ok and report.rayleigh_ok
     assert fock.pseudospectrum(6, 0.5, (-1, 8), (-4, 4), 9).sigma_min.shape == (9, 9)
     assert len(fock.numerical_range_boundary(6, 0.5, [-0.5, 0.0, 0.5])) == 3
 

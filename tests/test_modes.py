@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from nhboson import modes
-from nhboson.cli import main
+from pair_quadrature import DUAL, FLAT, PHYSICAL, inner_product, integrate_coupled
+
 from nhboson.modes import (
-    InnerProductKind,
     ModeFunction,
     ModeKind,
     apply_hamiltonian,
@@ -17,11 +16,9 @@ from nhboson.modes import (
     expand_amplitudes,
     flat_norms,
     gram_matrix,
-    inner_product,
     mode_superposition,
     norm_growth,
 )
-from nhboson.quadrature import integrate_coupled
 
 
 def test_eigenvalue_formula():
@@ -118,7 +115,7 @@ def test_flat_norm_closed_form():
     # ||Psi_00||^2 = (2w/pi) * pi / (2 sqrt(w^2 - g^2)) = w since w^2-g^2=1
     for gamma in (0.5, 0.75):
         f = ModeFunction(ModeKind.PSI, 0, 0, gamma)
-        got = inner_product(f, f, InnerProductKind.FLAT)
+        got = inner_product(f, f, FLAT)
         assert got == pytest.approx(math.hypot(1, gamma), rel=1e-12)
     f = ModeFunction(ModeKind.PSI, 0, 0, 0.75)
     assert inner_product(f, f) == pytest.approx(1.25, rel=1e-12)
@@ -138,7 +135,7 @@ def test_biorthogonality_small(idx):
     m, n, p, q = rng.integers(0, 7, size=4)
     f = ModeFunction(ModeKind.PSI, int(m), int(n), gamma)
     g = ModeFunction(ModeKind.PSI_TILDE, int(p), int(q), gamma)
-    val = inner_product(f, g, InnerProductKind.FLAT, 96)
+    val = inner_product(f, g, FLAT, 96)
     want = 1.0 if (m, n) == (p, q) else 0.0
     assert abs(val - want) < 1e-10
 
@@ -165,7 +162,7 @@ def test_physical_orthonormality():
     for (m, n), (p, q) in [((0, 0), (0, 0)), ((3, 2), (3, 2)), ((3, 2), (2, 3)), ((5, 5), (1, 1))]:
         f = ModeFunction(ModeKind.PSI, m, n, gamma)
         g = ModeFunction(ModeKind.PSI, p, q, gamma)
-        val = inner_product(f, g, InnerProductKind.PHYSICAL, 96)
+        val = inner_product(f, g, PHYSICAL, 96)
         want = 1.0 if (m, n) == (p, q) else 0.0
         assert abs(val - want) < 1e-10
 
@@ -173,13 +170,13 @@ def test_physical_orthonormality():
 def test_dual_weight_pairs_left_modes():
     gamma = 0.5
     f = ModeFunction(ModeKind.PSI_TILDE, 2, 2, gamma)
-    assert inner_product(f, f, InnerProductKind.DUAL, 96) == pytest.approx(1.0, rel=1e-11)
+    assert inner_product(f, f, DUAL, 96) == pytest.approx(1.0, rel=1e-11)
 
 
 def test_physical_reduces_to_flat_at_zero_coupling():
     f = ModeFunction(ModeKind.PSI, 1, 2, 0.0)
-    flat = inner_product(f, f, InnerProductKind.FLAT)
-    phys = inner_product(f, f, InnerProductKind.PHYSICAL)
+    flat = inner_product(f, f, FLAT)
+    phys = inner_product(f, f, PHYSICAL)
     assert flat == pytest.approx(phys, rel=1e-14)
 
 
@@ -192,7 +189,7 @@ def test_metric_consistency():
     for (m, n), (p, q) in pairs:
         f = ModeFunction(ModeKind.PSI, m, n, gamma)
         g = ModeFunction(ModeKind.PSI, p, q, gamma)
-        lhs = inner_product(f, g, InnerProductKind.PHYSICAL, 96)
+        lhs = inner_product(f, g, PHYSICAL, 96)
 
         def damped_product(x, y):
             fx = f.eval(x, y) * np.exp(-2 * gamma * x * y)
@@ -209,7 +206,7 @@ def test_large_indices_evaluate_without_overflow():
     pts = np.linspace(-3, 3, 7)
     vals = f.eval(pts, pts)
     assert np.all(np.isfinite(vals))
-    assert inner_product(f, f, InnerProductKind.FLAT, 128) == pytest.approx(1.0, rel=1e-9)
+    assert inner_product(f, f, FLAT, 128) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_norm_growth_zero_coupling():
@@ -228,8 +225,8 @@ def test_norm_growth_monotone():
 def test_quadrature_node_doubling_stability():
     f = ModeFunction(ModeKind.PSI, 4, 3, 0.5)
     g = ModeFunction(ModeKind.PSI_TILDE, 4, 3, 0.5)
-    a = inner_product(f, g, InnerProductKind.FLAT, 48)
-    b = inner_product(f, g, InnerProductKind.FLAT, 96)
+    a = inner_product(f, g, FLAT, 48)
+    b = inner_product(f, g, FLAT, 96)
     assert abs(a - b) < 1e-10
 
 
@@ -288,6 +285,19 @@ def test_expand_amplitudes_evaluates_a_superposition_of_another_gamma():
     assert np.array_equal(got.coeffs, want.coeffs)
 
 
+@pytest.mark.parametrize("kind", [ModeKind.PHI, ModeKind.PSI_TILDE])
+def test_expand_amplitudes_evaluates_a_mode_function_like_any_callable(kind):
+    # a ModeFunction's poly_part strips its own coupling, not the right
+    # eigenfunctions' e^(2 g x y), so it must not take the superposition route
+    f = ModeFunction(kind, 1, 0, 0.5)
+    with pytest.warns(UserWarning, match="residual"):
+        got = expand_amplitudes(f, 0.5, 4)
+    with pytest.warns(UserWarning, match="residual"):
+        want = expand_amplitudes(lambda x, y: f.eval(x, y), 0.5, 4)
+    assert np.array_equal(got.coeffs, want.coeffs)
+    assert got.residual_sq == want.residual_sq > 1e-4
+
+
 # -- tabulated paths against the per-pair reference ----------------------------
 
 _CROSS = [(g, nodes) for g in (0.5, -0.75, 1.5) for nodes in (48, 96)]
@@ -301,8 +311,8 @@ def test_gram_matches_per_pair_inner_products(gamma, nodes):
         dual = ModeFunction(ModeKind.PSI_TILDE, p, q, gamma)
         right = ModeFunction(ModeKind.PSI, p, q, gamma)
         want = g[m, p] * g[n, q]
-        assert abs(inner_product(f, dual, InnerProductKind.FLAT, nodes) - want) <= 1e-13, (m, n, p, q)
-        assert abs(inner_product(f, right, InnerProductKind.PHYSICAL, nodes) - want) <= 1e-13, (m, n, p, q)
+        assert abs(inner_product(f, dual, FLAT, nodes) - want) <= 1e-13, (m, n, p, q)
+        assert abs(inner_product(f, right, PHYSICAL, nodes) - want) <= 1e-13, (m, n, p, q)
 
 
 @pytest.mark.parametrize("gamma, nodes", _CROSS)
@@ -311,7 +321,7 @@ def test_flat_norms_match_per_pair_inner_products(gamma, nodes):
     want = np.empty((5, 5))
     for m, n in np.ndindex(want.shape):
         f = ModeFunction(ModeKind.PSI, m, n, gamma)
-        want[m, n] = inner_product(f, f, InnerProductKind.FLAT, nodes)
+        want[m, n] = inner_product(f, f, FLAT, nodes)
     assert np.max(np.abs(table / want - 1.0)) <= 1e-13
     assert np.array_equal(norm_growth(gamma, 4, nodes), np.diag(table))
 
@@ -372,20 +382,3 @@ def test_expand_amplitudes_matches_per_pair_loop(gamma, nodes):
     assert np.max(np.abs(got.coeffs - coeffs)) <= 1e-13
     assert abs(got.norm_sq - norm_sq) <= 1e-13
     assert abs(got.residual_sq - residual_sq) <= 1e-13
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["biorth", "--max-index", "6"], ["norms", "--max-index", "6"], ["expand", "--cutoff", "6"]],
-    ids=lambda argv: argv[0],
-)
-def test_cli_runs_no_per_pair_quadrature(tmp_path, monkeypatch, argv):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return integrate_coupled(*args, **kwargs)
-
-    monkeypatch.setattr(modes, "integrate_coupled", counted)
-    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
-    assert calls == []

@@ -35,16 +35,17 @@ from nhboson.operators import (
 from nhboson.ring import RingElem
 
 ONE = OperatorPoly.one()
+X, Y, DX, DY = (OperatorPoly.monomial(**{index: 1}) for index in "ijkl")
 
 
 def test_leibniz_rewrite():
-    assert compose(OperatorPoly.dx(), OperatorPoly.x()) == OperatorPoly.x() * OperatorPoly.dx() + ONE
+    assert compose(DX, X) == X * DX + ONE
 
 
 def test_disjoint_variables_commute():
-    xy = compose(OperatorPoly.x(), OperatorPoly.dy())
+    xy = compose(X, DY)
     assert xy == OperatorPoly.monomial(i=1, l=1)
-    assert commutator(OperatorPoly.x(), OperatorPoly.dy()).is_zero()
+    assert commutator(X, DY).is_zero()
 
 
 def test_composition_with_identity():
@@ -82,7 +83,7 @@ def test_dressed_pair_commutators_close_in_ring():
 
 def test_adjoint_of_lowering():
     # a* = x - (1/2) dx
-    expected = OperatorPoly.x() + OperatorPoly.dx().scaled(Fraction(-1, 2))
+    expected = X + DX.scaled(Fraction(-1, 2))
     assert formal_adjoint(lowering_x()) == expected
 
 
@@ -98,8 +99,8 @@ def test_adjoint_fixes_multiplication_operators():
 
 def test_gaussian_conjugation_of_dx():
     # single commutator series: [dx, 2 g x y] = 2 g y
-    expected = OperatorPoly.dx() + OperatorPoly.y().scaled(RingElem.gamma() * 2)
-    assert conjugate_by_gaussian(OperatorPoly.dx(), +1) == expected
+    expected = DX + Y.scaled(RingElem.gamma() * 2)
+    assert conjugate_by_gaussian(DX, +1) == expected
 
 
 def test_gaussian_conjugation_of_scalar():
@@ -178,7 +179,7 @@ _monos = st.tuples(
 
 @st.composite
 def operator_polys(draw):
-    p = OperatorPoly.zero()
+    p = OperatorPoly()
     for _ in range(draw(st.integers(1, 3))):
         i, j, k, l = draw(_monos)
         p = p + OperatorPoly.monomial(i, j, k, l, coeff=draw(_coeffs))
@@ -250,7 +251,7 @@ def test_constructor_sums_duplicates_and_drops_cancelled_terms():
 @given(operator_polys())
 def test_adjoint_matches_termwise_composition(p):
     # the definition: (c x^i y^j dx^k dy^l)* = (-1)^(k+l) c dx^k dy^l x^i y^j
-    expected = OperatorPoly.zero()
+    expected = OperatorPoly()
     for (i, j, k, l), c in p._terms.items():
         term = compose(OperatorPoly.monomial(k=k, l=l), OperatorPoly.monomial(i=i, j=j))
         expected = expected + term.scaled(c * (-1) ** (k + l))
@@ -258,7 +259,7 @@ def test_adjoint_matches_termwise_composition(p):
 
 
 def test_failed_identity_row_reports_its_residual():
-    residual = OperatorPoly.x().scaled(RingElem.gamma() * 2) + OperatorPoly.dy().scaled(-3)
+    residual = X.scaled(RingElem.gamma() * 2) + DY.scaled(-3)
     row = IdentityCheck("broken", False, residual).as_dict(0.25)
     assert row == {
         "identity_name": "broken",

@@ -5,14 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from nhboson.quadrature import (
-    CoupledGaussianScheme,
-    coupled_scheme,
-    gauss_hermite,
-    hermite_function_jet,
-    hermite_scaled,
-    integrate_coupled,
-)
+from pair_quadrature import integrate_coupled
+
+from nhboson.quadrature import gauss_hermite, hermite_function_jet, hermite_scaled
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -189,18 +184,14 @@ def test_integrate_coupled_rejects_nonintegrable():
 
 
 def test_coupled_scheme_diagonalizes():
-    scheme = coupled_scheme((2.0, 2.0, 0.6), 8)
-    assert isinstance(scheme, CoupledGaussianScheme)
-    assert scheme.alpha == pytest.approx(1.4, rel=1e-14)
-    assert scheme.beta == pytest.approx(2.6, rel=1e-14)
-    assert scheme.alpha > 0 and scheme.beta > 0
-
-
-def test_coupled_scheme_is_shared_and_read_only():
-    scheme = coupled_scheme((2.0, 2.0, 0.6), 8)
-    assert coupled_scheme((2.0, 2.0, 0.6), 8) is scheme
-    with pytest.raises(ValueError):
-        scheme.xs[0] = 1.0
+    # second moments of e^(-v.Mv), M = [[A, -C], [-C, B]], are
+    # (pi / sqrt(det M)) M^-1 / 2; the mixed one is nonzero only if the rule
+    # is rotated onto the principal axes with the right sign
+    a, b, c = 2.0, 3.0, 0.6
+    det = a * b - c * c
+    mass = math.pi / math.sqrt(det)
+    for f, want in [(lambda x, y: x * x, b), (lambda x, y: y * y, a), (lambda x, y: x * y, c)]:
+        assert integrate_coupled(f, (a, b, c), 8) == pytest.approx(mass * want / (2 * det), rel=1e-13)
 
 
 def test_doubling_convergence():

@@ -59,7 +59,7 @@ _scalars = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6))
 
 @st.composite
 def ring_elems(draw):
-    e = RingElem.zero()
+    e = RingElem()
     for _ in range(draw(st.integers(0, 3))):
         part = RingElem.rational(draw(_scalars))
         part = part * RingElem.gamma(draw(st.integers(0, 2)))
@@ -74,7 +74,7 @@ def test_ring_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a * (b * c) == (a * b) * c
     assert a * b == b * a
-    assert a + (-a) == RingElem.zero()
+    assert a + (-a) == RingElem()
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,7 +129,7 @@ _GROUPS_CANCEL = [((7, 4), Fraction(-2)), ((4, 4), Fraction(1, 2)), ((8, 4), Fra
 @pytest.mark.parametrize("gamma0", [1e-3, 1e-5, 1e-8])
 def test_evaluate_resolves_cancelling_rho_groups(gamma0):
     # g^4 (-2 r^7 + r^4/2 + 3/2 r^8): the r^0 and r^3 groups cancel to 1e-65 at 1e-8
-    e = RingElem.zero()
+    e = RingElem()
     for (i, j), c in _GROUPS_CANCEL:
         e = e + RingElem.gamma(j) * RingElem.rho(i) * c
     expected = float(_mp_value(_GROUPS_CANCEL, gamma0))
