@@ -7,6 +7,11 @@ deterministic: identical configuration (including the seed) yields
 byte-identical output, floats are written in shortest round-trip form, and
 no timestamps or locale-dependent formatting are involved.
 
+A table is typed columns, one numpy array per header name, from the row
+builder to the file: a NaN anywhere is one isnan test per float column,
+each column's dtype picks one cell format, and CSV is written in chunks of
+CSV_CHUNK_ROWS rows, so its memory is bounded by the columns themselves.
+
 Configuration precedence: command-line flags > config file (key=value
 lines) > built-in defaults.  The default output directory can be set with
 the NHBOSON_OUTDIR environment variable.
@@ -123,51 +128,58 @@ class RunConfig:
 
 
 # -- row builders ----------------------------------------------------------
+#
+# Each returns (header, columns), one 1-d array per header name, whose dtype
+# (bool, int64, float64 or str) must match the Python type of its cells.
+
+
+def _table(header: list[str], rows: list) -> tuple:
+    """Columns of equal-length rows; a table with no rows gets empty floats."""
+    return header, [np.array(col) for col in zip(*rows)] or [np.empty(0)] * len(header)
+
+
+def _indexed(header: list[str], *tables: np.ndarray) -> tuple:
+    """Columns of same-shape arrays: each index, then each array, C order."""
+    shape = tables[0].shape
+    return header, [*np.indices(shape).reshape(len(shape), -1), *(t.ravel() for t in tables)]
 
 
 def _rows_verify(cfg: RunConfig):
     gamma = None if cfg.gamma_symbolic else cfg.gamma
     rows = [c.as_dict(gamma) for c in verify_identities()]
-    header = list(rows[0].keys()) if rows else []
-    return header, [[row[k] for k in header] for row in rows]
+    return _table(list(rows[0]), [list(row.values()) for row in rows])
 
 
 def _rows_spectrum(cfg: RunConfig):
-    rows = fock.spectrum_rows(cfg.truncation, cfg.gamma)
-    return ["index", "re", "im", "closed_form", "abs_err"], [
-        [i, v.real, v.imag, closed, err] for i, v, closed, err in rows
-    ]
+    index, vals, closed, err = map(np.array, zip(*fock.spectrum_rows(cfg.truncation, cfg.gamma)))
+    return ["index", "re", "im", "closed_form", "abs_err"], [index, vals.real, vals.imag, closed, err]
 
 
 def _rows_numrange(cfg: RunConfig):
     thetas = np.linspace(cfg.theta_min, cfg.theta_max, cfg.theta_steps)
     pts = fock.numerical_range_boundary(cfg.truncation, cfg.gamma, thetas)
-    return ["theta", "E_numeric", "E_closed", "x", "y", "envelope_y"], [
-        [p.theta, p.e_numeric, p.e_closed, p.x, p.y, p.envelope_y] for p in pts
-    ]
+    return _table(
+        ["theta", "E_numeric", "E_closed", "x", "y", "envelope_y"],
+        [(p.theta, p.e_numeric, p.e_closed, p.x, p.y, p.envelope_y) for p in pts],
+    )
 
 
 def _rows_pseudo(cfg: RunConfig):
     grid = fock.pseudospectrum(
         cfg.truncation, cfg.gamma, (cfg.re_min, cfg.re_max), (cfg.im_min, cfg.im_max), cfg.resolution
     )
-    rows = []
-    for iy, imv in enumerate(grid.im):
-        for ix, rev in enumerate(grid.re):
-            rows.append([rev, imv, grid.sigma_min[iy, ix]])
-    return ["re", "im", "sigma_min"], rows
+    re, im = np.meshgrid(grid.re, grid.im)
+    return ["re", "im", "sigma_min"], [re.ravel(), im.ravel(), grid.sigma_min.ravel()]
 
 
 def _rows_biorth(cfg: RunConfig):
     # both --product values fold the couplings to 0 and give the same G (x) G
     g = modes.gram_matrix(cfg.gamma, cfg.max_index, cfg.nodes)
-    values = np.einsum("mp,nq->mnpq", g, g)
-    return ["m", "n", "p", "q", "value"], [[*idx, v] for idx, v in np.ndenumerate(values)]
+    return _indexed(["m", "n", "p", "q", "value"], np.einsum("mp,nq->mnpq", g, g))
 
 
 def _rows_norms(cfg: RunConfig):
-    table = modes.flat_norms(cfg.gamma, cfg.max_index, cfg.nodes)
-    return ["m", "n", "norm_sq"], [[*idx, v] for idx, v in np.ndenumerate(table)]
+    return _indexed(["m", "n", "norm_sq"], modes.flat_norms(cfg.gamma, cfg.max_index, cfg.nodes))
 
 
 def _rows_accretive(cfg: RunConfig):
@@ -178,7 +190,7 @@ def _rows_accretive(cfg: RunConfig):
         ["rayleigh", report.rayleigh_min_x, report.rayleigh_max_hyper_excess, float(cfg.vectors), 0.0,
          report.rayleigh_ok]
     )
-    return ["kind", "a", "b", "sigma_min_or_min_x", "bound_or_excess", "ok"], rows
+    return _table(["kind", "a", "b", "sigma_min_or_min_x", "bound_or_excess", "ok"], rows)
 
 
 def _rows_wkb(cfg: RunConfig):
@@ -186,9 +198,9 @@ def _rows_wkb(cfg: RunConfig):
         wkb.sum_coordinate_summand() if cfg.summand == "sum" else wkb.difference_coordinate_summand()
     )
     rows = wkb.wkb_integrals(summand, cfg.energy, cfg.hbars)
-    return ["hbar", "I1", "I2", "I3"], [
-        [r.hbar, r.right_norm, r.left_norm, r.cross_overlap] for r in rows
-    ]
+    return _table(
+        ["hbar", "I1", "I2", "I3"], [(r.hbar, r.right_norm, r.left_norm, r.cross_overlap) for r in rows]
+    )
 
 
 def _rows_expand(cfg: RunConfig):
@@ -198,9 +210,7 @@ def _rows_expand(cfg: RunConfig):
     psi = modes.mode_superposition(coeffs, cfg.gamma)
     result = modes.expand_amplitudes(psi, cfg.gamma, cfg.cutoff, cfg.nodes)
     err = np.abs(coeffs - result.coeffs)
-    return ["m", "n", "c_true", "c_est", "abs_err"], [
-        [m, n, coeffs[m, n], result.coeffs[m, n], err[m, n]] for m, n in np.ndindex(coeffs.shape)
-    ]
+    return _indexed(["m", "n", "c_true", "c_est", "abs_err"], coeffs, result.coeffs, err)
 
 
 # -- the option table --------------------------------------------------------
@@ -359,27 +369,34 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 # -- emission ---------------------------------------------------------------
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+#: rows formatted per CSV write, so the text held in memory is bounded by
+#: this many rows whatever the table's length
+CSV_CHUNK_ROWS = 65_536
+
+#: a CSV cell's text by its column's dtype kind; str for int and str columns
+_CELL_FORMATS = {"b": ("false", "true").__getitem__, "f": repr}
 
 
-def _jsonable(v):
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
+def _write_csv(fh, header: list[str], columns: list[np.ndarray]) -> None:
+    fh.write(",".join(header) + "\n")
+    formats = [_CELL_FORMATS.get(col.dtype.kind, str) for col in columns]
+    for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        cells = [map(f, col[lo : lo + CSV_CHUNK_ROWS].tolist()) for f, col in zip(formats, columns)]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def emit(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
+def _write_json(fh, cfg: RunConfig, header: list[str], columns: list[np.ndarray]) -> None:
+    # .tolist() gives Python bool, int, float and str, which json writes natively
+    envelope = {
+        "tool_version": __version__,
+        "command": cfg.command,
+        "params": cfg.as_params(),
+        "rows": [dict(zip(header, row)) for row in zip(*(col.tolist() for col in columns))],
+    }
+    fh.write(json.dumps(envelope, indent=2) + "\n")
+
+
+def emit(cfg: RunConfig, header: list[str], columns: list[np.ndarray]) -> str:
     fmt = cfg.format or COMMANDS[cfg.command].format
     if cfg.out:
         path = cfg.out
@@ -387,25 +404,14 @@ def emit(cfg: RunConfig, header: list[str], rows: list[list]) -> str:
         outdir = os.environ.get(ENV_OUTDIR, ".")
         path = os.path.join(outdir, f"{cfg.command}.{fmt}")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-        payload = "\n".join(lines) + "\n"
-    else:
-        envelope = {
-            "tool_version": __version__,
-            "command": cfg.command,
-            "params": cfg.as_params(),
-            "rows": [
-                {key: _jsonable(v) for key, v in zip(header, row)} for row in rows
-            ],
-        }
-        payload = json.dumps(envelope, indent=2) + "\n"
     # a sibling file renamed into place: a write that fails leaves no artifact
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+            if fmt == "csv":
+                _write_csv(fh, header, columns)
+            else:
+                _write_json(fh, cfg, header, columns)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -429,10 +435,6 @@ def _fold_dash_values(argv):
 def _fail(code: int, message: str) -> int:
     print(f"nhboson: {message}", file=sys.stderr)
     return code
-
-
-def _has_nan(rows) -> bool:
-    return any(isinstance(v, (float, np.floating)) and math.isnan(v) for row in rows for v in row)
 
 
 def main(argv=None) -> int:
@@ -460,17 +462,17 @@ def main(argv=None) -> int:
         # a non-finite cell is reported below; numpy's warnings would only
         # repeat it on stderr
         with np.errstate(all="ignore"):
-            header, rows = spec.rows(cfg)
+            header, columns = spec.rows(cfg)
     except MemoryError as exc:
         return _fail(2, f"error: out of memory: {exc}")
     except fock.SolverConvergenceError as exc:
         return _fail(3, f"solver failed to converge: {exc}")
     except ArithmeticError as exc:
         return _fail(3, f"non-finite result: {exc!r}")
-    if _has_nan(rows):
+    if any(col.dtype.kind == "f" and np.isnan(col).any() for col in columns):
         return _fail(3, "non-finite result: NaN in the output rows")
     try:
-        path = emit(cfg, header, rows)
+        path = emit(cfg, header, columns)
     except OSError as exc:
         return _fail(2, f"error: cannot write the artifact: {exc}")
     print(path)

@@ -363,17 +363,23 @@ def numerical_range_boundary(n_max: int, gamma: float, thetas) -> list[Numerical
 
     Boundary points come from the analytic support-line envelope
     (x, y) = (E cos t - E' sin t, E sin t + E' cos t) with the closed-form
-    E and its derivative; samples without a supporting line are skipped.
+    E and its derivative E' = -sin t cos t (1+g^2) / E; samples without a
+    supporting line are skipped.  1+g^2 overflows from |g| ~ 1.34e154, so it
+    is formed as 4^k (4^-k + (g/2^k)^2) with 2^k >= |g|; scaling by a power
+    of two is exact, so E' keeps every bit wherever 1+g^2 is finite, and on
+    the kept t, where |g sin t| <= cos t, it stays finite (about |g| at most).
     """
     thetas = np.asarray(thetas, dtype=float).ravel()
     _check_theta(thetas)
     closed = [support_energy_closed(gamma, theta) for theta in thetas]
     kept = [i for i, value in enumerate(closed) if value is not None]
     numeric = support_energies(n_max, gamma, thetas[kept])
+    k = max(math.frexp(gamma)[1], 0)
+    scaled = math.ldexp(1.0, -2 * k) + math.ldexp(gamma, -k) ** 2
     rows = []
     for i, e_numeric in zip(kept, numeric):
         theta, e_closed = float(thetas[i]), closed[i]
-        deriv = -math.sin(theta) * math.cos(theta) * (1.0 + gamma * gamma) / e_closed
+        deriv = math.ldexp(-math.sin(theta) * math.cos(theta) * scaled / e_closed, 2 * k)
         x = e_closed * math.cos(theta) - deriv * math.sin(theta)
         y = e_closed * math.sin(theta) + deriv * math.cos(theta)
         env = math.copysign(abs(gamma) * math.sqrt(max(x * x - 1.0, 0.0)), y)

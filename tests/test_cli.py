@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhboson import __version__, cli
+from nhboson import __version__, cli, fock, modes
 from nhboson.cli import (
     COMMANDS,
     ENV_OUTDIR,
@@ -305,7 +306,6 @@ def test_accretive_rejects_infinite_point(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("numrange", "--truncation", "2", "--gamma", "1e300"),
         ("biorth", "--max-index", "1", "--gamma", "1e308"),
         ("norms", "--max-index", "1", "--gamma", "1e308"),
         ("expand", "--cutoff", "1", "--gamma", "1e308"),
@@ -317,6 +317,17 @@ def test_non_finite_results_exit_3_without_artifact(tmp_path, capsys, argv):
     assert code == 3
     assert "non-finite result" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", ["1e200", "1e300"])
+def test_numrange_at_huge_gamma_is_finite(tmp_path, gamma):
+    # 1 + gamma^2 overflows here, but every kept row's true value is finite
+    code, out = run(tmp_path, "numrange", "--gamma", gamma, "--truncation", "2")
+    assert code == 0
+    header, rows = read_csv(out)
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+    at_zero = dict(zip(header, next(row for row in rows if float(row[0]) == 0.0)))
+    assert float(at_zero["E_numeric"]) == float(at_zero["E_closed"]) == 1.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -435,12 +446,81 @@ def test_env_var_output_directory(tmp_path, monkeypatch):
     assert (tmp_path / "emitted" / "wkb.csv").exists()
 
 
-def test_float_cells_round_trip(tmp_path):
-    code, out = run(tmp_path, "wkb", "--hbars", "0.1")
+#: the columns whose cells are not floats, by name
+_INT_COLUMNS = {"index", "m", "n", "p", "q", "residual_monomial_count"}
+_BOOL_COLUMNS = {"ok"}
+_STR_COLUMNS = {"kind", "identity_name", "status"}
+_FORMAT_RUNS = {**{name: (name, *argv) for name, argv in SMALL_RUNS.items()},
+                "verify-algebra-numeric": ("verify-algebra", "--gamma", "0.5")}
+
+
+@pytest.mark.parametrize("run_name", sorted(_FORMAT_RUNS))
+def test_cell_formats_of_every_command(tmp_path, run_name):
+    argv = _FORMAT_RUNS[run_name]
+    assert main([*argv, "--format", "csv", "--out", str(tmp_path / "a.csv")]) == 0
+    assert main([*argv, "--format", "json", "--out", str(tmp_path / "a.json")]) == 0
+    # identity names hold unquoted commas; they are only ever the first column
+    header, *lines = (tmp_path / "a.csv").read_text().splitlines()
+    header = header.split(",")
+    rows = [line.rsplit(",", len(header) - 1) for line in lines]
+    doc_rows = json.loads((tmp_path / "a.json").read_text())["rows"]
+    assert rows and len(rows) == len(doc_rows)
+    for name, cells, values in zip(header, zip(*rows), zip(*(r.values() for r in doc_rows))):
+        for cell, value in zip(cells, values):
+            if name in _BOOL_COLUMNS:
+                assert cell in ("true", "false") and value is (cell == "true"), (name, cell)
+            elif name in _INT_COLUMNS:
+                assert str(int(cell)) == cell and type(value) is int and value == int(cell), (name, cell)
+            elif name in _STR_COLUMNS:
+                assert type(value) is str and value == cell, (name, cell)
+            else:
+                assert repr(float(cell)) == cell and type(value) is float and value == float(cell), (name, cell)
+
+
+def test_columns_follow_the_per_row_loops(tmp_path):
+    # the loops the columns replaced: pseudo's grid row by row, and the
+    # index tables' np.ndenumerate (norms; biorth and expand share its path)
+    code, out = run(tmp_path, "pseudo", "--truncation", "4", "--grid", "-1,4,-2,2", "--res", "5")
     assert code == 0
-    _, rows = read_csv(out)
-    val = rows[0][1]
-    assert repr(float(val)) == val
+    grid = fock.pseudospectrum(4, 0.5, (-1.0, 4.0), (-2.0, 2.0), 5)
+    assert read_csv(out)[1] == [
+        [repr(float(re)), repr(float(im)), repr(float(grid.sigma_min[iy, ix]))]
+        for iy, im in enumerate(grid.im)
+        for ix, re in enumerate(grid.re)
+    ]
+    code, out = run(tmp_path, "norms", "--max-index", "2", "--nodes", "16")
+    assert code == 0
+    table = modes.flat_norms(0.5, 2, 16)
+    assert read_csv(out)[1] == [[*map(str, idx), repr(float(v))] for idx, v in np.ndenumerate(table)]
+
+
+def test_table_with_no_rows_writes_only_the_header(tmp_path):
+    argv = ("numrange", "--gamma", "100", "--theta-min", "0.5", "--theta-max", "1.0")
+    assert main([*argv, "--out", str(tmp_path / "a.csv")]) == 0
+    assert (tmp_path / "a.csv").read_text() == "theta,E_numeric,E_closed,x,y,envelope_y\n"
+    assert main([*argv, "--format", "json", "--out", str(tmp_path / "a.json")]) == 0
+    assert '\n  "rows": []\n}\n' in (tmp_path / "a.json").read_text()
+
+
+def test_csv_chunks_join_to_the_same_bytes(tmp_path, monkeypatch):
+    argv = ["accretive", "--truncation", "3", "--vectors", "5", "--points=-1;-2;-3;-4", "--format", "csv"]
+    assert main([*argv, "--out", str(tmp_path / "whole.csv")]) == 0
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 2)  # five rows: chunks of 2, 2 and 1
+    assert main([*argv, "--out", str(tmp_path / "chunked.csv")]) == 0
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_csv_memory_is_bounded_by_the_columns(tmp_path):
+    # 194 481 rows; the whole CSV text held at once peaked at 55 MB
+    main(["biorth", "--max-index", "1", "--out", str(tmp_path / "warm.csv")])
+    tracemalloc.start()
+    try:
+        code = main(["biorth", "--max-index", "20", "--out", str(tmp_path / "biorth.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 25e6
 
 
 def _subparsers():

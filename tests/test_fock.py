@@ -453,6 +453,36 @@ def test_boundary_vertex_at_theta_zero():
     assert (rows[0].x, rows[0].y) == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [0.5, -0.9, 3.0, -7.25, 1e150])
+def test_boundary_keeps_the_plain_formula_where_it_is_finite(gamma):
+    # the power-of-two scaling of 1 + gamma^2 changes no bit of E'
+    thetas = np.linspace(-1.0, 1.0, 41) * math.atan(1 / abs(gamma))
+    for p in fock.numerical_range_boundary(6, gamma, thetas):
+        deriv = -math.sin(p.theta) * math.cos(p.theta) * (1.0 + gamma * gamma) / p.e_closed
+        assert p.x == p.e_closed * math.cos(p.theta) - deriv * math.sin(p.theta)
+        assert p.y == p.e_closed * math.sin(p.theta) + deriv * math.cos(p.theta)
+
+
+@pytest.mark.parametrize("gamma", [1e200, 1e300, -1e300])
+def test_boundary_at_huge_gamma_matches_extended_precision(gamma):
+    # 1 + gamma^2 overflows here; on the kept theta |gamma sin theta| <= cos
+    # theta, and E' is finite
+    from mpmath import mp, mpf
+
+    thetas = [0.0, 0.3 / gamma, -0.9 / gamma, 0.999 / gamma]
+    rows = fock.numerical_range_boundary(4, gamma, thetas)
+    assert [p.theta for p in rows] == thetas
+    with mp.workdps(40):
+        for p in rows:
+            t, g = mpf(p.theta), mpf(gamma)
+            e = mp.sqrt(mp.cos(t) ** 2 - (g * mp.sin(t)) ** 2)
+            deriv = -mp.sin(t) * mp.cos(t) * (1 + g * g) / e
+            x, y = e * mp.cos(t) - deriv * mp.sin(t), e * mp.sin(t) + deriv * mp.cos(t)
+            assert math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.envelope_y)
+            assert p.x == pytest.approx(float(x), rel=1e-13)
+            assert p.y == pytest.approx(float(y), rel=1e-13)
+
+
 def test_boundary_degenerates_at_zero_coupling():
     rows = fock.numerical_range_boundary(10, 0.0, np.linspace(-1.2, 1.2, 9))
     for p in rows:
