@@ -151,17 +151,17 @@ def _rows_verify(cfg: RunConfig):
 
 
 def _rows_spectrum(cfg: RunConfig):
-    index, vals, closed, err = map(np.array, zip(*fock.spectrum_rows(cfg.truncation, cfg.gamma)))
-    return ["index", "re", "im", "closed_form", "abs_err"], [index, vals.real, vals.imag, closed, err]
+    vals, closed = fock.spectrum_levels(cfg.truncation, cfg.gamma)
+    # Python's abs per level: numpy's vectorized complex abs can differ in the last bit
+    err = np.fromiter(map(abs, (vals - closed).tolist()), float, vals.size)
+    columns = [np.arange(vals.size), vals.real, vals.imag, closed, err]
+    return ["index", "re", "im", "closed_form", "abs_err"], columns
 
 
 def _rows_numrange(cfg: RunConfig):
     thetas = np.linspace(cfg.theta_min, cfg.theta_max, cfg.theta_steps)
-    pts = fock.numerical_range_boundary(cfg.truncation, cfg.gamma, thetas)
-    return _table(
-        ["theta", "E_numeric", "E_closed", "x", "y", "envelope_y"],
-        [(p.theta, p.e_numeric, p.e_closed, p.x, p.y, p.envelope_y) for p in pts],
-    )
+    boundary = fock.numerical_range_boundary(cfg.truncation, cfg.gamma, thetas)
+    return ["theta", "E_numeric", "E_closed", "x", "y", "envelope_y"], list(boundary)
 
 
 def _rows_pseudo(cfg: RunConfig):
@@ -373,8 +373,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 #: this many rows whatever the table's length
 CSV_CHUNK_ROWS = 65_536
 
-#: a CSV cell's text by its column's dtype kind; str for int and str columns
-_CELL_FORMATS = {"b": ("false", "true").__getitem__, "f": repr}
+
+def _quote(cell: str) -> str:
+    """A str cell, quoted RFC 4180-style if it holds a comma, a quote or a line break."""
+    return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\r\n') else cell
+
+
+#: a CSV cell's text by its column's dtype kind; str for int columns
+_CELL_FORMATS = {"b": ("false", "true").__getitem__, "f": repr, "U": _quote}
 
 
 def _write_csv(fh, header: list[str], columns: list[np.ndarray]) -> None:

@@ -10,7 +10,9 @@ Re(e^{-i theta} H), the one it needs, from _block_data.  Everything
 expensive (eigenvalues, sigma_min grids) runs block-by-block;
 blocks with equal |d| are equal, so only d >= 0 is solved.  build_matrix
 scatters the dense matrix from the blocks as a reference for tests; no
-command needs it.
+command needs it.  The numrange and spectrum tables come out as columns:
+numerical_range_boundary and spectrum_levels return arrays over the whole
+theta grid or level list, with no Python loop over thetas or levels.
 
 sigma_min evaluation uses exact skip bounds so large-d blocks are only
 touched when they can actually lower the minimum:
@@ -36,6 +38,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # noqa: F401  (loaded here, not inside the first draw)
@@ -229,22 +232,15 @@ def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 
 # -- numerical range -------------------------------------------------------
 
 
-def _support_gap(gamma: float, theta: float) -> float:
-    """cos^2 theta - (gamma sin theta)^2, the squared unit support energy.
-    It is >= 0 exactly where cos theta >= |gamma sin theta|, the region
-    where support_energies solves block 0 alone.  The closed form and
+def _support_gap(gamma: float, theta: np.ndarray) -> np.ndarray:
+    """cos^2 theta - (gamma sin theta)^2 per theta, the squared unit support
+    energy.  It is >= 0 exactly where cos theta >= |gamma sin theta|, the
+    region where support_energies solves block 0 alone.  The closed form and
     support_energies both decide with this one expression, so every theta
     that has a supporting line is a theta support_energies accepts.
     |gamma sin theta| is capped at 2, past 1 >= cos theta, so that its
     square cannot overflow."""
-    return math.cos(theta) ** 2 - min(abs(gamma * math.sin(theta)), 2.0) ** 2
-
-
-def support_energy_closed(gamma: float, theta: float) -> float | None:
-    """Unit support energy sqrt(cos^2 - g^2 sin^2); None when the
-    supporting line does not exist."""
-    val = _support_gap(gamma, theta)
-    return math.sqrt(val) if val > 0 else None
+    return np.cos(theta) ** 2 - np.minimum(np.abs(gamma * np.sin(theta)), 2.0) ** 2
 
 
 def _pivots(diag: np.ndarray, off_sq: np.ndarray, lam: np.ndarray):
@@ -333,7 +329,7 @@ def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
     _check_truncation(n_max)
     thetas = np.asarray(thetas, dtype=float)
     _check_theta(thetas)
-    if not all(_support_gap(gamma, theta) >= 0 for theta in thetas.ravel().tolist()):
+    if not np.all(_support_gap(gamma, thetas) >= 0):
         raise ValueError("support energies need cos theta >= |gamma sin theta|")
     diag, coupling_sq = _block_data(n_max, 0)
     cos = np.cos(thetas).ravel()
@@ -348,43 +344,42 @@ def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
     return out.reshape(thetas.shape)
 
 
-@dataclass(frozen=True)
-class NumericalRangePoint:
-    theta: float
-    e_numeric: float
-    e_closed: float
-    x: float
-    y: float
-    envelope_y: float
+class NumericalRangeBoundary(NamedTuple):
+    """numerical_range_boundary's columns, one entry per theta kept."""
+
+    theta: np.ndarray
+    e_numeric: np.ndarray
+    e_closed: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    envelope_y: np.ndarray
 
 
-def numerical_range_boundary(n_max: int, gamma: float, thetas) -> list[NumericalRangePoint]:
+def numerical_range_boundary(n_max: int, gamma: float, thetas) -> NumericalRangeBoundary:
     """Support energies and boundary points over a theta grid.
 
-    Boundary points come from the analytic support-line envelope
-    (x, y) = (E cos t - E' sin t, E sin t + E' cos t) with the closed-form
-    E and its derivative E' = -sin t cos t (1+g^2) / E; samples without a
-    supporting line are skipped.  1+g^2 overflows from |g| ~ 1.34e154, so it
+    Only the thetas with a supporting line, where _support_gap is > 0, are
+    kept; the closed-form support energy there is E = sqrt(gap).  Boundary
+    points come from the analytic support-line envelope
+    (x, y) = (E cos t - E' sin t, E sin t + E' cos t) with
+    E' = -sin t cos t (1+g^2) / E.  1+g^2 overflows from |g| ~ 1.34e154, so it
     is formed as 4^k (4^-k + (g/2^k)^2) with 2^k >= |g|; scaling by a power
     of two is exact, so E' keeps every bit wherever 1+g^2 is finite, and on
     the kept t, where |g sin t| <= cos t, it stays finite (about |g| at most).
     """
     thetas = np.asarray(thetas, dtype=float).ravel()
     _check_theta(thetas)
-    closed = [support_energy_closed(gamma, theta) for theta in thetas]
-    kept = [i for i, value in enumerate(closed) if value is not None]
-    numeric = support_energies(n_max, gamma, thetas[kept])
+    gap = _support_gap(gamma, thetas)
+    theta, e_closed = thetas[gap > 0], np.sqrt(gap[gap > 0])
+    e_numeric = support_energies(n_max, gamma, theta)
     k = max(math.frexp(gamma)[1], 0)
     scaled = math.ldexp(1.0, -2 * k) + math.ldexp(gamma, -k) ** 2
-    rows = []
-    for i, e_numeric in zip(kept, numeric):
-        theta, e_closed = float(thetas[i]), closed[i]
-        deriv = math.ldexp(-math.sin(theta) * math.cos(theta) * scaled / e_closed, 2 * k)
-        x = e_closed * math.cos(theta) - deriv * math.sin(theta)
-        y = e_closed * math.sin(theta) + deriv * math.cos(theta)
-        env = math.copysign(abs(gamma) * math.sqrt(max(x * x - 1.0, 0.0)), y)
-        rows.append(NumericalRangePoint(theta, float(e_numeric), e_closed, x, y, env))
-    return rows
+    sin, cos = np.sin(theta), np.cos(theta)
+    deriv = np.ldexp(-sin * cos * scaled / e_closed, 2 * k)
+    x = e_closed * cos - deriv * sin
+    y = e_closed * sin + deriv * cos
+    envelope_y = np.copysign(abs(gamma) * np.sqrt(np.maximum(x * x - 1.0, 0.0)), y)
+    return NumericalRangeBoundary(theta, e_numeric, e_closed, x, y, envelope_y)
 
 
 def rayleigh_quotients(n_max: int, gamma: float, count: int, seed: int = 0) -> np.ndarray:
@@ -619,32 +614,25 @@ class SpectralGrid:
     re: np.ndarray
     im: np.ndarray
     sigma_min: np.ndarray  # shape (len(im), len(re))
-    n_max: int
-    gamma: float
 
     def points(self) -> np.ndarray:
         return self.re[None, :] + 1j * self.im[:, None]
 
 
 def pseudospectrum(
-    n_max: int,
-    gamma: float,
-    re_range=(-1.0, 8.0),
-    im_range=(-4.0, 4.0),
-    nx: int = 161,
-    ny: int | None = None,
+    n_max: int, gamma: float, re_range=(-1.0, 8.0), im_range=(-4.0, 4.0), resolution: int = 161
 ) -> SpectralGrid:
-    """sigma_min grid for epsilon-pseudospectrum level sets."""
-    ny = nx if ny is None else ny
-    if not (1 <= nx <= 512 and 1 <= ny <= 512):
+    """sigma_min grid for epsilon-pseudospectrum level sets, `resolution`
+    points per axis."""
+    if not 1 <= resolution <= 512:
         raise ValueError("grid resolution limited to 512 per axis")
-    re = np.linspace(float(re_range[0]), float(re_range[1]), nx)
-    im = np.linspace(float(im_range[0]), float(im_range[1]), ny)
+    re = np.linspace(float(re_range[0]), float(re_range[1]), resolution)
+    im = np.linspace(float(im_range[0]), float(im_range[1]), resolution)
     if im.size > 1 and math.isclose(im[0], -im[-1], rel_tol=0, abs_tol=1e-15):
         im = 0.5 * (im - im[::-1])  # make the conjugate symmetry exact
     zs = re[None, :] + 1j * im[:, None]
     sig = sigma_min_points(n_max, gamma, zs)
-    return SpectralGrid(re, im, sig, n_max, gamma)
+    return SpectralGrid(re, im, sig)
 
 
 @dataclass(frozen=True)
@@ -682,18 +670,11 @@ def accretivity_check(
     return AccretivityReport(rows, 1.0 - x_excess, hyper_excess, ok)
 
 
-def spectrum_rows(n_max: int, gamma: float) -> list[tuple[int, complex, float, float]]:
-    """Sorted eigenvalues paired index-wise with the exact levels
-    (1+m+n) sqrt(1+g^2); returns (index, eigenvalue, closed_form, abs_err)."""
-    vals = eigenvalues(n_max, gamma)
-    omega = math.hypot(1.0, gamma)
-    exact = np.sort(
-        np.array([(1 + m + n) * omega for m in range(n_max + 1) for n in range(n_max + 1)])
-    )
-    return [
-        (i, complex(v), float(e), float(abs(v - e)))
-        for i, (v, e) in enumerate(zip(vals, exact))
-    ]
+def spectrum_levels(n_max: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, closed_form): the sorted eigenvalues and, index-wise,
+    the sorted exact levels (1+m+n) sqrt(1+g^2) for m, n <= N."""
+    k = np.arange(n_max + 1)
+    return eigenvalues(n_max, gamma), np.sort(np.add.outer(k, k).ravel() + 1) * math.hypot(1.0, gamma)
 
 
 def z_from_string(text: str) -> complex:

@@ -92,10 +92,10 @@ def test_criterion_03_biorthogonality_and_physical_orthonormality():
 def test_criterion_04_numerical_range():
     gamma, n_max = 0.5, 60
     thetas = np.linspace(-1.4, 1.4, 57)
-    rows = fock.numerical_range_boundary(n_max, gamma, thetas)
-    assert rows, "no support lines sampled"
-    worst_match = max(abs(p.e_numeric - p.e_closed) for p in rows)
-    worst_env = max(abs(p.y**2 - gamma**2 * (p.x**2 - 1.0)) for p in rows)
+    b = fock.numerical_range_boundary(n_max, gamma, thetas)
+    assert b.theta.size, "no support lines sampled"
+    worst_match = float(np.max(np.abs(b.e_numeric - b.e_closed)))
+    worst_env = float(np.max(np.abs(b.y**2 - gamma**2 * (b.x**2 - 1.0))))
     quotients = fock.rayleigh_quotients(n_max, gamma, 1000, seed=0)
     x_excess, hyper_excess = fock.hyperbola_excess(quotients, gamma)
     ok = worst_match <= 1e-4 and worst_env <= 1e-3 and x_excess <= 1e-8 and hyper_excess <= 1e-8
@@ -104,7 +104,7 @@ def test_criterion_04_numerical_range():
         "numerical range boundary",
         ok,
         f"E match {worst_match:.3e}, envelope {worst_env:.3e}, "
-        f"rayleigh excess ({x_excess:.1e},{hyper_excess:.1e}), rows {len(rows)}/57",
+        f"rayleigh excess ({x_excess:.1e},{hyper_excess:.1e}), rows {b.theta.size}/57",
     )
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -40,9 +41,7 @@ def run(tmp_path, *argv):
 
 
 def read_csv(path):
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
+    header, *rows = csv.reader(io.StringIO(path.read_text(), newline=""))
     return header, rows
 
 
@@ -459,10 +458,8 @@ def test_cell_formats_of_every_command(tmp_path, run_name):
     argv = _FORMAT_RUNS[run_name]
     assert main([*argv, "--format", "csv", "--out", str(tmp_path / "a.csv")]) == 0
     assert main([*argv, "--format", "json", "--out", str(tmp_path / "a.json")]) == 0
-    # identity names hold unquoted commas; they are only ever the first column
-    header, *lines = (tmp_path / "a.csv").read_text().splitlines()
-    header = header.split(",")
-    rows = [line.rsplit(",", len(header) - 1) for line in lines]
+    header, rows = read_csv(tmp_path / "a.csv")
+    assert all(len(row) == len(header) for row in rows)
     doc_rows = json.loads((tmp_path / "a.json").read_text())["rows"]
     assert rows and len(rows) == len(doc_rows)
     for name, cells, values in zip(header, zip(*rows), zip(*(r.values() for r in doc_rows))):
@@ -492,6 +489,28 @@ def test_columns_follow_the_per_row_loops(tmp_path):
     assert code == 0
     table = modes.flat_norms(0.5, 2, 16)
     assert read_csv(out)[1] == [[*map(str, idx), repr(float(v))] for idx, v in np.ndenumerate(table)]
+
+
+def test_csv_quotes_the_str_cells_that_need_it():
+    cells = ["[a,a*]=1", 'say "hi"', "two\nlines", "plain", ""]
+    fh = io.StringIO()
+    cli._write_csv(fh, ["name", "count"], [np.array(cells), np.arange(len(cells))])
+    text = fh.getvalue()
+    assert text.splitlines()[1:3] == ['"[a,a*]=1",0', '"say ""hi""",1']
+    assert "plain,3\n,4\n" in text
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [
+        ["name", "count"], *([c, str(i)] for i, c in enumerate(cells))
+    ]
+
+
+def test_spectrum_abs_err_is_python_abs_of_each_difference(tmp_path):
+    code, out = run(tmp_path, "spectrum", "--gamma", "0.5", "--truncation", "40")
+    assert code == 0
+    _, rows = read_csv(out)
+    diffs = [complex(float(re), float(im)) - float(closed) for _, re, im, closed, _ in rows]
+    assert [err for *_, err in rows] == [repr(abs(d)) for d in diffs]
+    # numpy's vectorized complex abs rounds some of these differently
+    assert np.any(np.abs(np.array(diffs)) != np.array([abs(d) for d in diffs]))
 
 
 def test_table_with_no_rows_writes_only_the_header(tmp_path):

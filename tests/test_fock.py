@@ -285,11 +285,12 @@ def test_hermitian_part_rejects_bad_theta():
 
 
 def test_support_energy_closed_form_values():
-    assert fock.support_energy_closed(0.5, 0.0) == pytest.approx(1.0)
-    got = fock.support_energy_closed(0.75, math.pi / 4)
-    assert got == pytest.approx(math.sqrt(0.21875), rel=1e-13)
+    boundary = fock.numerical_range_boundary(4, 0.5, [0.0, 1.2])
     # no supporting line beyond arctan(1/gamma)
-    assert fock.support_energy_closed(0.5, 1.2) is None
+    assert boundary.theta.tolist() == [0.0]
+    assert boundary.e_closed[0] == pytest.approx(1.0)
+    got = fock.numerical_range_boundary(4, 0.75, [math.pi / 4]).e_closed[0]
+    assert got == pytest.approx(math.sqrt(0.21875), rel=1e-13)
 
 
 def test_support_energy_numeric_matches_min_eig_of_dense():
@@ -368,8 +369,8 @@ def test_numerical_range_boundary_never_asks_outside_the_block_0_region(monkeypa
     asked = []
     support_energies = fock.support_energies
     monkeypatch.setattr(fock, "support_energies", lambda *a: asked.append(a[2]) or support_energies(*a))
-    rows = fock.numerical_range_boundary(6, gamma, thetas)
-    assert [p.theta for p in rows] == [t for t in thetas if fock.support_energy_closed(gamma, t) is not None]
+    boundary = fock.numerical_range_boundary(6, gamma, thetas)
+    assert boundary.theta.tolist() == [t for t in thetas if fock._support_gap(gamma, t) > 0]
     assert len(asked) == 1
     for theta in thetas:
         if fock._support_gap(gamma, theta) < 0:
@@ -417,7 +418,7 @@ def test_support_energies_raise_rather_than_return_unconverged(monkeypatch):
     with pytest.raises(ValueError, match="cos theta"):
         fock.support_energies(10, 1e200, [0.5])
     # inside it |gamma sin theta| <= cos theta, so nothing overflows
-    closed = fock.support_energy_closed(1e200, 1e-201)
+    closed = math.sqrt(fock._support_gap(1e200, 1e-201))
     assert closed - 1e-12 <= fock.support_energies(10, 1e200, [1e-201])[0] <= 1.0
     monkeypatch.setattr(fock, "_SUPPORT_MAX_STEPS", 2)
     with pytest.raises(fock.SolverConvergenceError):
@@ -428,7 +429,7 @@ def test_support_energy_truncation_monotone_from_above():
     # theta near the support-line cutoff keeps the truncation error above
     # the solver noise floor at these N (decay ratio ~0.585 per step)
     gamma, theta = 0.5, 1.05
-    closed = fock.support_energy_closed(gamma, theta)
+    closed = math.sqrt(fock._support_gap(gamma, theta))
     vals = [fock.support_energies(n, gamma, [theta])[0] for n in (10, 20, 40)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] >= closed - 1e-12
@@ -438,29 +439,29 @@ def test_support_energy_truncation_monotone_from_above():
 def test_boundary_points_lie_on_hyperbola():
     gamma = 0.5
     thetas = np.linspace(-1.05, 1.05, 21)
-    rows = fock.numerical_range_boundary(30, gamma, thetas)
-    assert len(rows) == 21
-    for p in rows:
-        assert p.x >= 1.0 - 1e-12
-        assert abs(p.y**2 - gamma**2 * (p.x**2 - 1.0)) < 1e-12
-        assert abs(abs(p.envelope_y) - abs(p.y)) < 1e-10
+    b = fock.numerical_range_boundary(30, gamma, thetas)
+    assert b.theta.size == 21
+    assert np.all(b.x >= 1.0 - 1e-12)
+    assert np.all(np.abs(b.y**2 - gamma**2 * (b.x**2 - 1.0)) < 1e-12)
+    assert np.all(np.abs(np.abs(b.envelope_y) - np.abs(b.y)) < 1e-10)
 
 
 def test_boundary_vertex_at_theta_zero():
-    rows = fock.numerical_range_boundary(20, 0.5, [0.0])
-    assert rows[0].e_numeric == pytest.approx(1.0, abs=1e-10)
-    assert rows[0].e_closed == 1.0
-    assert (rows[0].x, rows[0].y) == pytest.approx((1.0, 0.0), abs=1e-12)
+    b = fock.numerical_range_boundary(20, 0.5, [0.0])
+    assert b.e_numeric[0] == pytest.approx(1.0, abs=1e-10)
+    assert b.e_closed[0] == 1.0
+    assert (b.x[0], b.y[0]) == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("gamma", [0.5, -0.9, 3.0, -7.25, 1e150])
 def test_boundary_keeps_the_plain_formula_where_it_is_finite(gamma):
     # the power-of-two scaling of 1 + gamma^2 changes no bit of E'
     thetas = np.linspace(-1.0, 1.0, 41) * math.atan(1 / abs(gamma))
-    for p in fock.numerical_range_boundary(6, gamma, thetas):
-        deriv = -math.sin(p.theta) * math.cos(p.theta) * (1.0 + gamma * gamma) / p.e_closed
-        assert p.x == p.e_closed * math.cos(p.theta) - deriv * math.sin(p.theta)
-        assert p.y == p.e_closed * math.sin(p.theta) + deriv * math.cos(p.theta)
+    b = fock.numerical_range_boundary(6, gamma, thetas)
+    for theta, e_closed, x, y in zip(*(col.tolist() for col in (b.theta, b.e_closed, b.x, b.y))):
+        deriv = -math.sin(theta) * math.cos(theta) * (1.0 + gamma * gamma) / e_closed
+        assert x == e_closed * math.cos(theta) - deriv * math.sin(theta)
+        assert y == e_closed * math.sin(theta) + deriv * math.cos(theta)
 
 
 @pytest.mark.parametrize("gamma", [1e200, 1e300, -1e300])
@@ -470,33 +471,72 @@ def test_boundary_at_huge_gamma_matches_extended_precision(gamma):
     from mpmath import mp, mpf
 
     thetas = [0.0, 0.3 / gamma, -0.9 / gamma, 0.999 / gamma]
-    rows = fock.numerical_range_boundary(4, gamma, thetas)
-    assert [p.theta for p in rows] == thetas
+    b = fock.numerical_range_boundary(4, gamma, thetas)
+    assert b.theta.tolist() == thetas
+    assert np.all(np.isfinite(b.x) & np.isfinite(b.y) & np.isfinite(b.envelope_y))
     with mp.workdps(40):
-        for p in rows:
-            t, g = mpf(p.theta), mpf(gamma)
+        for theta, got_x, got_y in zip(thetas, b.x.tolist(), b.y.tolist()):
+            t, g = mpf(theta), mpf(gamma)
             e = mp.sqrt(mp.cos(t) ** 2 - (g * mp.sin(t)) ** 2)
             deriv = -mp.sin(t) * mp.cos(t) * (1 + g * g) / e
             x, y = e * mp.cos(t) - deriv * mp.sin(t), e * mp.sin(t) + deriv * mp.cos(t)
-            assert math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.envelope_y)
-            assert p.x == pytest.approx(float(x), rel=1e-13)
-            assert p.y == pytest.approx(float(y), rel=1e-13)
+            assert got_x == pytest.approx(float(x), rel=1e-13)
+            assert got_y == pytest.approx(float(y), rel=1e-13)
 
 
 def test_boundary_degenerates_at_zero_coupling():
-    rows = fock.numerical_range_boundary(10, 0.0, np.linspace(-1.2, 1.2, 9))
-    for p in rows:
-        assert p.x >= 1.0 - 1e-12
-        assert abs(p.y) < 1e-12
-        assert p.envelope_y == 0.0
+    b = fock.numerical_range_boundary(10, 0.0, np.linspace(-1.2, 1.2, 9))
+    assert b.theta.size == 9
+    assert np.all(b.x >= 1.0 - 1e-12)
+    assert np.all(np.abs(b.y) < 1e-12)
+    assert np.all(b.envelope_y == 0.0)
 
 
 def test_boundary_skips_missing_support_lines():
-    rows = fock.numerical_range_boundary(10, 0.5, np.linspace(-1.4, 1.4, 57))
-    kept = [p.theta for p in rows]
+    kept = fock.numerical_range_boundary(10, 0.5, np.linspace(-1.4, 1.4, 57)).theta
     theta_max = math.atan(1 / 0.5)
-    assert all(abs(t) < theta_max for t in kept)
-    assert len(kept) < 57
+    assert np.all(np.abs(kept) < theta_max)
+    assert kept.size < 57
+
+
+def _boundary_by_theta(gamma, thetas):
+    """(theta, E_closed, x, y, envelope_y) per theta with a supporting line:
+    the per-theta math loop the boundary columns replaced."""
+    k = max(math.frexp(gamma)[1], 0)
+    scaled = math.ldexp(1.0, -2 * k) + math.ldexp(gamma, -k) ** 2
+    rows = []
+    for theta in thetas:
+        gap = math.cos(theta) ** 2 - min(abs(gamma * math.sin(theta)), 2.0) ** 2
+        if gap > 0:
+            e = math.sqrt(gap)
+            deriv = math.ldexp(-math.sin(theta) * math.cos(theta) * scaled / e, 2 * k)
+            x = e * math.cos(theta) - deriv * math.sin(theta)
+            y = e * math.sin(theta) + deriv * math.cos(theta)
+            rows.append((theta, e, x, y, math.copysign(abs(gamma) * math.sqrt(max(x * x - 1.0, 0.0)), y)))
+    return [np.array(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("gamma", [0.5, -7.25])
+def test_boundary_columns_follow_the_per_theta_loop(gamma):
+    thetas = np.linspace(-1.4, 1.4, 100_000)
+    b = fock.numerical_range_boundary(4, gamma, thetas)
+    theta, e_closed, x, y, envelope_y = _boundary_by_theta(gamma, thetas.tolist())
+    assert np.array_equal(b.theta, theta)
+    assert np.array_equal(b.e_numeric, fock.support_energies(4, gamma, theta))
+    for got, want in ((b.e_closed, e_closed), (b.x, x), (b.y, y)):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    # sqrt(x^2 - 1) magnifies x's last-bit changes near the vertex x = 1, so
+    # envelope_y is held to the loop's formula at the column's own x and y
+    assert b.envelope_y.tolist() == [
+        math.copysign(abs(gamma) * math.sqrt(max(u * u - 1.0, 0.0)), v) for u, v in zip(b.x.tolist(), b.y.tolist())
+    ]
+    assert np.all(np.abs(b.envelope_y - envelope_y) <= 1e-14 * np.maximum(np.abs(envelope_y), 1.0))
+
+
+def test_boundary_without_supporting_lines_is_six_empty_columns():
+    b = fock.numerical_range_boundary(4, 100.0, np.linspace(0.5, 1.0, 5))
+    assert len(b) == 6
+    assert all(col.dtype == np.float64 and col.shape == (0,) for col in b)
 
 
 def test_rayleigh_quotients_inside_hyperbolic_region():
@@ -564,8 +604,8 @@ def test_left_halfplane_resolvent_bound_point():
 
 
 def test_pseudospectrum_grid_properties():
-    grid = fock.pseudospectrum(8, 0.5, (-1, 6), (-2, 2), 41, 31)
-    assert grid.sigma_min.shape == (31, 41)
+    grid = fock.pseudospectrum(8, 0.5, (-1, 6), (-2, 2), 41)
+    assert grid.sigma_min.shape == (41, 41)
     assert np.all(grid.sigma_min >= 0)
     assert np.all(np.isfinite(grid.sigma_min))
     # conjugate symmetry of the grid values
@@ -597,22 +637,29 @@ def test_accretivity_report():
 
 
 def test_spectrum_rows_pairing():
-    rows = fock.spectrum_rows(10, 0.5)
-    assert rows[0][0] == 0
-    assert rows[0][3] < 1e-8  # ground level reproduced
+    vals, closed = fock.spectrum_levels(10, 0.5)
+    assert vals.shape == closed.shape == (121,)
+    assert abs(vals[0] - closed[0]) < 1e-8  # ground level reproduced
     omega = math.sqrt(1.25)
-    assert rows[0][2] == pytest.approx(omega, rel=1e-14)
+    assert closed[0] == pytest.approx(omega, rel=1e-14)
+
+
+@pytest.mark.parametrize("n_max, gamma", [(0, 0.5), (6, 0.5), (30, -3.0), (40, 1e-8), (80, 0.5)])
+def test_closed_levels_are_the_sorted_python_levels(n_max, gamma):
+    omega = math.hypot(1.0, gamma)
+    want = sorted((1 + m + n) * omega for m in range(n_max + 1) for n in range(n_max + 1))
+    assert fock.spectrum_levels(n_max, gamma)[1].tolist() == want
 
 
 def test_spectrum_rows_never_builds_the_dense_matrix():
     # the dense (N+1)^2 x (N+1)^2 float64 matrix at N = 60 would take 111 MB
     tracemalloc.start()
     try:
-        rows = fock.spectrum_rows(60, 0.5)
+        vals, closed = fock.spectrum_levels(60, 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == 61 * 61
+    assert vals.size == closed.size == 61 * 61
     assert peak < 20e6
 
 
@@ -801,7 +848,7 @@ def test_z_from_string():
         lambda n: fock.build_matrix(n, 0.5),
         lambda n: fock.eigenvalues(n, 0.5),
         lambda n: fock.rayleigh_quotients(n, 0.5, 3),
-        lambda n: fock.spectrum_rows(n, 0.5),
+        lambda n: fock.spectrum_levels(n, 0.5),
         lambda n: fock.sigma_min_points(n, 0.5, [1.0]),
         lambda n: fock.pseudospectrum(n, 0.5),
         lambda n: fock.accretivity_check(n, 0.5, [-1.0]),
@@ -810,7 +857,7 @@ def test_z_from_string():
         lambda n: fock.lowest_eigenvalues_precise(n, 0.5, 2),
     ],
     ids=[
-        "build_matrix", "eigenvalues", "rayleigh_quotients", "spectrum_rows", "sigma_min_points",
+        "build_matrix", "eigenvalues", "rayleigh_quotients", "spectrum_levels", "sigma_min_points",
         "pseudospectrum", "accretivity_check", "support_energies", "numerical_range_boundary",
         "lowest_eigenvalues_precise",
     ],
@@ -827,12 +874,12 @@ def test_commands_never_build_the_dense_matrix(monkeypatch):
         raise AssertionError("dense matrix built")
 
     monkeypatch.setattr(fock, "build_matrix", forbidden)
-    assert len(fock.spectrum_rows(6, 0.5)) == 49
+    assert fock.spectrum_levels(6, 0.5)[0].size == 49
     assert fock.rayleigh_quotients(6, 0.5, 20, seed=1).shape == (20,)
     report = fock.accretivity_check(6, 0.5, [-1.0], n_vectors=20)
     assert report.resolvent_ok and report.rayleigh_ok
     assert fock.pseudospectrum(6, 0.5, (-1, 8), (-4, 4), 9).sigma_min.shape == (9, 9)
-    assert len(fock.numerical_range_boundary(6, 0.5, [-0.5, 0.0, 0.5])) == 3
+    assert fock.numerical_range_boundary(6, 0.5, [-0.5, 0.0, 0.5]).theta.size == 3
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.5])

@@ -59,7 +59,7 @@ def _commands(tmp_path):
     config.write_text("gamma = 0.25  # a comment\n\nnodes = 8\n")
     runs = [
         ["verify-algebra"],
-        ["verify-algebra", "--gamma", "0.5"],
+        ["verify-algebra", "--gamma", "0.5", "--format", "csv"],
         ["spectrum", "--truncation", "3"],
         ["numrange", "--truncation", "3", "--theta-steps", "5"],
         ["pseudo", "--truncation", "3", "--res", "5"],
@@ -88,8 +88,8 @@ def _criteria():
     right = ModeFunction(ModeKind.PSI, 1, 0, 0.5)  # 03 and 08, through the test-side oracle
     assert abs(inner_product(right, ModeFunction(ModeKind.PSI_TILDE, 1, 0, 0.5), FLAT, 16) - 1) <= 1e-8
     assert abs(inner_product(right, right, PHYSICAL, 16) - 1) <= 1e-8
-    rows = fock.numerical_range_boundary(4, 0.5, np.linspace(-1.4, 1.4, 5))  # 04
-    assert rows and fock.hyperbola_excess(fock.rayleigh_quotients(4, 0.5, 5), 0.5)[0] <= 1e-8
+    boundary = fock.numerical_range_boundary(4, 0.5, np.linspace(-1.4, 1.4, 5))  # 04
+    assert boundary.theta.size and fock.hyperbola_excess(fock.rayleigh_quotients(4, 0.5, 5), 0.5)[0] <= 1e-8
     assert fock.accretivity_check(4, 0.5, [-0.5, -1 + 1j], n_vectors=5).resolvent_ok  # 05
     grid = fock.pseudospectrum(4, 0.5, (-1, 8), (-4, 4), 5)  # 06
     assert grid.points().shape == grid.sigma_min.shape
