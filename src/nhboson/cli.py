@@ -29,7 +29,6 @@ from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
-import numpy.random  # noqa: F401  (loaded here, not inside the first draw)
 
 from . import __version__, fock, modes, wkb
 from .operators import verify_identities
@@ -103,8 +102,9 @@ class RunConfig:
                 raise CliError(f"{name} must be in [{low}, {high}]")
         if not (abs(self.theta_min) < math.pi / 2 and abs(self.theta_max) < math.pi / 2):
             raise CliError("theta range must lie inside (-pi/2, pi/2)")
-        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
-            raise CliError("grid range ends must be finite")
+        # a finite span has finite ends, and linspace needs it to make finite points
+        if not (math.isfinite(self.re_max - self.re_min) and math.isfinite(self.im_max - self.im_min)):
+            raise CliError("grid range ends and spans must be finite")
         if self.seed < 0:
             raise CliError("seed must be >= 0")
         if not all(0 < float(h) < math.inf for h in self.hbars):

@@ -22,14 +22,13 @@ touched when they can actually lower the minimum:
 * Johnson's Gershgorin-type bound
   sigma_min(M) >= min_k(|M_kk| - (row_k + col_k)/2).
 
-A block's remaining points are solved together by Lanczos on a batched
-tridiagonal LU (_sigma_min_invit), so a step costs O(size) per point rather
-than the O(size^3) of a dense SVD.  A point stops when successive Ritz
-values 1/sigma^2 agree to a relative 4e-15, after `size` steps at most.
-The batched dense SVD is the reference path: it takes batches too small to
-pay for the row loop and every point Lanczos does not settle.  Batches are
-sized in bytes.  Results agree with dense SVD to 1e-12; no unconverged
-value is returned.
+Every batch of a block's remaining points is solved by Lanczos on a
+batched tridiagonal LU (_sigma_min_invit), so a step costs O(size) per
+point rather than the O(size^3) of a dense SVD.  A point stops when
+successive Ritz values 1/sigma^2 agree to a relative 4e-15, after `size`
+steps at most.  The batched dense SVD is the fallback only: it takes the
+points Lanczos does not settle.  Batches are sized in bytes.  Results agree
+with dense SVD to 1e-12; no unconverged value is returned.
 """
 
 from __future__ import annotations
@@ -47,9 +46,6 @@ import numpy.random  # noqa: F401  (loaded here, not inside the first draw)
 #: LU factors and Lanczos vectors of a batch, or a chunk of Johnson bounds;
 #: support_energies' theta batches use the same budget
 _SIGMA_MIN_BATCH_BYTES = 8 * 2**20
-#: points x block size below which a sigma_min batch goes to the SVD: the
-#: Lanczos iteration's Python overhead per row then outweighs the dense solves
-_INVIT_MIN_WORK = 2_000
 #: relative change of successive Ritz values 1/sigma^2 at which a point has
 #: converged (about 2e-15 on sigma)
 _INVIT_RTOL = 4e-15
@@ -483,8 +479,8 @@ def _batches(count: int, point_bytes: int) -> list[np.ndarray]:
 
 
 def _sigma_min_svd(block: np.ndarray, zs: np.ndarray, d: int) -> np.ndarray:
-    """sigma_min(zI - B_d) per point by batched dense SVD: the reference
-    path, taken for small batches and for points Lanczos leaves."""
+    """sigma_min(zI - B_d) per point by batched dense SVD: the fallback,
+    taken only for the points Lanczos leaves."""
     out = np.empty(zs.size)
     eye = np.eye(block.shape[0])
     for part in _batches(zs.size, 16 * block.size):
@@ -511,10 +507,10 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
     recurrence alpha_k, beta_k^2; lambda_k = lambda_max(T_k) is solved by
     _lowest_eigenvalues(-T_k).  Lost orthogonality only adds copies of
     lambda_max after it has converged (Paige), so no basis is stored.  A
-    point stops when successive lambda agree to _INVIT_RTOL.  Left to the
-    SVD are points with a non-finite or zero estimate (a zero pivot, or a
-    failed Ritz solve), beta = 0, no convergence within `size` steps, and
-    the whole batch once it holds fewer than _INVIT_MIN_WORK / size points."""
+    point stops when successive lambda agree to _INVIT_RTOL, and the batch
+    once no point is left.  Left to the SVD are points with a non-finite or
+    zero estimate (a zero pivot, or a failed Ritz solve), beta = 0, and no
+    convergence within `size` steps."""
     size = diag.size
     out = np.full(zs.size, np.nan)
     factors = _gttrf(diag, off, zs)
@@ -523,7 +519,7 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
     q_prev, alpha, beta_sq = np.zeros_like(q), np.zeros(q.shape), np.zeros(q.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(size):
-            if active.size * size < max(_INVIT_MIN_WORK, 1):
+            if not active.size:
                 break
             w = q.copy()
             for _ in range(2):  # w = K^2 q = C q
@@ -552,14 +548,13 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
 
 
 def _sigma_min_block(n_max: int, gamma: float, d: int, zs: np.ndarray) -> np.ndarray:
-    """sigma_min(zI - B_d) at each z: by Lanczos where it pays, by batched
-    SVD for small batches and for the points it leaves."""
+    """sigma_min(zI - B_d) at each z: by Lanczos in batches, and by batched
+    SVD for the points it leaves."""
     diag, off = _block_tridiag(n_max, gamma, d)
-    out = np.full(zs.size, np.nan)
-    if zs.size * diag.size >= _INVIT_MIN_WORK:
-        # LU factors, three Lanczos vectors and the recurrence: ~8 complex per row
-        for part in _batches(zs.size, 128 * diag.size):
-            out[part] = _sigma_min_invit(diag, off, zs[part])
+    out = np.empty(zs.size)
+    # LU factors, three Lanczos vectors and the recurrence: ~8 complex per row
+    for part in _batches(zs.size, 128 * diag.size):
+        out[part] = _sigma_min_invit(diag, off, zs[part])
     redo = np.flatnonzero(np.isnan(out))
     if redo.size:
         block = _block_dense(n_max, gamma, d).astype(complex)

@@ -255,6 +255,8 @@ def test_validation_exit_codes(tmp_path):
         ("accretive", "--truncation", "4", "--vectors", "0"),
         ("accretive", "--truncation", "4", "--vectors", "-3"),
         ("numrange", "--theta-steps", str(10**17)),
+        ("pseudo", "--grid=-1e308,1e308,-1,1", "--res", "3"),
+        ("pseudo", "--grid=1e308,-1e308,-1,1"),
     ):
         code, out = run(tmp_path, *argv)
         assert code == 2, argv

@@ -664,30 +664,25 @@ def test_spectrum_rows_never_builds_the_dense_matrix():
 
 
 def _assert_matches_svd_sweep(monkeypatch, n_max, gamma, zs):
-    """sigma_min agrees with the dense SVD sweep at 1e-12, both as shipped
-    and with every batch through Lanczos; returns the forced values."""
+    """sigma_min agrees with the dense SVD sweep at 1e-12; returns it."""
     reference = _svd_sweep(n_max, gamma, zs)
     factored = []
     original = fock._gttrf
     monkeypatch.setattr(fock, "_gttrf", lambda *a: factored.append(a[-1].size) or original(*a))
-    fast = fock._sigma_min_blockwise(n_max, gamma, zs)
+    got = fock._sigma_min_blockwise(n_max, gamma, zs)
     assert sum(factored) > zs.size  # the Lanczos iteration did run
-    assert np.all(np.isfinite(fast))
-    assert np.max(np.abs(fast - reference)) < 1e-12
-    monkeypatch.setattr(fock, "_INVIT_MIN_WORK", 0)
-    forced = fock._sigma_min_blockwise(n_max, gamma, zs)
-    assert np.all(np.isfinite(forced))
-    assert np.max(np.abs(forced - reference)) < 1e-12
-    return forced
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - reference)) < 1e-12
+    return got
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.5])
 def test_inverse_iteration_matches_svd_sweep_at_hard_points(monkeypatch, gamma):
     n_max = 40
     zs = _hard_points(n_max, gamma)
-    forced = _assert_matches_svd_sweep(monkeypatch, n_max, gamma, zs)
-    # forced down to the size-1 block and its exactly zero pivot at z = N + 1
-    assert forced[zs == n_max + 1] == 0.0
+    got = _assert_matches_svd_sweep(monkeypatch, n_max, gamma, zs)
+    # down to the size-1 block and its exactly zero pivot at z = N + 1
+    assert got[zs == n_max + 1] == 0.0
 
 
 def test_lanczos_matches_svd_sweep_in_the_far_field(monkeypatch):
@@ -736,7 +731,6 @@ def test_inverse_iteration_cap_falls_back_to_svd(monkeypatch):
     monkeypatch.setattr(fock, "_sigma_min_svd", lambda b, z, d: solved.append(z.size) or original(b, z, d))
     monkeypatch.setattr(fock, "_sigma_min_block", lambda n, g, d, z: pairs.append(z.size) or block(n, g, d, z))
     monkeypatch.setattr(fock, "_gttrs", lambda f, b: solves.update([len(b)]) or gttrs(f, b))  # solves per size
-    monkeypatch.setattr(fock, "_INVIT_MIN_WORK", 0)
     monkeypatch.setattr(fock, "_INVIT_RTOL", -1.0)
     monkeypatch.setattr(fock, "_SUPPORT_MAX_STEPS", 1000)
     capped = fock._sigma_min_blockwise(n_max, gamma, zs)
@@ -744,6 +738,23 @@ def test_inverse_iteration_cap_falls_back_to_svd(monkeypatch):
     assert solves[n_max + 1] == 2 * (n_max + 1)  # block 0: one batch, `size` steps
     assert all(count <= 2 * size for size, count in solves.items())
     assert np.max(np.abs(capped - reference)) < 1e-12
+
+
+def test_only_points_lanczos_leaves_reach_the_svd(monkeypatch):
+    # Lanczos settles every point of the default-window grids.  At the
+    # eigenvalues of N = 4 the blocks have at most 5 rows, too few steps for
+    # successive Ritz values to agree, and z = 5, a double eigenvalue of
+    # block 3, is an exact zero pivot of its LU
+    solved = []
+    original = fock._sigma_min_svd
+    monkeypatch.setattr(fock, "_sigma_min_svd", lambda b, z, d: solved.append(d) or original(b, z, d))
+    for n_max, resolution in ((40, 81), (80, 41)):
+        assert np.all(np.isfinite(fock.pseudospectrum(n_max, 0.5, (-1, 8), (-4, 4), resolution).sigma_min))
+    assert not solved
+    zs = fock.eigenvalues(4, 0.5)
+    got = fock.sigma_min_points(4, 0.5, zs)
+    assert 3 in solved
+    assert np.max(np.abs(got - _svd_sweep(4, 0.5, zs))) < 1e-12
 
 
 def test_lowest_eigenvalues_mark_failed_points_alone():
@@ -816,9 +827,20 @@ def test_johnson_bound_is_formed_in_batches(monkeypatch):
 
 @pytest.mark.parametrize("gamma", [math.inf, math.nan])
 def test_inverse_iteration_hands_non_finite_blocks_to_svd(monkeypatch, gamma):
-    monkeypatch.setattr(fock, "_INVIT_MIN_WORK", 0)
+    # every point leaves at step 0, and its batch stops there: one Lanczos
+    # step, two solves, per factored batch
+    solves = []  # _gttrs calls per _gttrf batch
+    gttrf, gttrs = fock._gttrf, fock._gttrs
+
+    def counted(factors, b):
+        solves[-1] += 1
+        return gttrs(factors, b)
+
+    monkeypatch.setattr(fock, "_gttrf", lambda *a: solves.append(0) or gttrf(*a))
+    monkeypatch.setattr(fock, "_gttrs", counted)
     with pytest.raises(fock.SolverConvergenceError):
         fock.pseudospectrum(6, gamma, (-1, 8), (-4, 4), 21)
+    assert solves and all(count <= 2 for count in solves)
 
 
 def test_pseudospectrum_peak_memory():
