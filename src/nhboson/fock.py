@@ -8,11 +8,10 @@ superdiagonal, the subdiagonal being -off.  H is the only matrix built
 here; H* is its transpose, and support_energies forms block 0 of
 Re(e^{-i theta} H), the one it needs, from _block_data.  Everything
 expensive (eigenvalues, sigma_min grids) runs block-by-block;
-blocks with equal |d| are equal, so only d >= 0 is solved.  build_matrix
-scatters the dense matrix from the blocks as a reference for tests; no
-command needs it.  The numrange and spectrum tables come out as columns:
-numerical_range_boundary and spectrum_levels return arrays over the whole
-theta grid or level list, with no Python loop over thetas or levels.
+blocks with equal |d| are equal, so only d >= 0 is solved.  The numrange
+and spectrum tables come out as columns: numerical_range_boundary and
+spectrum_levels return arrays over the whole theta grid or level list,
+with no Python loop over thetas or levels.
 
 sigma_min evaluation uses exact skip bounds so large-d blocks are only
 touched when they can actually lower the minimum:
@@ -128,17 +127,6 @@ def _tridiagonal(n_max: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.n
         diag.append(block_diag)
         off += [block_off, [0.0]]
     return np.concatenate(order), np.concatenate(diag), np.concatenate(off)[:-1]
-
-
-def build_matrix(n_max: int, gamma: float) -> np.ndarray:
-    """Dense truncation of H on modes m, n <= N, row m (N + 1) + n for
-    |m, n>, scattered from the d-blocks: a test reference no command needs."""
-    order, diag, off = _tridiagonal(n_max, gamma)
-    out = np.zeros((order.size, order.size))
-    out[order, order] = diag
-    out[order[:-1], order[1:]] = off
-    out[order[1:], order[:-1]] = -off
-    return out
 
 
 def _block_eigenvalues(n_max: int, gamma: float, d: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from nhboson import fock
 def _ladder_matrix(kind, n_max, gamma, theta=None):
     """Dense truncation of H, H* ("Hstar") or Re(e^{-i theta} H)
     ("ReTheta") filled entry by entry from the ladder action on |m,n>; the
-    reference for build_matrix and for the support-energy blocks."""
+    reference for the d-blocks and the support-energy blocks."""
     width = n_max + 1
     mat = np.zeros((width * width, width * width), dtype=complex if kind == "ReTheta" else float)
     sign = -1.0 if kind == "Hstar" else 1.0
@@ -115,20 +115,20 @@ def _hard_points(n_max, gamma):
 
 
 def test_smallest_truncation_is_scalar_one():
-    mat = fock.build_matrix(0, 0.7)
+    mat = _ladder_matrix("H", 0, 0.7)
     assert mat.shape == (1, 1)
     assert mat[0, 0] == 1.0
 
 
 def test_ladder_entry_example():
     # a*b* |0,0> = |1,1>, canonical sign carries -gamma; |m,n> is row 3m + n
-    mat = fock.build_matrix(2, 0.5)
+    mat = _ladder_matrix("H", 2, 0.5)
     assert mat[4, 0] == pytest.approx(-0.5)
     assert mat[0, 4] == pytest.approx(0.5)
 
 
 def test_zero_coupling_is_diagonal():
-    mat = fock.build_matrix(4, 0.0)
+    mat = _ladder_matrix("H", 4, 0.0)
     assert np.allclose(mat, np.diag(mat.diagonal()))
     want = sorted(m + n + 1 for m in range(5) for n in range(5))
     assert np.allclose(np.sort(mat.diagonal()), want)
@@ -145,34 +145,30 @@ def test_trace_is_coupling_independent():
     n_max = 6
     want = sum(m + n + 1 for m in range(n_max + 1) for n in range(n_max + 1))
     for gamma in (0.0, 0.5, 0.9):
-        assert np.trace(fock.build_matrix(n_max, gamma)) == pytest.approx(want, rel=1e-14)
+        assert np.trace(_ladder_matrix("H", n_max, gamma)) == pytest.approx(want, rel=1e-14)
 
 
 def test_adjoint_matrix_is_transpose():
-    a = fock.build_matrix(5, 0.6)
-    assert np.array_equal(_ladder_matrix("Hstar", 5, 0.6), a.T)
+    assert np.array_equal(_ladder_matrix("Hstar", 5, 0.6), _ladder_matrix("H", 5, 0.6).T)
 
 
 def test_block_permutation_is_exact_tridiagonal():
-    mat = fock.build_matrix(6, 0.5)
-    total = 0
-    for d in range(-6, 7):
-        block = _block(mat, 6, d)
-        total += block.shape[0]
-        # tridiagonal: nothing beyond the first off-diagonals
-        beyond = np.triu(block, 2) + np.tril(block, -2)
-        assert not beyond.any()
-        diag, off = fock._block_tridiag(6, 0.5, d)
-        assert np.array_equal(block.diagonal(), diag)
-        assert np.array_equal(np.diag(block, 1), off)
-        assert np.array_equal(np.diag(block, -1), -off)
-    assert total == mat.shape[0] == 49
+    mat = _ladder_matrix("H", 6, 0.5)
+    order, diag, off = fock._tridiagonal(6, 0.5)
+    assert np.array_equal(np.sort(order), np.arange(49))
+    permuted = mat[np.ix_(order, order)]
+    # tridiagonal: nothing beyond the first off-diagonals, and off is 0
+    # between blocks
+    assert not (np.triu(permuted, 2) + np.tril(permuted, -2)).any()
+    assert np.array_equal(permuted.diagonal(), diag)
+    assert np.array_equal(np.diag(permuted, 1), off)
+    assert np.array_equal(np.diag(permuted, -1), -off)
 
 
 def test_block_diagonalization_is_permutation_similarity():
     """Reordering the basis by blocks turns the matrix exactly block
     diagonal: no couplings between different d sectors exist at all."""
-    mat = fock.build_matrix(5, 0.7)
+    mat = _ladder_matrix("H", 5, 0.7)
     perm = [i for d in range(-5, 6) for i in _block_index(5, d)]
     assert np.array_equal(fock._tridiagonal(5, 0.7)[0], perm)
     permuted = mat[np.ix_(perm, perm)]
@@ -185,22 +181,33 @@ def test_block_diagonalization_is_permutation_similarity():
     assert np.array_equal(permuted, expected)
 
 
+def test_matrix_norm_is_the_largest_block_norm():
+    # criterion 06's ||A_N||_2: the permuted matrix is block diagonal, and
+    # blocks d and -d are equal; the last bit may differ from the dense SVD
+    for n_max in range(9):
+        for gamma in (0.0, 0.45, -0.7):
+            by_blocks = max(np.linalg.norm(fock._block_dense(n_max, gamma, d), 2) for d in range(n_max + 1))
+            dense = np.linalg.norm(_ladder_matrix("H", n_max, gamma), 2)
+            assert by_blocks == pytest.approx(dense, rel=1e-14)
+
+
 @pytest.mark.parametrize(
     "kind, theta", [("H", None), ("Hstar", None), ("ReTheta", 0.7), ("ReTheta", -1.2)]
 )
 def test_dense_matrix_matches_ladder_action(kind, theta):
-    # H* is the transpose of H, and Re(e^{-i theta} H) its Hermitian part
-    # (e^{-i theta} H + e^{i theta} H^T) / 2
+    # permuted to its d-blocks, H is the tridiagonal T of _tridiagonal, H* is
+    # T^T, and Re(e^{-i theta} H) is (e^{-i theta} T + e^{i theta} T^T) / 2
     for n_max in range(8):
         for gamma in (0.0, 0.45, -0.7):
-            h = fock.build_matrix(n_max, gamma)
+            order, diag, off = fock._tridiagonal(n_max, gamma)
+            t = np.diag(diag) + np.diag(off, 1) - np.diag(off, -1)
             if kind == "H":
-                got = h
+                got = t
             elif kind == "Hstar":
-                got = h.T
+                got = t.T
             else:
-                got = (cmath.exp(-1j * theta) * h + cmath.exp(1j * theta) * h.T) / 2
-            want = _ladder_matrix(kind, n_max, gamma, theta)
+                got = (cmath.exp(-1j * theta) * t + cmath.exp(1j * theta) * t.T) / 2
+            want = _ladder_matrix(kind, n_max, gamma, theta)[np.ix_(order, order)]
             assert got.dtype == want.dtype
             assert np.allclose(got, want, rtol=1e-15, atol=0)
 
@@ -211,7 +218,7 @@ def test_rayleigh_quotients_match_per_vector_reference(monkeypatch, chunk_entrie
     # and a part; either way the draws are the per-vector stream
     if chunk_entries:
         monkeypatch.setattr(fock, "_RAYLEIGH_CHUNK_ENTRIES", chunk_entries)
-    mat = fock.build_matrix(7, 0.45)
+    mat = _ladder_matrix("H", 7, 0.45)
     rng = np.random.default_rng(11)
     want = []
     for _ in range(700):
@@ -225,7 +232,7 @@ def test_rayleigh_quotients_match_per_vector_reference(monkeypatch, chunk_entrie
 def test_block_eigenvalues_match_full_dense_solve():
     n_max, gamma = 8, 0.5
     by_blocks = fock.eigenvalues(n_max, gamma)
-    full = np.linalg.eigvals(fock.build_matrix(n_max, gamma))
+    full = np.linalg.eigvals(_ladder_matrix("H", n_max, gamma))
     assert by_blocks.shape == full.shape
     # multiset agreement: sorting ties of conjugate pairs may differ between
     # the two solvers, so compare via two-sided nearest-neighbour distance
@@ -555,7 +562,7 @@ def test_rayleigh_real_at_zero_coupling():
 
 def test_sigma_min_matches_brute_force():
     n_max, gamma = 7, 0.5
-    mat = fock.build_matrix(n_max, gamma)
+    mat = _ladder_matrix("H", n_max, gamma)
     rng = np.random.default_rng(11)
     zs = rng.standard_normal(10) * 4 + 2 + 1j * rng.standard_normal(10) * 3
     fast = fock.sigma_min_points(n_max, gamma, zs)
@@ -567,7 +574,7 @@ def test_sigma_min_matches_brute_force():
 def test_sigma_min_vanishes_at_eigenvalues():
     n_max, gamma = 10, 0.5
     vals = fock.eigenvalues(n_max, gamma)
-    norm = np.linalg.norm(fock.build_matrix(n_max, gamma), 2)
+    norm = np.linalg.norm(_ladder_matrix("H", n_max, gamma), 2)
     sig = fock.sigma_min_points(n_max, gamma, vals[:12])
     assert np.max(sig) <= 1e-8 * norm
 
@@ -651,15 +658,36 @@ def test_closed_levels_are_the_sorted_python_levels(n_max, gamma):
     assert fock.spectrum_levels(n_max, gamma)[1].tolist() == want
 
 
-def test_spectrum_rows_never_builds_the_dense_matrix():
-    # the dense (N+1)^2 x (N+1)^2 float64 matrix at N = 60 would take 111 MB
+@pytest.mark.parametrize(
+    "call, check",
+    [
+        (lambda: fock.spectrum_levels(60, 0.5), lambda out: out[0].size == out[1].size == 61 * 61),
+        (lambda: fock.rayleigh_quotients(60, 0.5, 20, seed=1), lambda out: out.shape == (20,)),
+        (
+            lambda: fock.accretivity_check(60, 0.5, [-1.0], n_vectors=20),
+            lambda out: out.resolvent_ok and out.rayleigh_ok,
+        ),
+        (
+            lambda: fock.pseudospectrum(60, 0.5, (-1, 8), (-4, 4), 9),
+            lambda out: out.sigma_min.shape == (9, 9),
+        ),
+        (
+            lambda: fock.numerical_range_boundary(60, 0.5, [-0.5, 0.0, 0.5]),
+            lambda out: out.theta.size == 3,
+        ),
+    ],
+    ids=["spectrum_levels", "rayleigh_quotients", "accretivity_check", "pseudospectrum", "numerical_range_boundary"],
+)
+def test_entry_points_never_build_the_dense_matrix(call, check):
+    # every command's library path works on the d-blocks alone; the dense
+    # (N+1)^2 x (N+1)^2 float64 matrix at N = 60 would take 111 MB
     tracemalloc.start()
     try:
-        vals, closed = fock.spectrum_levels(60, 0.5)
+        out = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert vals.size == closed.size == 61 * 61
+    assert check(out)
     assert peak < 20e6
 
 
@@ -867,7 +895,6 @@ def test_z_from_string():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda n: fock.build_matrix(n, 0.5),
         lambda n: fock.eigenvalues(n, 0.5),
         lambda n: fock.rayleigh_quotients(n, 0.5, 3),
         lambda n: fock.spectrum_levels(n, 0.5),
@@ -879,7 +906,7 @@ def test_z_from_string():
         lambda n: fock.lowest_eigenvalues_precise(n, 0.5, 2),
     ],
     ids=[
-        "build_matrix", "eigenvalues", "rayleigh_quotients", "spectrum_levels", "sigma_min_points",
+        "eigenvalues", "rayleigh_quotients", "spectrum_levels", "sigma_min_points",
         "pseudospectrum", "accretivity_check", "support_energies", "numerical_range_boundary",
         "lowest_eigenvalues_precise",
     ],
@@ -887,21 +914,6 @@ def test_z_from_string():
 def test_negative_truncation_is_rejected(call):
     with pytest.raises(ValueError, match="truncation"):
         call(-1)
-
-
-def test_commands_never_build_the_dense_matrix(monkeypatch):
-    # the dense matrix is a test reference; every command's library path
-    # works on the d-blocks alone
-    def forbidden(*args):
-        raise AssertionError("dense matrix built")
-
-    monkeypatch.setattr(fock, "build_matrix", forbidden)
-    assert fock.spectrum_levels(6, 0.5)[0].size == 49
-    assert fock.rayleigh_quotients(6, 0.5, 20, seed=1).shape == (20,)
-    report = fock.accretivity_check(6, 0.5, [-1.0], n_vectors=20)
-    assert report.resolvent_ok and report.rayleigh_ok
-    assert fock.pseudospectrum(6, 0.5, (-1, 8), (-4, 4), 9).sigma_min.shape == (9, 9)
-    assert fock.numerical_range_boundary(6, 0.5, [-0.5, 0.0, 0.5]).theta.size == 3
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.5])
