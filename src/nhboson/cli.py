@@ -43,9 +43,9 @@ class CliError(ValueError):
 #: inclusive bounds of the size options.  The upper caps keep the largest
 #: run within minutes and its arrays far inside numpy's limits: spectrum
 #: grows as N^4, biorth writes (max_index + 1)^4 rows from one Hermite table,
-#: norms and expand tabulate (max_index + 1) or (cutoff + 1) Hermite orders
-#: on nodes^2 points, numrange and accretive grow linearly in theta_steps
-#: and vectors
+#: norms tabulates (max_index + 1) Hermite orders on nodes^2 points, expand
+#: tabulates (cutoff + 1) orders on nodes points and contracts on nodes^2,
+#: numrange and accretive grow linearly in theta_steps and vectors
 SIZE_RANGES = {
     "truncation": (0, 500),
     "resolution": (1, 512),
@@ -207,8 +207,7 @@ def _rows_expand(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     coeffs = rng.standard_normal((cfg.cutoff + 1, cfg.cutoff + 1))
     coeffs /= np.linalg.norm(coeffs)
-    psi = modes.mode_superposition(coeffs, cfg.gamma)
-    result = modes.expand_amplitudes(psi, cfg.gamma, cfg.cutoff, cfg.nodes)
+    result = modes.expand_amplitudes(coeffs, cfg.gamma, cfg.cutoff, cfg.nodes)
     err = np.abs(coeffs - result.coeffs)
     return _indexed(["m", "n", "c_true", "c_est", "abs_err"], coeffs, result.coeffs, err)
 

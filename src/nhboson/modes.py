@@ -10,7 +10,8 @@ Inner products fold every Gaussian and e^(c x y) factor into the weight of
 a Gauss-Hermite rule; only scaled Hermite polynomials are evaluated at the
 nodes, which keeps the integrands overflow-free.  `gram_matrix`,
 `flat_norms` and `expand_amplitudes` tabulate every order at every node
-once and contract for all pairs at a time; there is no per-pair path.
+once and contract for all pairs at a time; `expand_amplitudes` takes its
+state as a coefficient array, so psi too comes from that one 1D table.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,14 +150,11 @@ def apply_hamiltonian(f: ModeFunction, x, y, which: str = "H"):
 OPERATOR_MODE = {"H": ModeKind.PSI, "Hstar": ModeKind.PSI_TILDE, "H0": ModeKind.PHI}
 
 
-def eigen_residual(which: str, m: int, n: int, gamma: float, grid=None) -> float:
-    """max |op f - E f| / max |E f| over a point grid (default 10x10 in
-    [-2,2]^2) for the matching (operator, mode-family) pair."""
-    if grid is None:
-        ax = np.linspace(-2.0, 2.0, 10)
-        gx, gy = np.meshgrid(ax, ax, indexing="ij")
-    else:
-        gx, gy = grid
+def eigen_residual(which: str, m: int, n: int, gamma: float) -> float:
+    """max |op f - E f| / max |E f| over the 10x10 grid in [-2,2]^2 for the
+    matching (operator, mode-family) pair."""
+    ax = np.linspace(-2.0, 2.0, 10)
+    gx, gy = np.meshgrid(ax, ax, indexing="ij")
     f = ModeFunction(OPERATOR_MODE[which], m, n, gamma)
     applied = apply_hamiltonian(f, gx, gy, which)
     reference = f.energy * f.eval(gx, gy)
@@ -218,71 +216,29 @@ class ExpansionResult:
     residual_sq: float
 
 
-def expand_amplitudes(
-    psi: Callable,
-    gamma: float,
-    cutoff: int,
-    n_nodes: int = 96,
-) -> ExpansionResult:
-    """Probability amplitudes c_mn = <<psi, Psi_mn>> for m, n <= cutoff.
+def expand_amplitudes(coeffs: np.ndarray, gamma: float, cutoff: int, n_nodes: int = 96) -> ExpansionResult:
+    """Probability amplitudes c_mn = <<psi, Psi_mn>>, m, n <= cutoff, of
+    psi = sum_pq coeffs[p, q] Psi_pq; residual_sq (physical norm of psi minus
+    its reconstruction) measures the part of psi beyond the cutoff.
 
-    psi must be evaluable on numpy arrays and is assumed to lie in the span
-    of the right eigenfunctions up to the cutoff; the returned residual_sq
-    (physical norm of psi minus its reconstruction) diagnoses violations.
-    psi is evaluated once, on the tensor grid of the mapped 1D rule.  A psi
-    from mode_superposition at this gamma gives its de-Gaussianized part
-    directly through its `poly_part`, so outer nodes where psi underflows
-    while the Gaussian's inverse overflows stay finite.  Any other psi,
-    a ModeFunction included, is evaluated and de-Gaussianized at the nodes.
-    """
+    One 1D Hermite table T gives psi's de-Gaussianized part T^T coeffs T on
+    the tensor nodes and projects it back, so no Gaussian is inverted there."""
+    coeffs = np.asarray(coeffs, dtype=float)
     omega = math.hypot(1.0, gamma)
-    x, w, p = _oscillator_table(omega, cutoff, n_nodes)
-    gx, gy = np.meshgrid(x, x, indexing="ij")
+    _, w, t = _oscillator_table(omega, max(cutoff + 1, *coeffs.shape) - 1, n_nodes)
     weights = np.outer(w, w)
-    # de-Gaussianized psi: psi = G * e^(-w (x^2+y^2)) * e^(2 g x y) on the span
-    if isinstance(psi, _Superposition) and psi.gamma == gamma:
-        bare = psi.poly_part(gx, gy)
-    else:
-        bare = psi(gx, gy) * np.exp(omega * (gx * gx + gy * gy) - 2.0 * gamma * gx * gy)
     scale = math.sqrt(2.0 * omega / math.pi)
-    coeffs = scale * p @ (weights * bare) @ p.T
+    # psi = bare * e^(-w (x^2+y^2)) * e^(2 g x y) at the tensor nodes
+    bare = scale * t[: coeffs.shape[0]].T @ coeffs @ t[: coeffs.shape[1]]
+    p = t[: cutoff + 1]
+    amplitudes = scale * p @ (weights * bare) @ p.T
     norm_sq = float(np.sum(weights * bare**2))
-    residual_sq = float(np.sum(weights * (bare - scale * p.T @ coeffs @ p) ** 2))
-    defect = abs(float(np.sum(coeffs**2)) - norm_sq)
+    residual_sq = float(np.sum(weights * (bare - scale * p.T @ amplitudes @ p) ** 2))
+    defect = abs(float(np.sum(amplitudes**2)) - norm_sq)
     if residual_sq > _EXPAND_WARN_RESIDUAL:
         warnings.warn(
             f"expansion residual {residual_sq:.3e} exceeds {_EXPAND_WARN_RESIDUAL:.1e}; "
             "input may lie outside the truncated span",
             stacklevel=2,
         )
-    return ExpansionResult(coeffs, norm_sq, defect, residual_sq)
-
-
-class _Superposition:
-    """sum_{mn} c_mn Psi_mn at one gamma, from one Hermite table."""
-
-    def __init__(self, coeffs: np.ndarray, gamma: float):
-        self.coeffs, self.gamma = np.asarray(coeffs, dtype=float), gamma
-        self.omega = math.hypot(1.0, gamma)
-
-    def poly_part(self, x, y):
-        """The sum with the Gaussian and coupling factors stripped:
-        psi = poly_part * e^(2 g x y - w (x^2+y^2))."""
-        s = math.sqrt(2.0 * self.omega)
-        hx = hermite_scaled(self.coeffs.shape[0] - 1, s * np.asarray(x, dtype=float))
-        hy = hermite_scaled(self.coeffs.shape[1] - 1, s * np.asarray(y, dtype=float))
-        return s / math.sqrt(math.pi) * np.einsum("m...,mn,n...->...", hx, self.coeffs, hy)
-
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.exp(2.0 * self.gamma * x * y - self.omega * (x * x + y * y)) * self.poly_part(x, y)
-
-
-def mode_superposition(coeffs: np.ndarray, gamma: float) -> Callable:
-    """Callable sum_{mn} c_mn Psi_mn for a (M+1)x(N+1) coefficient array.
-
-    Its `poly_part(x, y)` is the sum with the Gaussian and coupling factors
-    stripped, and its `gamma` is the coupling those factors belong to;
-    expand_amplitudes reads the amplitudes of its own gamma from poly_part."""
-    return _Superposition(coeffs, gamma)
+    return ExpansionResult(amplitudes, norm_sq, defect, residual_sq)

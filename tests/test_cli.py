@@ -198,7 +198,7 @@ def test_expand_round_trip_rows(tmp_path):
 @pytest.mark.parametrize("cutoff", ["1", "8"])
 def test_expand_at_large_node_counts(tmp_path, cutoff, gamma, nodes):
     # psi underflows at the outer nodes while e^(w (x^2+y^2) - 2 g x y)
-    # overflows; the superposition's polynomial part is contracted instead
+    # overflows; its polynomial part comes from the coefficients instead
     code, out = run(tmp_path, "expand", f"--gamma={gamma}", "--cutoff", cutoff, "--nodes", nodes)
     assert code == 0
     _, rows = read_csv(out)

@@ -1,6 +1,7 @@
 """Closed-form eigenfunctions: residuals, inner products, norms, amplitudes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from nhboson.modes import (
     expand_amplitudes,
     flat_norms,
     gram_matrix,
-    mode_superposition,
     norm_growth,
 )
+from nhboson.quadrature import gauss_hermite
 
 
 def test_eigenvalue_formula():
@@ -232,8 +233,7 @@ def test_quadrature_node_doubling_stability():
 
 def test_expand_amplitudes_identity():
     gamma = 0.5
-    psi = ModeFunction(ModeKind.PSI, 0, 0, gamma).eval
-    result = expand_amplitudes(psi, gamma, 2)
+    result = expand_amplitudes(np.ones((1, 1)), gamma, 2)
     want = np.zeros((3, 3))
     want[0, 0] = 1.0
     assert np.allclose(result.coeffs, want, atol=1e-10)
@@ -243,14 +243,7 @@ def test_expand_amplitudes_identity():
 
 def test_expand_amplitudes_equal_mix():
     gamma = 0.5
-    f = ModeFunction(ModeKind.PSI, 0, 0, gamma)
-    g = ModeFunction(ModeKind.PSI, 1, 1, gamma)
-    s = 1 / math.sqrt(2)
-
-    def psi(x, y):
-        return s * (f.eval(x, y) + g.eval(x, y))
-
-    result = expand_amplitudes(psi, gamma, 2)
+    result = expand_amplitudes(np.eye(2) / math.sqrt(2), gamma, 2)
     assert result.coeffs[0, 0] ** 2 == pytest.approx(0.5, abs=1e-10)
     assert result.coeffs[1, 1] ** 2 == pytest.approx(0.5, abs=1e-10)
 
@@ -260,42 +253,33 @@ def test_expand_amplitudes_round_trip():
     rng = np.random.default_rng(7)
     true = rng.standard_normal((5, 5))
     true /= np.linalg.norm(true)
-    psi = mode_superposition(true, gamma)
-    result = expand_amplitudes(psi, gamma, 4)
+    result = expand_amplitudes(true, gamma, 4)
     assert np.max(np.abs(result.coeffs - true)) < 1e-8
     assert abs(float(np.sum(result.coeffs**2)) - result.norm_sq) < 1e-8
 
 
 def test_expand_amplitudes_warns_outside_span():
     gamma = 0.5
-    psi = ModeFunction(ModeKind.PSI, 3, 3, gamma).eval  # outside cutoff 1
+    coeffs = np.zeros((4, 4))
+    coeffs[3, 3] = 1.0  # outside cutoff 1
     with pytest.warns(UserWarning, match="residual"):
-        expand_amplitudes(psi, gamma, 1)
+        expand_amplitudes(coeffs, gamma, 1)
 
 
-def test_expand_amplitudes_evaluates_a_superposition_of_another_gamma():
-    # poly_part is de-Gaussianized for the superposition's own gamma, so at
-    # another gamma psi must be evaluated like any other callable
-    true = np.random.default_rng(7).standard_normal((3, 3))
-    psi = mode_superposition(true, 0.5)
-    with pytest.warns(UserWarning, match="residual"):
-        got = expand_amplitudes(psi, 0.7, 2)
-    with pytest.warns(UserWarning, match="residual"):
-        want = expand_amplitudes(lambda x, y: psi(x, y), 0.7, 2)
-    assert np.array_equal(got.coeffs, want.coeffs)
-
-
-@pytest.mark.parametrize("kind", [ModeKind.PHI, ModeKind.PSI_TILDE])
-def test_expand_amplitudes_evaluates_a_mode_function_like_any_callable(kind):
-    # a ModeFunction's poly_part strips its own coupling, not the right
-    # eigenfunctions' e^(2 g x y), so it must not take the superposition route
-    f = ModeFunction(kind, 1, 0, 0.5)
-    with pytest.warns(UserWarning, match="residual"):
-        got = expand_amplitudes(f, 0.5, 4)
-    with pytest.warns(UserWarning, match="residual"):
-        want = expand_amplitudes(lambda x, y: f.eval(x, y), 0.5, 4)
-    assert np.array_equal(got.coeffs, want.coeffs)
-    assert got.residual_sq == want.residual_sq > 1e-4
+def test_expand_amplitudes_memory_at_the_cap():
+    # psi and its projection come from one (cutoff + 1) x nodes Hermite
+    # table, so the peak is a few nodes x nodes arrays (2 MB each here)
+    true = np.random.default_rng(0).standard_normal((33, 33))
+    true /= np.linalg.norm(true)
+    gauss_hermite(512)
+    tracemalloc.start()
+    try:
+        result = expand_amplitudes(true, 0.5, 32, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(result.coeffs - true)) < 1e-8
+    assert peak < 20e6, f"{peak / 1e6:.1f} MB"
 
 
 # -- tabulated paths against the per-pair reference ----------------------------
@@ -332,17 +316,6 @@ def test_flat_norm_closed_form_at_large_coupling(gamma):
     assert flat_norms(gamma, 2)[0, 0] == pytest.approx(math.hypot(1.0, gamma), rel=1e-13)
 
 
-def test_mode_superposition_matches_sum_of_modes():
-    gamma = -0.75
-    coeffs = np.random.default_rng(3).standard_normal((3, 4))
-    pts = np.linspace(-2.0, 2.0, 9)
-    gx, gy = np.meshgrid(pts, pts, indexing="ij")
-    want = sum(
-        coeffs[m, n] * ModeFunction(ModeKind.PSI, m, n, gamma).eval(gx, gy) for m, n in np.ndindex(coeffs.shape)
-    )
-    assert np.allclose(mode_superposition(coeffs, gamma)(gx, gy), want, rtol=1e-13, atol=1e-15)
-
-
 def _expand_amplitudes_per_pair(psi, gamma, cutoff, n_nodes):
     """The per-pair loop the tabulated expand_amplitudes replaced."""
     omega = math.hypot(1.0, gamma)
@@ -376,8 +349,12 @@ def test_expand_amplitudes_matches_per_pair_loop(gamma, nodes):
     rng = np.random.default_rng(11)
     true = rng.standard_normal((5, 5))
     true /= np.linalg.norm(true)
-    psi = mode_superposition(true, gamma)
-    got = expand_amplitudes(psi, gamma, 4, nodes)
+    modes = [ModeFunction(ModeKind.PSI, m, n, gamma) for m, n in np.ndindex(true.shape)]
+
+    def psi(x, y):
+        return sum(true[f.m, f.n] * f.eval(x, y) for f in modes)
+
+    got = expand_amplitudes(true, gamma, 4, nodes)
     coeffs, norm_sq, residual_sq = _expand_amplitudes_per_pair(psi, gamma, 4, nodes)
     assert np.max(np.abs(got.coeffs - coeffs)) <= 1e-13
     assert abs(got.norm_sq - norm_sq) <= 1e-13

@@ -102,7 +102,7 @@ def _criteria():
     phase = wkb.PhaseFunction(summand, 1.0)
     assert np.all(np.isfinite(phase.jacobi_residual(np.array([0.1])))) and phase.imag_part(0.1) < 0
     true = np.eye(2) / math.sqrt(2)  # 10
-    result = modes.expand_amplitudes(modes.mode_superposition(true, 0.5), 0.5, 1, n_nodes=16)
+    result = modes.expand_amplitudes(true, 0.5, 1, n_nodes=16)
     assert np.max(np.abs(result.coeffs - true)) <= 1e-8
 
 
