@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
@@ -465,9 +466,13 @@ def main(argv=None) -> int:
         )
     try:
         # a non-finite cell is reported below; numpy's warnings would only
-        # repeat it on stderr
-        with np.errstate(all="ignore"):
-            header, columns = spec.rows(cfg)
+        # repeat it on stderr.  Any other warning is one nhboson: line
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+            try:
+                header, columns = spec.rows(cfg)
+            finally:
+                for warning in caught:
+                    print(f"nhboson: warning: {warning.message}", file=sys.stderr)
     except MemoryError as exc:
         return _fail(2, f"error: out of memory: {exc}")
     except fock.SolverConvergenceError as exc:

@@ -18,16 +18,25 @@ touched when they can actually lower the minimum:
 
 * Re W(B_d) >= d + 1 (the block's diagonal dominates its Hermitian part),
   hence sigma_min(zI - B_d) >= max(0, d + 1 - Re z);
+* the hyperbolic numerical-range bound: W(B_d) lies right of the line
+  Re(e^{-i theta} w) = (d + 1) sqrt(cos^2 theta - (gamma sin theta)^2)
+  wherever cos theta > |gamma sin theta| (an su(1,1) argument, in
+  _range_bound), and sigma_min(zI - B_d) >= dist(z, W(B_d)); it is
+  taken at 16 such theta;
 * Johnson's Gershgorin-type bound
   sigma_min(M) >= min_k(|M_kk| - (row_k + col_k)/2).
 
 Every batch of a block's remaining points is solved by Lanczos on a
 batched tridiagonal LU (_sigma_min_invit), so a step costs O(size) per
-point rather than the O(size^3) of a dense SVD.  A point stops when
-successive Ritz values 1/sigma^2 agree to a relative 4e-15, after `size`
-steps at most.  The batched dense SVD is the fallback only: it takes the
-points Lanczos does not settle.  Batches are sized in bytes.  Results agree
-with dense SVD to 1e-12; no unconverged value is returned.
+point rather than the O(size^3) of a dense SVD.  Each point starts from
+the weights (m / |z - a_k|)^4 over the block diagonal a_k, m their
+smallest distance: about the diagonal of (zI - B)^-1 (zI - B)^-H applied
+twice, so the start already leans toward the smallest singular vector.
+A point stops when successive Ritz values 1/sigma^2 agree to a relative
+4e-15, after `size` steps at most.  The batched dense SVD is the fallback
+only: it takes the points Lanczos does not settle.  Batches are sized in
+bytes.  Results agree with dense SVD to 1e-12; no unconverged value is
+returned.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded here, not inside the first draw)
 
 #: bytes one sigma_min batch may hold: an SVD stack of shifted blocks, the
-#: LU factors and Lanczos vectors of a batch, or a chunk of Johnson bounds;
+#: LU factors and Lanczos vectors of a batch, or a chunk of skip bounds;
 #: support_energies' theta batches use the same budget
 _SIGMA_MIN_BATCH_BYTES = 8 * 2**20
 #: relative change of successive Ritz values 1/sigma^2 at which a point has
@@ -440,17 +449,20 @@ def _gttrs(factors, b: np.ndarray) -> None:
     inv_d, dl, du, du2, swap = factors
     n = inv_d.shape[0]
     pivoted = swap.any(axis=1).tolist()
+    # one view per row, made once: with a batch's few points per row, the
+    # loops below cost mostly per-row overhead
+    rows = list(b)
     tmp = np.empty_like(b[0])
 
-    def subtract(i, coef, j):  # b[i] -= coef * b[j], without a temporary
-        np.multiply(coef, b[j], out=tmp)
-        b[i] -= tmp
+    def subtract(i, coef, j):  # rows[i] -= coef * rows[j], without a temporary
+        np.multiply(coef, rows[j], out=tmp)
+        rows[i] -= tmp
 
     for i in range(n - 1):
         if pivoted[i]:
-            lo = np.where(swap[i], b[i + 1], b[i])
-            b[i + 1] = np.where(swap[i], b[i], b[i + 1]) - dl[i] * lo
-            b[i] = lo
+            lo = np.where(swap[i], rows[i + 1], rows[i])
+            rows[i + 1][...] = np.where(swap[i], rows[i], rows[i + 1]) - dl[i] * lo
+            rows[i][...] = lo
         else:
             subtract(i + 1, dl[i], i)
     for i in range(n - 1, -1, -1):
@@ -458,7 +470,7 @@ def _gttrs(factors, b: np.ndarray) -> None:
             subtract(i, du[i], i + 1)
         if i + 2 < n and pivoted[i]:
             subtract(i, du2[i], i + 2)
-        b[i] *= inv_d[i]
+        rows[i] *= inv_d[i]
 
 
 def _batches(count: int, point_bytes: int) -> list[np.ndarray]:
@@ -491,21 +503,27 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
     so B^T = S B S with the parity S = diag(1, -1, 1, ...), the block form
     of H* = P H P for P: x -> -x, and (zI - B)^-H = S conj (zI - B)^-1 conj S.
 
-    Each point keeps two Lanczos vectors from the constant start, and its
-    recurrence alpha_k, beta_k^2; lambda_k = lambda_max(T_k) is solved by
-    _lowest_eigenvalues(-T_k).  Lost orthogonality only adds copies of
-    lambda_max after it has converged (Paige), so no basis is stored.  A
-    point stops when successive lambda agree to _INVIT_RTOL, and the batch
-    once no point is left.  Left to the SVD are points with a non-finite or
-    zero estimate (a zero pivot, or a failed Ritz solve), beta = 0, and no
-    convergence within `size` steps."""
+    Each point starts from q_k proportional to (m / |z - a_k|)^4, a_k the
+    diagonal and m = min_k |z - a_k|: C's diagonal is about |z - a_k|^-2,
+    so this is roughly C's diagonal applied twice.  Every weight is in
+    [0, 1] with one equal to 1, so none overflows, and a point exactly on a
+    diagonal entry starts from that unit vector.  It keeps two Lanczos
+    vectors and its recurrence alpha_k, beta_k^2; lambda_k = lambda_max(T_k)
+    is solved by _lowest_eigenvalues(-T_k).  Lost orthogonality only adds
+    copies of lambda_max after it has converged (Paige), so no basis is
+    stored.  A point stops when successive lambda agree to _INVIT_RTOL, and
+    the batch once no point is left.  Left to the SVD are points with a
+    non-finite or zero estimate (a zero pivot, or a failed Ritz solve),
+    beta = 0, and no convergence within `size` steps."""
     size = diag.size
     out = np.full(zs.size, np.nan)
     factors = _gttrf(diag, off, zs)
     active, lam = np.arange(zs.size), np.zeros(zs.size)
-    q = np.full((size, zs.size), 1 / math.sqrt(size), dtype=complex)
-    q_prev, alpha, beta_sq = np.zeros_like(q), np.zeros(q.shape), np.zeros(q.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = np.abs(zs - diag[:, None])  # |z - a_k|
+        q = np.where(q > 0, q.min(axis=0) / q, 1.0) ** 4  # in [0, 1]: nothing overflows
+        q = (q / np.linalg.norm(q, axis=0)).astype(complex)
+        q_prev, alpha, beta_sq = np.zeros_like(q), np.zeros(q.shape), np.zeros(q.shape)
         for k in range(size):
             if not active.size:
                 break
@@ -540,7 +558,8 @@ def _sigma_min_block(n_max: int, gamma: float, d: int, zs: np.ndarray) -> np.nda
     SVD for the points it leaves."""
     diag, off = _block_tridiag(n_max, gamma, d)
     out = np.empty(zs.size)
-    # LU factors, three Lanczos vectors and the recurrence: ~8 complex per row
+    # LU factors, three Lanczos vectors and the recurrence: ~8 complex per
+    # row; the start's float temporaries are freed before the recurrence exists
     for part in _batches(zs.size, 128 * diag.size):
         out[part] = _sigma_min_invit(diag, off, zs[part])
     redo = np.flatnonzero(np.isnan(out))
@@ -550,22 +569,58 @@ def _sigma_min_block(n_max: int, gamma: float, d: int, zs: np.ndarray) -> np.nda
     return out
 
 
+def _range_bound_thetas(gamma: float) -> np.ndarray:
+    """The 16 fixed theta of _range_bound, evenly spaced strictly inside
+    (-theta*, theta*), theta* = atan2(1, |gamma|): exactly where
+    cos theta > |gamma sin theta|."""
+    return math.atan2(1.0, abs(gamma)) * (np.arange(16) - 7.5) / 8
+
+
+def _range_bound(gamma: float, d: int, zs: np.ndarray) -> np.ndarray:
+    """Lower bound on sigma_min(zI - B_d) per point from supporting lines of
+    the numerical range W(B_d), the largest over _range_bound_thetas.
+
+    For cos theta > |gamma sin theta|, Re(e^{-i theta} B_d) is, up to a
+    diagonal phase, 2 cos theta K_0 + 2 gamma sin theta K_1 in the su(1,1)
+    discrete series of Bargmann index (d + 1)/2 (the Hermitian tridiagonal
+    support_energies describes).  That operator is SU(1,1)-conjugate to
+    2 sqrt(gap) K_0, gap = _support_gap(gamma, theta), whose lowest
+    eigenvalue is (d + 1) sqrt(gap); truncation compresses it, which can
+    only raise that.  So W(B_d) lies right of the line Re(e^{-i theta} w) =
+    (d + 1) sqrt(gap), and sigma_min(zI - B_d) >= dist(z, W(B_d)) >=
+    (d + 1) sqrt(gap) - Re(e^{-i theta} z) (Trefethen & Embree, Spectra and
+    Pseudospectra, 2005, ch. 17).  The bound is moved down by _SUPPORT_RTOL
+    (|z| + d + 1) against rounding; it never decreases as d grows."""
+    theta = _range_bound_thetas(gamma)
+    with np.errstate(invalid="ignore"):  # an infinite gamma gives NaN, which callers drop
+        support = (d + 1) * np.sqrt(_support_gap(gamma, theta))
+    bound = np.max(support - np.outer(zs.real, np.cos(theta)) - np.outer(zs.imag, np.sin(theta)), axis=1)
+    return bound - _SUPPORT_RTOL * (np.abs(zs) + d + 1)
+
+
 def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray:
     """sigma_min(zI - A_N) per point, min over tridiagonal blocks.
 
     Blocks are visited in ascending d; each is applied only at points where
-    the exact lower bounds cannot rule it out; the Johnson bound is formed
-    in batches, so its memory does not grow with the number of points."""
+    the exact lower bounds cannot rule it out.  The bounds are formed in
+    batches, so their memory does not grow with the number of points, and
+    joined by fmax, so a NaN term (from a non-finite gamma) leaves the
+    others as they are.  d + 1 - Re z and _range_bound never decrease as d
+    grows, so once they rule out every point the sweep stops."""
     zs = np.asarray(zs, dtype=complex).ravel()
-    smin, johnson = np.full(zs.size, np.inf), np.empty(zs.size)
+    smin, edge, johnson = np.full(zs.size, np.inf), np.empty(zs.size), np.empty(zs.size)
     for d in range(0, n_max + 1):
-        if np.all(np.maximum(d + 1.0 - zs.real, 0.0) >= smin):
-            break  # every remaining block is bounded away from the minimum
         diag, off = _block_tridiag(n_max, gamma, d)
         radius = _gershgorin_radii(np.abs(off))
-        for part in _batches(zs.size, 32 * diag.size):
-            johnson[part] = np.min(np.abs(zs[part, None] - diag) - radius, axis=1)
-        bound = np.maximum(np.maximum(d + 1.0 - zs.real, johnson), 0.0)
+        # per point: Johnson's complex (point x row) differences and their
+        # moduli, and _range_bound's three float (point x theta) products
+        for part in _batches(zs.size, 32 * diag.size + 24 * 16):
+            z = zs[part]
+            edge[part] = np.fmax(d + 1.0 - z.real, _range_bound(gamma, d, z))
+            johnson[part] = np.min(np.abs(z[:, None] - diag) - radius, axis=1)
+        if np.all(np.maximum(edge, 0.0) >= smin):
+            break  # every remaining block is bounded away from the minimum
+        bound = np.maximum(np.fmax(edge, johnson), 0.0)
         todo = np.flatnonzero(~(bound >= smin))  # a NaN bound rules nothing out
         if todo.size == 0:
             continue

@@ -385,6 +385,21 @@ def test_package_imports_without_scipy():
     assert _fresh_interpreter(code).strip() == "False False"
 
 
+def test_library_warning_is_one_nhboson_line(tmp_path):
+    # a 1-node rule cannot resolve cutoff 3: modes warns of the residual, and
+    # the command still writes its artifact
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["expand", "--cutoff", "3", "--nodes", "1", "--out", str(tmp_path / "expand.csv")]
+    done = subprocess.run(
+        [sys.executable, "-m", "nhboson.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0
+    assert done.stderr.startswith("nhboson: warning: expansion residual ")
+    assert len(done.stderr.splitlines()) == 1
+    assert "UserWarning" not in done.stderr and ".py:" not in done.stderr
+
+
 def test_wkb_underflowing_hbar_exits_3_fast(tmp_path):
     start = time.perf_counter()
     code, out = run(tmp_path, "wkb", "--hbars", "1e-320")

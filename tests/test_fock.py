@@ -4,6 +4,7 @@ pseudospectra and accretivity."""
 import cmath
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -718,6 +719,67 @@ def test_lanczos_matches_svd_sweep_in_the_far_field(monkeypatch):
     # iteration stalls and Lanczos needs the most steps
     re, im = np.linspace(100, 150, 21), np.linspace(0, 20, 5)
     _assert_matches_svd_sweep(monkeypatch, 40, 0.5, (re[None, :] + 1j * im[:, None]).ravel())
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5, -1.5, 10.0])
+@pytest.mark.parametrize("n_max", [5, 20])
+def test_range_bound_lines_support_every_block(n_max, gamma):
+    # the lowest eigenvalue of Re(e^{-i theta} B_d) is at least the su(1,1)
+    # value (d + 1) sqrt(gap) at each angle the bound takes
+    for d in range(n_max + 1):
+        block = fock._block_dense(n_max, gamma, d)
+        for theta in fock._range_bound_thetas(gamma):
+            hermitian = (cmath.exp(-1j * theta) * block + cmath.exp(1j * theta) * block.T) / 2
+            support = (d + 1) * math.sqrt(fock._support_gap(gamma, np.array(theta)))
+            scale = d + 1 + np.max(np.abs(hermitian).sum(axis=1))
+            assert np.linalg.eigvalsh(hermitian)[0] >= support - fock._SUPPORT_RTOL * scale
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5, -1.5, 10.0])
+def test_range_bound_is_below_sigma_min(gamma):
+    n_max, rng = 20, np.random.default_rng(3)
+    ruled_out = 0
+    for d in range(n_max + 1):
+        block = fock._block_dense(n_max, gamma, d)
+        zs = rng.uniform(-10, 3 * n_max + 5, 200) + 1j * rng.uniform(-3 * n_max - 5, 3 * n_max + 5, 200)
+        sigma = np.linalg.svd(zs[:, None, None] * np.eye(block.shape[0]) - block, compute_uv=False)[:, -1]
+        bound = fock._range_bound(gamma, d, zs)
+        assert np.all(bound <= sigma)
+        ruled_out += np.count_nonzero(bound > 0)
+    assert ruled_out > 1000  # the bound says something at many of the points
+
+
+def test_skip_bounds_and_start_vector_cut_lanczos_work(monkeypatch):
+    # the benchmark's N = 40 grid: 14 340 point-block pairs and 213 660
+    # solved columns with the d + 1 - Re z and Johnson bounds and a constant
+    # start; both counts are exact and deterministic
+    pairs, columns = [], []
+    block, gttrs = fock._sigma_min_block, fock._gttrs
+    monkeypatch.setattr(fock, "_sigma_min_block", lambda n, g, d, z: pairs.append(z.size) or block(n, g, d, z))
+    monkeypatch.setattr(fock, "_gttrs", lambda f, b: columns.append(b.shape[1]) or gttrs(f, b))
+    grid = fock.pseudospectrum(40, 0.5, (-1, 8), (-4, 4), 81)
+    assert np.all(np.isfinite(grid.sigma_min))
+    assert sum(pairs) <= 11_600
+    assert sum(columns) <= 150_000
+
+
+def test_lanczos_matches_svd_sweep_near_normal():
+    # at gamma = 1e-3 the blocks are nearly normal and sigma_1 ~ sigma_2 over
+    # much of the window; steeper start weights miss here by 1e-12
+    n_max, gamma = 30, 1e-3
+    grid = fock.pseudospectrum(n_max, gamma, (-5, 40), (-30, 30), 31)
+    reference = _svd_sweep(n_max, gamma, grid.points()).reshape(grid.sigma_min.shape)
+    assert np.max(np.abs(grid.sigma_min - reference)) < 1e-12
+
+
+def test_start_weights_neither_overflow_nor_underflow():
+    # every weight (m / |z - a_k|)^4 is in [0, 1]; |z - a_k|^-4 alone
+    # divides by zero at z = 3, a diagonal entry, and underflows to a zero
+    # vector at z = 1e100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig = fock.sigma_min_points(10, 0.5, [1e100, 3, 1e-200j])
+    assert np.all(np.isfinite(sig))
 
 
 def test_inverse_iteration_batch_stays_c_contiguous(monkeypatch):
