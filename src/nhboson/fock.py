@@ -28,15 +28,19 @@ touched when they can actually lower the minimum:
 
 Every batch of a block's remaining points is solved by Lanczos on a
 batched tridiagonal LU (_sigma_min_invit), so a step costs O(size) per
-point rather than the O(size^3) of a dense SVD.  Each point starts from
-the weights (m / |z - a_k|)^4 over the block diagonal a_k, m their
-smallest distance: about the diagonal of (zI - B)^-1 (zI - B)^-H applied
-twice, so the start already leans toward the smallest singular vector.
-A point stops when successive Ritz values 1/sigma^2 agree to a relative
-4e-15, after `size` steps at most.  The batched dense SVD is the fallback
-only: it takes the points Lanczos does not settle.  Batches are sized in
-bytes.  Results agree with dense SVD to 1e-12; no unconverged value is
-returned.
+point rather than the O(size^3) of a dense SVD.  The LU is of S(zI - B),
+the parity S = diag(1, -1, 1, ...) folded in, so each of a step's two
+solves follows a single conjugation.  Each point starts from the weights
+(m / |z - a_k|)^4 over the block diagonal a_k, m their smallest distance:
+about the diagonal of (zI - B)^-1 (zI - B)^-H applied twice, so the start
+already leans toward the smallest singular vector.  A point stops, after
+`size` steps at most, on either of two rules: successive Ritz values
+1/sigma^2 agree to a relative 4e-15, or Paige's residual beta_k |s_k|
+puts the Ritz value within that of the top eigenvalue by Kato-Temple,
+with the gap taken as half the Ritz value while a Sturm count finds no
+second Ritz value above it.  The batched dense SVD is the fallback only:
+it takes the points Lanczos does not settle.  Batches are sized in bytes.
+Results agree with dense SVD to 1e-12; no unconverged value is returned.
 """
 
 from __future__ import annotations
@@ -237,33 +241,42 @@ def _support_gap(gamma: float, theta: np.ndarray) -> np.ndarray:
 
 
 def _pivots(diag: np.ndarray, off_sq: np.ndarray, lam: np.ndarray):
-    """Sturm test and Newton step for det(T - lam), one Hermitian
-    tridiagonal T per column of `diag` (its diagonal) and `off_sq` (its
-    squared |off-diagonal|).
+    """Sturm test, Newton step and end weight for det(T - lam), one
+    Hermitian tridiagonal T per column of `diag` (its diagonal) and
+    `off_sq` (its squared |off-diagonal|).
 
     The LDL^T pivots q_0 = a_0 - lam, q_k = a_k - lam - b_{k-1}^2 / q_{k-1}
     are all positive exactly when lam is left of the lowest eigenvalue, and
     det = prod q_k, so the Newton step -det/det' is -1 / sum q_k'/q_k, with
-    q_k'/q_k = (b_{k-1}^2 / q_{k-1} * q_{k-1}'/q_{k-1} - 1) / q_k.
-    Returns (left, step)."""
+    q_k'/q_k = (b_{k-1}^2 / q_{k-1} * q_{k-1}'/q_{k-1} - 1) / q_k.  The
+    weight -1 / (q_last sum q_k'/q_k) = -det_{n-1} / det' is, at an
+    eigenvalue, the squared last component of its unit eigenvector
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 7).  Near the lowest
+    eigenvalue only q_last nears 0, and the denominator is formed as
+    q_last (the other rows' sum) + q_last', with no division by q_last, so
+    the weight is accurate there and exact at q_last = 0.
+    Returns (left, step, weight)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         shifted = diag - lam
         q = shifted[0]
         ratio_deriv = -1.0 / q
-        log_deriv = ratio_deriv.copy()
+        deriv = -1.0  # q_last': the numerator of q_last'/q_last
+        log_deriv = np.full_like(q, -0.0)  # sum q_k'/q_k over all but the last row
         lowest = q.copy()
         for a, b_sq in zip(shifted[1:], off_sq):
+            log_deriv += ratio_deriv
             ratio = b_sq / q
             q = a - ratio
-            ratio_deriv = (ratio * ratio_deriv - 1.0) / q
-            log_deriv += ratio_deriv
+            deriv = ratio * ratio_deriv - 1.0
+            ratio_deriv = deriv / q
             np.minimum(lowest, q, out=lowest)
-        return lowest > 0, -1.0 / log_deriv
+        return lowest > 0, -1.0 / (log_deriv + ratio_deriv), -1.0 / (q * log_deriv + deriv)
 
 
-def _lowest_eigenvalues(diag: np.ndarray, off_sq: np.ndarray, lower=None) -> np.ndarray:
+def _lowest_eigenvalues(diag: np.ndarray, off_sq: np.ndarray, lower=None):
     """Lowest eigenvalue of each column's Hermitian tridiagonal matrix by
-    Newton's method on det(T - lam), from the Gershgorin or `lower` bound.
+    Newton's method on det(T - lam), from the Gershgorin or `lower` bound,
+    with the squared last component of its unit eigenvector.
 
     Left of the lowest eigenvalue every pivot is positive and Newton rises
     monotonically to it, so a pivot <= 0 means rounding carried a step onto
@@ -274,22 +287,25 @@ def _lowest_eigenvalues(diag: np.ndarray, off_sq: np.ndarray, lower=None) -> np.
     midpoint.  A point stops when its step or its bracket is within tol,
     _SUPPORT_RTOL of the block's Gershgorin scale (`lower` is moved down by
     tol against rounding); a bound with a pivot <= 0 is the eigenvalue (as
-    when the couplings vanish).  A non-finite bound, or no convergence in
-    _SUPPORT_MAX_STEPS steps, gives a non-finite value; callers handle it."""
+    when the couplings vanish).  The component is _pivots' weight at the
+    last lam tried, within tol of the eigenvalue.  A non-finite bound, or
+    no convergence in _SUPPORT_MAX_STEPS steps, gives non-finite values;
+    callers handle them.  Returns (values, components)."""
     radius = _gershgorin_radii(np.sqrt(off_sq))
     lo = np.min(diag - radius, axis=0)
     hi = np.min(diag, axis=0)
     tol = _SUPPORT_RTOL * np.maximum(np.abs(lo), np.max(np.abs(diag) + radius, axis=0))
     lo = lo if lower is None else np.maximum(lo, lower - tol)
-    out = np.empty_like(lo)
+    out, end = np.empty_like(lo), np.empty_like(lo)
     active = np.arange(lo.size)
     lam = lo
     for _ in range(_SUPPORT_MAX_STEPS):
-        left, step = _pivots(diag, off_sq, lam)
+        left, step, weight = _pivots(diag, off_sq, lam)
         lo, hi = np.where(left, lam, lo), np.where(left, hi, lam)
         newton = lam + step
         mid = 0.5 * (lo + hi)
         out[active] = np.where(np.isfinite(newton), np.clip(newton, lo, hi), mid)
+        end[active] = weight
         lam = np.where((lo < newton) & (newton < hi), newton, mid)
         keep = ~(np.abs(step) <= tol) & (hi - lo > tol)
         if not keep.all():
@@ -297,9 +313,9 @@ def _lowest_eigenvalues(diag: np.ndarray, off_sq: np.ndarray, lower=None) -> np.
             active, diag, off_sq = active[keep], diag.compress(keep, axis=1), off_sq.compress(keep, axis=1)
             lo, hi, lam, tol = lo[keep], hi[keep], lam[keep], tol[keep]
             if not active.size:
-                return out
-    out[active] = np.nan
-    return out
+                return out, end
+    out[active] = end[active] = np.nan
+    return out, end
 
 
 def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
@@ -331,7 +347,7 @@ def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
     # per theta: the two outer-product columns, _pivots's shifted copy and
     # the compacted copies, each a float per row
     for part in _batches(cos.size, 32 * diag.size) if cos.size else ():
-        out[part] = _lowest_eigenvalues(np.outer(diag, cos[part]), np.outer(coupling_sq, coupling[part]))
+        out[part], _ = _lowest_eigenvalues(np.outer(diag, cos[part]), np.outer(coupling_sq, coupling[part]))
     if not np.all(np.isfinite(out)):
         raise SolverConvergenceError("support energy not converged")
     return out.reshape(thetas.shape)
@@ -408,20 +424,44 @@ def hyperbola_excess(points, gamma: float) -> tuple[float, float]:
 # -- sigma_min machinery ----------------------------------------------------
 
 
+def _real_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum_i conj(a_ij) b_ij per column j of two C-contiguous complex
+    arrays, summed over their real views."""
+    pair = np.einsum("ij,ij->j", a.view(float), b.view(float))
+    return pair[0::2] + pair[1::2]
+
+
+def _count_below(diag: np.ndarray, off_sq: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Eigenvalues below lam of each column's Hermitian tridiagonal matrix
+    (as in _pivots), by Sylvester's law of inertia: the negative LDL^T
+    pivots of T - lam.  A zero pivot makes the next one -inf, so the
+    count errs upward."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = diag[0] - lam
+        count = (q < 0).astype(int)
+        for a, b_sq in zip(diag[1:], off_sq):
+            q = a - lam - b_sq / q
+            count += q < 0
+    return count
+
+
 def _gttrf(diag, off, zs: np.ndarray):
-    """LU factors with partial pivoting of zI - B for every z in `zs` at once,
-    following LAPACK ?gttrf; B has diagonal `diag`, superdiagonal `off` and
-    subdiagonal -off.
+    """LU factors with partial pivoting of S(zI - B) for every z in `zs` at
+    once, following LAPACK ?gttrf; B has diagonal `diag`, superdiagonal
+    `off` and subdiagonal -off, and the parity S = diag(1, -1, 1, ...)
+    makes S(zI - B) complex symmetric, both off-diagonals (-1)^(i+1) off_i.
+    S flips only signs, so the pivots are those of zI - B.
 
     Returns (inv_d, dl, du, du2, swap), each with one column per point: the
-    reciprocals of U's diagonal, U's two superdiagonals, L's multipliers,
-    and where rows i and i+1 were interchanged.  Pivots compare
-    |Re| + |Im| as ?gttrf does.  A zero pivot gives an infinite inv_d, and
-    non-finite entries give NaNs; solves carry either to that point's
-    columns only."""
-    d = zs[None, :] - diag[:, None]
-    dl = np.repeat(off[:, None], zs.size, axis=1).astype(complex)
-    du = np.repeat(-off[:, None], zs.size, axis=1).astype(complex)
+    reciprocals of U's diagonal, U's two superdiagonals divided by their
+    row's diagonal entry, L's multipliers, and where rows i and i+1 were
+    interchanged.  Pivots compare |Re| + |Im| as ?gttrf does.  A zero pivot
+    gives an infinite inv_d, and non-finite entries give NaNs; solves carry
+    either to that point's columns only."""
+    sign = np.where(np.arange(diag.size) % 2, -1.0, 1.0)
+    d = sign[:, None] * (zs[None, :] - diag[:, None])
+    dl = np.repeat((-sign[:-1] * off)[:, None], zs.size, axis=1).astype(complex)
+    du = dl.copy()
     du2 = np.zeros((max(d.shape[0] - 2, 0), zs.size), dtype=complex)
     swap = np.zeros(dl.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -440,12 +480,15 @@ def _gttrf(diag, off, zs: np.ndarray):
             if i + 1 < du.shape[0]:
                 du2[i] = np.where(sw, du[i + 1], 0)
                 du[i + 1] *= np.where(sw, -fact, 1)
-        return np.divide(1.0, d, out=d), dl, du, du2, swap
+        inv_d = np.divide(1.0, d, out=d)
+        du *= inv_d[:-1]
+        du2 *= inv_d[:-2]
+        return inv_d, dl, du, du2, swap
 
 
 def _gttrs(factors, b: np.ndarray) -> None:
-    """Overwrite b with (zI - B)^-1 b, column by column, from _gttrf's
-    factors (LAPACK ?gttrs)."""
+    """Overwrite b with (S(zI - B))^-1 b, column by column, from _gttrf's
+    factors (LAPACK ?gttrs; U's diagonal is applied to all rows at once)."""
     inv_d, dl, du, du2, swap = factors
     n = inv_d.shape[0]
     pivoted = swap.any(axis=1).tolist()
@@ -465,12 +508,11 @@ def _gttrs(factors, b: np.ndarray) -> None:
             rows[i][...] = lo
         else:
             subtract(i + 1, dl[i], i)
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            subtract(i, du[i], i + 1)
-        if i + 2 < n and pivoted[i]:
+    b *= inv_d
+    for i in range(n - 2, -1, -1):
+        subtract(i, du[i], i + 1)
+        if pivoted[i] and i + 2 < n:
             subtract(i, du2[i], i + 2)
-        rows[i] *= inv_d[i]
 
 
 def _batches(count: int, point_bytes: int) -> list[np.ndarray]:
@@ -498,23 +540,42 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
     already tridiagonal, so no Schur step is needed).  NaN marks the points
     left to the SVD.
 
-    C = K^2 for the antilinear K v = (zI - B)^-1 conj(S v), one solve with
-    _gttrf's factors: B is real with superdiagonal off and subdiagonal -off,
-    so B^T = S B S with the parity S = diag(1, -1, 1, ...), the block form
-    of H* = P H P for P: x -> -x, and (zI - B)^-H = S conj (zI - B)^-1 conj S.
+    C = K^2 for the antilinear K v = (zI - B)^-1 S conj(v): B is real with
+    superdiagonal off and subdiagonal -off, so B^T = S B S with the parity
+    S = diag(1, -1, 1, ...), the block form of H* = P H P for P: x -> -x,
+    and (zI - B)^-H = S conj((zI - B)^-1) S.  _gttrf factors S(zI - B),
+    whose inverse is (zI - B)^-1 S, so K is one conjugation and one solve.
 
     Each point starts from q_k proportional to (m / |z - a_k|)^4, a_k the
     diagonal and m = min_k |z - a_k|: C's diagonal is about |z - a_k|^-2,
     so this is roughly C's diagonal applied twice.  Every weight is in
     [0, 1] with one equal to 1, so none overflows, and a point exactly on a
     diagonal entry starts from that unit vector.  It keeps two Lanczos
-    vectors and its recurrence alpha_k, beta_k^2; lambda_k = lambda_max(T_k)
-    is solved by _lowest_eigenvalues(-T_k).  Lost orthogonality only adds
-    copies of lambda_max after it has converged (Paige), so no basis is
-    stored.  A point stops when successive lambda agree to _INVIT_RTOL, and
-    the batch once no point is left.  Left to the SVD are points with a
-    non-finite or zero estimate (a zero pivot, or a failed Ritz solve),
-    beta = 0, and no convergence within `size` steps."""
+    vectors and its recurrence alpha_k, beta_k^2, both taken as sums over
+    real views.  lambda_k = lambda_max(T_k) and the last component s_k of
+    its unit eigenvector come from _lowest_eigenvalues(-T_k), or at k <= 1,
+    where T_k is the bordered 2 x 2 matrix the step forms anyway, in closed
+    form.  Lost orthogonality only adds copies of lambda_max after it has
+    converged (Paige), so no basis is stored.
+
+    A point stops on either of two rules (Parlett, The Symmetric Eigenvalue
+    Problem, SIAM 1998, ch. 13):
+
+    * agreement: successive lambda agree to _INVIT_RTOL;
+    * residual: Paige's r_k = beta_k |s_k| is the residual of the Ritz pair
+      in C, and Kato-Temple gives lambda_max(C) - lambda_k <= r_k^2 / gap.
+      With gap = lambda_k / 2 the rule is r_k^2 <= _INVIT_RTOL lambda_k
+      (lambda_k / 2), the same relative accuracy.  That gap is assumed only
+      while a Sturm count (_count_below) finds no other Ritz value of T_k
+      above lambda_k / 2.  Ritz values only bound C's eigenvalues from
+      below, so this is a guard, not a proof; the agreement rule waits for
+      the points it turns away (sigma_2 near sigma_min).
+
+    The residual rule saves the step that agreement needs after lambda has
+    converged.  The batch stops once no point is left.  Left to the SVD are
+    points with a non-finite or zero estimate (a zero pivot, or a failed
+    Ritz solve), beta = 0 unless the residual rule took the point, and no
+    convergence within `size` steps."""
     size = diag.size
     out = np.full(zs.size, np.nan)
     factors = _gttrf(diag, off, zs)
@@ -523,33 +584,52 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
         q = np.abs(zs - diag[:, None])  # |z - a_k|
         q = np.where(q > 0, q.min(axis=0) / q, 1.0) ** 4  # in [0, 1]: nothing overflows
         q = (q / np.linalg.norm(q, axis=0)).astype(complex)
-        q_prev, alpha, beta_sq = np.zeros_like(q), np.zeros(q.shape), np.zeros(q.shape)
+        q_prev, recurrence = np.zeros_like(q), np.zeros((2, *q.shape))
+        alpha, beta_sq = recurrence
         for k in range(size):
             if not active.size:
                 break
-            w = q.copy()
-            for _ in range(2):  # w = K^2 q = C q
-                np.conjugate(w, out=w)
-                w[1::2] *= -1
-                _gttrs(factors, w)
-            alpha[k] = np.einsum("ij,ij->j", q.conj(), w).real
+            w = np.conjugate(q)  # w = K^2 q = C q
+            _gttrs(factors, w)
+            np.conjugate(w, out=w)
+            _gttrs(factors, w)
+            alpha[k] = _real_dots(q, w)
             w -= alpha[k] * q + np.sqrt(beta_sq[k - 1]) * q_prev  # beta_sq[-1] is 0 at k = 0
-            beta_sq[k] = np.einsum("ij,ij->j", w.conj(), w).real
+            beta_sq[k] = _real_dots(w, w)
             # T_k borders T_k-1 with alpha_k and beta_k-1, so lambda_max(T_k) is
-            # at most that of [[lambda_k-1, beta_k-1], [beta_k-1, alpha_k]]
+            # at most that of [[lambda_k-1, beta_k-1], [beta_k-1, alpha_k]],
+            # which is T_k itself at k <= 1
             half = 0.5 * (lam - alpha[k])
-            upper = lam - half + np.sqrt(half * half + beta_sq[k - 1])
-            prev, lam = lam, -_lowest_eigenvalues(-alpha[: k + 1], beta_sq[:k], -upper)  # lambda_max(T_k)
+            root = np.sqrt(half * half + beta_sq[k - 1])
+            prev, lam = lam, lam - half + root
+            if k <= 1:
+                # T_k's top eigenvector is ~ (beta, lam - prev) ~ (lam - alpha_k, beta),
+                # and tip, the larger of lam - prev and lam - alpha_k, has no cancellation
+                tip = root + np.abs(half)
+                end_sq = np.where(half < 0, tip * tip, beta_sq[k - 1]) / (tip * tip + beta_sq[k - 1])
+            else:
+                low, end_sq = _lowest_eigenvalues(-alpha[: k + 1], beta_sq[:k], -lam)
+                lam = -low  # lambda_max(T_k)
             ok = (lam > 0) & (lam < np.inf)
             done = ok & (np.abs(lam - prev) <= _INVIT_RTOL * lam)
+            # Kato-Temple: lambda_max(C) - lam <= r^2 / gap, r = beta_k |s_k|
+            near = np.flatnonzero(ok & ~done & (beta_sq[k] * end_sq <= _INVIT_RTOL * lam * (0.5 * lam)))
+            if near.size:
+                # the gap lam / 2 holds for T_k if no other Ritz value passes lam / 2
+                done[near] = _count_below(-alpha[: k + 1, near], beta_sq[:k, near], -0.5 * lam[near]) == 1
             out[active[done]] = 1.0 / np.sqrt(lam[done])
             keep = ok & ~done & (beta_sq[k] > 0) & (beta_sq[k] < np.inf)
             q_prev, q = q, w * (1.0 / np.sqrt(beta_sq[k]))
             if not keep.all():
                 # compress keeps the rows C-contiguous, as _gttrs's row loop needs
                 active, lam = active[keep], lam[keep]
-                q, q_prev, alpha, beta_sq = (a.compress(keep, axis=1) for a in (q, q_prev, alpha, beta_sq))
+                q, q_prev = q.compress(keep, axis=1), q_prev.compress(keep, axis=1)
                 factors = tuple(part.compress(keep, axis=1) for part in factors)
+                # of the recurrence only rows 0..k are written yet, and only they are copied
+                kept = np.empty((2, size, active.size))
+                np.compress(keep, recurrence[:, : k + 1], axis=2, out=kept[:, : k + 1])
+                recurrence = kept
+                alpha, beta_sq = recurrence
     return out
 
 
@@ -605,23 +685,28 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     the exact lower bounds cannot rule it out.  The bounds are formed in
     batches, so their memory does not grow with the number of points, and
     joined by fmax, so a NaN term (from a non-finite gamma) leaves the
-    others as they are.  d + 1 - Re z and _range_bound never decrease as d
+    others as they are.  d + 1 - Re z and _range_bound are cheap and come
+    first: the Johnson bound, a pass over the block's rows, is formed only
+    at the points they leave open.  Neither of the two decreases as d
     grows, so once they rule out every point the sweep stops."""
     zs = np.asarray(zs, dtype=complex).ravel()
-    smin, edge, johnson = np.full(zs.size, np.inf), np.empty(zs.size), np.empty(zs.size)
+    smin, edge = np.full(zs.size, np.inf), np.empty(zs.size)
     for d in range(0, n_max + 1):
         diag, off = _block_tridiag(n_max, gamma, d)
-        radius = _gershgorin_radii(np.abs(off))
-        # per point: Johnson's complex (point x row) differences and their
-        # moduli, and _range_bound's three float (point x theta) products
-        for part in _batches(zs.size, 32 * diag.size + 24 * 16):
+        # per point: _range_bound's three float (point x theta) products
+        for part in _batches(zs.size, 24 * 16):
             z = zs[part]
             edge[part] = np.fmax(d + 1.0 - z.real, _range_bound(gamma, d, z))
-            johnson[part] = np.min(np.abs(z[:, None] - diag) - radius, axis=1)
-        if np.all(np.maximum(edge, 0.0) >= smin):
+        candidates = np.flatnonzero(~(np.maximum(edge, 0.0) >= smin))  # a NaN bound rules nothing out
+        if candidates.size == 0:
             break  # every remaining block is bounded away from the minimum
-        bound = np.maximum(np.fmax(edge, johnson), 0.0)
-        todo = np.flatnonzero(~(bound >= smin))  # a NaN bound rules nothing out
+        radius = _gershgorin_radii(np.abs(off))
+        johnson = np.empty(candidates.size)
+        # per point: Johnson's complex (point x row) differences and their moduli
+        for part in _batches(candidates.size, 32 * diag.size):
+            johnson[part] = np.min(np.abs(zs[candidates[part], None] - diag) - radius, axis=1)
+        bound = np.maximum(np.fmax(edge[candidates], johnson), 0.0)
+        todo = candidates[~(bound >= smin[candidates])]
         if todo.size == 0:
             continue
         smin[todo] = np.minimum(smin[todo], _sigma_min_block(n_max, gamma, d, zs[todo]))

@@ -340,7 +340,7 @@ def test_lowest_eigenvalues_match_eigvalsh_on_every_block(n_max, gamma, theta):
     mat = _ladder_matrix("ReTheta", n_max, gamma, theta)
     for d in range(n_max + 1):
         diag, coupling_sq = fock._block_data(n_max, d)
-        got = fock._lowest_eigenvalues(
+        got, _ = fock._lowest_eigenvalues(
             diag[:, None] * math.cos(theta), coupling_sq[:, None] * (gamma * math.sin(theta)) ** 2
         )
         assert got[0] == pytest.approx(np.linalg.eigvalsh(_block(mat, n_max, d))[0], rel=1e-12)
@@ -411,9 +411,9 @@ def test_support_energies_bisect_where_newton_fails(monkeypatch):
     pivots, calls = fock._pivots, []
 
     def faulty(*args):
-        left, step = pivots(*args)
+        left, step, weight = pivots(*args)
         calls.append(None)
-        return left, (np.full_like(step, np.nan) if len(calls) == 2 else step)
+        return left, (np.full_like(step, np.nan) if len(calls) == 2 else step), weight
 
     monkeypatch.setattr(fock, "_pivots", faulty)
     thetas = [-1.0, 0.0, 0.6]
@@ -763,6 +763,53 @@ def test_skip_bounds_and_start_vector_cut_lanczos_work(monkeypatch):
     assert sum(columns) <= 150_000
 
 
+def test_residual_stop_cuts_lanczos_work(monkeypatch):
+    # the same grid: with successive Ritz values' agreement as the only stop
+    # rule the solves took 142 774 columns; Paige's residual beta_k |s_k|
+    # stops a converged point one step (two solves) earlier
+    columns = []
+    gttrs = fock._gttrs
+    monkeypatch.setattr(fock, "_gttrs", lambda f, b: columns.append(b.shape[1]) or gttrs(f, b))
+    grid = fock.pseudospectrum(40, 0.5, (-1, 8), (-4, 4), 81)
+    assert np.all(np.isfinite(grid.sigma_min))
+    assert sum(columns) <= 130_000
+
+
+def _last_component_sq(diag, off_sq):
+    """Squared last component of the lowest unit eigenvector of each
+    column's tridiagonal, by eigh."""
+    out = []
+    for col in range(diag.shape[1]):
+        off = np.sqrt(off_sq[:, col])
+        _, vecs = np.linalg.eigh(np.diag(diag[:, col]) + np.diag(off, 1) + np.diag(off, -1))
+        out.append(vecs[-1, 0] ** 2)
+    return np.array(out)
+
+
+def test_pivot_weight_is_the_last_eigenvector_component(monkeypatch):
+    # s_k^2 = -1 / (q_last sum q_j'/q_j) from the LDL^T pivots, as the
+    # residual stop reads it, against eigh on random tridiagonals and on the
+    # -T_k that Lanczos solves at a point of the N = 40 grid
+    rng = np.random.default_rng(11)
+    for size in range(1, 13):
+        diag = rng.standard_normal((size, 50))
+        off_sq = rng.standard_normal((size - 1, 50)) ** 2
+        _, got = fock._lowest_eigenvalues(diag, off_sq)
+        assert np.max(np.abs(got - _last_component_sq(diag, off_sq))) < 1e-12
+    ritz, lowest = [], fock._lowest_eigenvalues
+
+    def recording(diag, off_sq, lower):
+        values, weights = lowest(diag, off_sq, lower)
+        ritz.append((diag, off_sq, weights))
+        return values, weights
+
+    monkeypatch.setattr(fock, "_lowest_eigenvalues", recording)
+    fock.sigma_min_points(40, 0.5, [3.5 + 1j])
+    assert len(ritz) >= 3
+    for diag, off_sq, got in ritz:
+        assert np.max(np.abs(got - _last_component_sq(diag, off_sq))) < 1e-12
+
+
 def test_lanczos_matches_svd_sweep_near_normal():
     # at gamma = 1e-3 the blocks are nearly normal and sigma_1 ~ sigma_2 over
     # much of the window; steeper start weights miss here by 1e-12
@@ -853,7 +900,7 @@ def test_lowest_eigenvalues_mark_failed_points_alone():
     diag = np.array([[1.0, 2.0, 1.0, np.nan], [3.0, 5.0, 1.0, 1.0]])
     off_sq = np.array([[2.0, 0.5, np.inf, 1.0]])
     with np.errstate(all="ignore"):
-        got = fock._lowest_eigenvalues(diag, off_sq)
+        got, _ = fock._lowest_eigenvalues(diag, off_sq)
     for col in range(2):
         block = np.diag(diag[:, col]) + np.sqrt(off_sq[0, col]) * (np.eye(2, k=1) + np.eye(2, k=-1))
         assert got[col] == pytest.approx(np.linalg.eigvalsh(block)[0], rel=1e-14)
@@ -1002,8 +1049,9 @@ def test_gttrs_matches_dense_solve_at_hard_points(gamma):
         got = rhs.copy()
         fock._gttrs(factors, got)
         block = fock._block_dense(n_max, gamma, d)
+        parity = np.where(np.arange(diag.size) % 2, -1.0, 1.0)[:, None]  # _gttrf factors S(zI - B)
         for col, z in enumerate(zs):
-            shifted = z * np.eye(diag.size) - block
+            shifted = parity * (z * np.eye(diag.size) - block)
             cond = np.linalg.cond(shifted)
             if cond > 1e12:
                 continue  # at an eigenvalue the solve is meaningless
