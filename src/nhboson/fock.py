@@ -24,7 +24,11 @@ touched when they can actually lower the minimum:
   _range_bound), and sigma_min(zI - B_d) >= dist(z, W(B_d)); it is
   taken at 16 such theta;
 * Johnson's Gershgorin-type bound
-  sigma_min(M) >= min_k(|M_kk| - (row_k + col_k)/2).
+  sigma_min(M) >= min_k(|M_kk| - (row_k + col_k)/2);
+* an inertia certificate, once a block has set a running minimum s: one
+  banded LDL^H pass over the pentadiagonal M^H M - tI, with t = s^2 plus a
+  rounding margin of 256 eps times a bound on max_i (M^H M)_ii; all pivots
+  positive proves sigma_min(M) > s by Sylvester's law (_sigma_min_above).
 
 Every batch of a block's remaining points is solved by Lanczos on a
 batched tridiagonal LU (_sigma_min_invit), so a step costs O(size) per
@@ -58,6 +62,9 @@ import numpy.random  # noqa: F401  (loaded here, not inside the first draw)
 #: LU factors and Lanczos vectors of a batch, or a chunk of skip bounds;
 #: support_energies' theta batches use the same budget
 _SIGMA_MIN_BATCH_BYTES = 8 * 2**20
+#: _sigma_min_above's margin over floor^2, relative to max_i A_ii: four
+#: times the 64 eps its rounding argument needs, as that count is not tight
+_INERTIA_MARGIN = 256 * np.finfo(float).eps
 #: relative change of successive Ritz values 1/sigma^2 at which a point has
 #: converged (about 2e-15 on sigma)
 _INVIT_RTOL = 4e-15
@@ -678,6 +685,76 @@ def _range_bound(gamma: float, d: int, zs: np.ndarray) -> np.ndarray:
     return bound - _SUPPORT_RTOL * (np.abs(zs) + d + 1)
 
 
+def _sigma_min_above(diag, off, zs: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """True where sigma_min(zI - B) > floor is proven, per point, by one
+    banded LDL^H pass; B has diagonal `diag`, superdiagonal `off` and
+    subdiagonal -off.
+
+    M = zI - B has diagonal m_i = z - a_i, superdiagonal -off and
+    subdiagonal off, so A = M^H M is Hermitian pentadiagonal:
+    A_ii = |m_i|^2 + off_{i-1}^2 + off_i^2,
+    A_{i,i+1} = conj(m_i)(-off_i) + off_i m_{i+1} = off_i (a_i - a_{i+1} + 2i Im z)
+    and A_{i,i+2} = -off_i off_{i+1}.  The pivots of A - tI are all positive
+    exactly when sigma_min^2 = lambda_min(A) > t (Sylvester's law of
+    inertia), with t = floor^2 + _INERTIA_MARGIN m and
+    m = max((Re z - min a)^2, (Re z - max a)^2) + (Im z)^2
+    + max_i (off_{i-1}^2 + off_i^2) >= max_i A_ii.  The factorization runs
+    row by row, each row a vector over the points; neither A nor L is
+    stored.
+
+    The margin bounds rounding (u = eps/2; Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., SIAM 2002, chs. 3 and 10).  Say every
+    computed pivot is positive.  Then each computed H_ii = A_ii - t is
+    positive, so t < A_ii (1 + O(u)) <= m (1 + O(u)); by Cauchy-Schwarz
+    |A_ij| <= sqrt(A_ii A_jj) <= m; and an error with at most 5 entries per
+    row, each below e, has 2-norm at most 5e.
+    (i) Forming H: a diagonal entry sums nonnegative terms, takes away t
+    and passes through 7 roundings, an error below gamma_7 (A_ii + t) <=
+    14u m; an off-diagonal entry is one product of exact or once-rounded
+    factors, below gamma_2 m.  In norm: (14 + 4 * 2) u m = 11 eps m.
+    (ii) Factoring: each entry of L^ D^ L^H - H gathers at most 3 terms,
+    and every complex product, modulus or reciprocal among them takes at
+    most 8 real roundings, so the bandwidth-2 form of Theorem 10.3 holds
+    with gamma_16 for its gamma_3: |Delta H| <= gamma_16 |L^| D^ |L^H|.  As
+    D^ > 0, Cauchy-Schwarz bounds (|L^| D^ |L^H|)_ij by
+    sqrt(H_ii H_jj) / (1 - gamma_16), so ||Delta H|| <= 40 eps m (1 + O(u)).
+    (iii) t: floor^2 is rounded once and t twice, each below u t <= u m, and
+    the margin's own O(u) is second order.
+    L^ D^ L^H is positive definite, so lambda_min(A) >= t - (11 + 40 + 1)
+    eps m - O(u^2 m) > floor^2 whenever _INERTIA_MARGIN >= 64 eps (barring
+    underflow).  Where t is not finite (|z| or floor past about 1e154),
+    D_0 is -inf or NaN and proves nothing; so does any later overflow, as
+    a pivot only ever has nonnegative terms taken from a finite H_ii."""
+    x, y = zs.real, zs.imag
+    off_sq = off * off
+    edge = np.zeros(diag.size)  # off_{i-1}^2 + off_i^2
+    edge[:-1] += off_sq
+    edge[1:] += off_sq
+    rises = off * (diag[:-1] - diag[1:])  # Re A_{i,i+1}
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # (Re z - a)^2 is convex in a: its largest value is at min a or max a
+        reach = np.maximum(np.square(x - diag.min()), np.square(x - diag.max()))
+        t = floor * floor + _INERTIA_MARGIN * (reach + y * y + edge.max())
+        base = y * y - t  # H_ii = (Re z - a_i)^2 + edge_i + base
+        twice_y = 2.0 * y
+        lowest = np.square(x - diag[0]) + edge[0] + base  # D_0
+        inv, inv_prev = 1.0 / lowest, np.zeros_like(lowest)  # 1/D_{i-1}, 1/D_{i-2}
+        l_re, l_im = np.zeros_like(lowest), np.zeros_like(lowest)  # L_{i-1,i-2}
+        for i in range(1, diag.size):
+            # v2 = L_{i,i-2} D_{i-2} = H_{i,i-2}, real; v1 = L_{i,i-1} D_{i-1}
+            # = H_{i,i-1} - v2 conj(L_{i-1,i-2})
+            v2 = -off[i - 2] * off[i - 1] if i >= 2 else 0.0
+            v_re = rises[i - 1] - v2 * l_re
+            v_im = v2 * l_im - off[i - 1] * twice_y
+            l_re, l_im = v_re * inv, v_im * inv
+            pivot = np.square(x - diag[i]) + edge[i] + base
+            pivot -= v_re * l_re + v_im * l_im  # |v1|^2 / D_{i-1}
+            pivot -= (v2 * v2) * inv_prev  # v2^2 / D_{i-2}
+            inv_prev, inv = inv, 1.0 / pivot
+            np.minimum(lowest, pivot, out=lowest)  # NaN stays NaN
+        return lowest > 0
+
+
 def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray:
     """sigma_min(zI - A_N) per point, min over tridiagonal blocks.
 
@@ -688,7 +765,14 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     others as they are.  d + 1 - Re z and _range_bound are cheap and come
     first: the Johnson bound, a pass over the block's rows, is formed only
     at the points they leave open.  Neither of the two decreases as d
-    grows, so once they rule out every point the sweep stops."""
+    grows, so once they rule out every point the sweep stops.  Last, at the
+    points with a finite running minimum s that Johnson leaves open,
+    _sigma_min_above's LDL^H pass proves sigma_min(zI - B_d) > s, with a
+    margin against rounding of 256 eps times a bound on the largest
+    diagonal entry of (zI - B_d)^H (zI - B_d).  A proven pair cannot lower
+    the minimum and is dropped; Lanczos solves only the rest.  On the far
+    grid right of the spectrum, where block 0 holds the minimum, Lanczos
+    solves block 0 alone."""
     zs = np.asarray(zs, dtype=complex).ravel()
     smin, edge = np.full(zs.size, np.inf), np.empty(zs.size)
     for d in range(0, n_max + 1):
@@ -707,6 +791,13 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
             johnson[part] = np.min(np.abs(zs[candidates[part], None] - diag) - radius, axis=1)
         bound = np.maximum(np.fmax(edge[candidates], johnson), 0.0)
         todo = candidates[~(bound >= smin[candidates])]
+        held = todo[np.isfinite(smin[todo])]  # the points with a running minimum to beat
+        proven = np.zeros(zs.size, dtype=bool)
+        # per point: _sigma_min_above's float vectors, about 20
+        for part in _batches(held.size, 8 * 20) if held.size else ():
+            at = held[part]
+            proven[at] = _sigma_min_above(diag, off, zs[at], smin[at])
+        todo = todo[~proven[todo]]
         if todo.size == 0:
             continue
         smin[todo] = np.minimum(smin[todo], _sigma_min_block(n_max, gamma, d, zs[todo]))

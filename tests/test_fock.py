@@ -693,32 +693,42 @@ def test_entry_points_never_build_the_dense_matrix(call, check):
 
 
 def _assert_matches_svd_sweep(monkeypatch, n_max, gamma, zs):
-    """sigma_min agrees with the dense SVD sweep at 1e-12; returns it."""
+    """sigma_min agrees with the dense SVD sweep at 1e-12; returns it with
+    the blocks d that Lanczos factored, one per point and block."""
     reference = _svd_sweep(n_max, gamma, zs)
     factored = []
     original = fock._gttrf
-    monkeypatch.setattr(fock, "_gttrf", lambda *a: factored.append(a[-1].size) or original(*a))
+    monkeypatch.setattr(
+        fock, "_gttrf", lambda diag, off, z: factored.extend([n_max + 1 - diag.size] * z.size) or original(diag, off, z)
+    )
     got = fock._sigma_min_blockwise(n_max, gamma, zs)
-    assert sum(factored) > zs.size  # the Lanczos iteration did run
+    assert len(factored) >= zs.size  # the Lanczos iteration did run, at every point
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - reference)) < 1e-12
-    return got
+    return got, factored
 
 
 @pytest.mark.parametrize("gamma", [0.5, 1.5])
 def test_inverse_iteration_matches_svd_sweep_at_hard_points(monkeypatch, gamma):
     n_max = 40
     zs = _hard_points(n_max, gamma)
-    got = _assert_matches_svd_sweep(monkeypatch, n_max, gamma, zs)
+    got, factored = _assert_matches_svd_sweep(monkeypatch, n_max, gamma, zs)
+    assert max(factored) > 0  # Lanczos solved blocks past d = 0 too
     # down to the size-1 block and its exactly zero pivot at z = N + 1
     assert got[zs == n_max + 1] == 0.0
 
 
 def test_lanczos_matches_svd_sweep_in_the_far_field(monkeypatch):
     # far right of the spectrum sigma_1 / sigma_2 is near 1, where a power
-    # iteration stalls and Lanczos needs the most steps
+    # iteration stalls and Lanczos needs the most steps.  Block 0 holds the
+    # minimum there, and the inertia certificate proves it at every d >= 1
+    # point the other bounds leave open, so Lanczos solves block 0 alone
+    proven, above = [], fock._sigma_min_above
+    monkeypatch.setattr(fock, "_sigma_min_above", lambda *a: proven.append(above(*a)) or proven[-1])
     re, im = np.linspace(100, 150, 21), np.linspace(0, 20, 5)
-    _assert_matches_svd_sweep(monkeypatch, 40, 0.5, (re[None, :] + 1j * im[:, None]).ravel())
+    _, factored = _assert_matches_svd_sweep(monkeypatch, 40, 0.5, (re[None, :] + 1j * im[:, None]).ravel())
+    assert set(factored) == {0}
+    assert proven and all(np.all(p) for p in proven)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5, -1.5, 10.0])
@@ -773,6 +783,62 @@ def test_residual_stop_cuts_lanczos_work(monkeypatch):
     grid = fock.pseudospectrum(40, 0.5, (-1, 8), (-4, 4), 81)
     assert np.all(np.isfinite(grid.sigma_min))
     assert sum(columns) <= 130_000
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5, -1.5, 3.0, 10.0])
+def test_inertia_certificate_never_claims_more_than_the_svd(gamma):
+    # sigma_min(zI - B_d) > s is proven at no point where the dense SVD puts
+    # sigma_min at or below s, even by 1e-12.  At s = sigma_min / 2 it is
+    # proven at most points; at gamma = 0 it misses those within 1e-6 of a
+    # diagonal entry, where sigma_min^2 is below the rounding margin
+    rng = np.random.default_rng(17)
+    proven = tried = 0
+    for _ in range(80):
+        n_max = int(rng.integers(0, 61))
+        d = int(rng.integers(0, n_max + 1))
+        diag, off = fock._block_tridiag(n_max, gamma, d)
+        width = 3 * n_max + 10
+        wide = rng.uniform(-width, width, 60) + 1j * rng.uniform(-width, width, 60)
+        near = rng.choice(diag, 20) + rng.uniform(-1e-6, 1e-6, 20) + 1j * rng.uniform(-1e-6, 1e-6, 20)
+        zs = np.concatenate([wide, near])
+        block = fock._block_dense(n_max, gamma, d)
+        sigma = np.linalg.svd(zs[:, None, None] * np.eye(diag.size) - block, compute_uv=False)[:, -1]
+        for floor in (sigma * (1 + 1e-12), sigma * (1 + 1e-6), 2 * sigma):
+            assert not np.any(fock._sigma_min_above(diag, off, zs, floor))
+        proven += np.count_nonzero(fock._sigma_min_above(diag, off, zs, sigma / 2))
+        tried += zs.size
+    assert proven > 0.75 * tried
+
+
+def test_inertia_certificate_cuts_lanczos_pairs(monkeypatch):
+    # the benchmark's grids: the other skip bounds leave Lanczos 14 531
+    # point-block pairs, and 9 820 of the 10 349 at d >= 1 do not lower the
+    # minimum.  On the far grid block 0 holds the minimum at every point,
+    # and every d >= 1 pair is proven away
+    pairs, block = [], fock._sigma_min_block
+    monkeypatch.setattr(fock, "_sigma_min_block", lambda n, g, d, z: pairs.append((d, z.size)) or block(n, g, d, z))
+    for n_max, resolution in ((40, 81), (80, 41)):
+        fock.pseudospectrum(n_max, 0.5, (-1, 8), (-4, 4), resolution)
+    assert sum(size for _, size in pairs) <= 5_000
+    pairs.clear()
+    fock.pseudospectrum(40, 0.5, (100, 150), (-20, 20), 41)
+    assert pairs and all(d == 0 for d, _ in pairs)
+
+
+def test_inertia_certificate_proves_nothing_non_finite(monkeypatch):
+    # past |z| ~ 1e154 A = M^H M overflows, and a floor may be infinite or
+    # its square overflow: no warning, and no certificate there
+    tested, above = [], fock._sigma_min_above
+    monkeypatch.setattr(fock, "_sigma_min_above", lambda diag, *a: tested.append(diag.size) or above(diag, *a))
+    diag, off = fock._block_tridiag(10, 0.5, 1)
+    zs = np.array([1e200, -1e300 + 1e300j, 1e160j, 3, 3, 3, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig = fock.sigma_min_points(10, 0.5, [1e200, -1e300 + 1e300j, 3])
+        proven = above(diag, off, zs, np.array([1.0, 1.0, 1.0, np.inf, np.nan, 1e300, 0.1]))
+    assert np.all(np.isfinite(sig))
+    assert tested and min(tested) < 11  # a block d >= 1 was tested
+    assert proven.tolist() == [False] * 6 + [True]
 
 
 def _last_component_sq(diag, off_sq):
