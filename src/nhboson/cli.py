@@ -9,7 +9,8 @@ no timestamps or locale-dependent formatting are involved.
 
 A table is typed columns, one numpy array per header name, from the row
 builder to the file: a NaN anywhere is one isnan test per float column,
-each column's dtype picks one cell format, and CSV is written in chunks of
+each column's dtype picks one cell format (a float column's repr runs once
+per distinct value of a chunk), and CSV is written in chunks of
 CSV_CHUNK_ROWS rows, so its memory is bounded by the columns themselves.
 
 Configuration precedence: command-line flags > config file (key=value
@@ -56,6 +57,9 @@ SIZE_RANGES = {
     "vectors": (1, 100_000),
     "nodes": (1, 512),
 }
+#: the quadrature commands: the modes product each tabulates (min_nodes's
+#: kind) and the RunConfig field that holds its top Hermite order
+_QUADRATURE = {"biorth": ("gram", "max_index"), "norms": ("norms", "max_index"), "expand": ("expand", "cutoff")}
 #: the commands whose sigma_min may go to LAPACK's SVD, which writes an error
 #: to stdout once a block entry overflows; SVD_GAMMA_MAX keeps gamma^2 finite
 _SVD_COMMANDS = ("pseudo", "accretive")
@@ -101,6 +105,12 @@ class RunConfig:
         for name, (low, high) in SIZE_RANGES.items():
             if not low <= getattr(self, name) <= high:
                 raise CliError(f"{name} must be in [{low}, {high}]")
+        if self.command in _QUADRATURE:
+            kind, field = _QUADRATURE[self.command]
+            top = getattr(self, field)
+            need = modes.min_nodes(kind, top)
+            if self.nodes < need:
+                raise CliError(f"{self.command} at {field} {top} needs nodes >= {need} for an exact rule")
         if not (abs(self.theta_min) < math.pi / 2 and abs(self.theta_max) < math.pi / 2):
             raise CliError("theta range must lie inside (-pi/2, pi/2)")
         # a finite span has finite ends, and linspace needs it to make finite points
@@ -379,15 +389,26 @@ def _quote(cell: str) -> str:
     return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\r\n') else cell
 
 
-#: a CSV cell's text by its column's dtype kind; str for int columns
-_CELL_FORMATS = {"b": ("false", "true").__getitem__, "f": repr, "U": _quote}
+#: a CSV cell's text by its column's dtype kind, floats apart; str for int columns
+_CELL_FORMATS = {"b": ("false", "true").__getitem__, "U": _quote}
+
+
+def _chunk_cells(chunk: np.ndarray):
+    """The cell texts of one column's chunk of rows.  A float column calls
+    repr once per distinct value, keyed by its bit pattern, so -0.0 and 0.0
+    stay apart and the text is the per-cell repr's, byte for byte."""
+    if chunk.dtype.kind != "f":
+        return map(_CELL_FORMATS.get(chunk.dtype.kind, str), chunk.tolist())
+    keys, inverse = np.unique(chunk.view(np.int64), return_inverse=True)
+    return np.array([repr(v) for v in keys.view(float).tolist()], dtype=object)[inverse].tolist()
 
 
 def _write_csv(fh, header: list[str], columns: list[np.ndarray]) -> None:
+    """The header line, then CSV_CHUNK_ROWS rows per write; a float column
+    formats each distinct value of a chunk once (_chunk_cells)."""
     fh.write(",".join(header) + "\n")
-    formats = [_CELL_FORMATS.get(col.dtype.kind, str) for col in columns]
     for lo in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        cells = [map(f, col[lo : lo + CSV_CHUNK_ROWS].tolist()) for f, col in zip(formats, columns)]
+        cells = [_chunk_cells(col[lo : lo + CSV_CHUNK_ROWS]) for col in columns]
         fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

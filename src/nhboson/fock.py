@@ -72,6 +72,9 @@ _INVIT_RTOL = 4e-15
 _NEWTON_GUARD_DPS = 20
 #: Newton steps allowed per root before the solve counts as failed
 _NEWTON_MAX_STEPS = 60
+#: relative margin on float64 eigenvalues in lowest_eigenvalues_precise's
+#: block and seed choice, far above their error
+_PRECISE_SEED_MARGIN = 1e-8
 #: a lowest eigenvalue (support energy or Ritz value) stops when a Newton
 #: step or bracket is this small, relative to the matrix's Gershgorin scale
 #: (LAPACK ?stebz's default)
@@ -176,10 +179,11 @@ def _newton_root(diag, pair_products, seed: complex, tol, d: int):
     det and its derivative come from the three-term recurrence
     p_{k+1} = (a_k - lambda) p_k - q_{k-1} p_{k-1}, which needs only the
     diagonal a and the products q_k = -off_k^2 of the entries coupling rows
-    k and k + 1."""
+    k and k + 1.  Both are real, so from a real seed every iterate is real,
+    and it is iterated in mpf rather than mpc."""
     from mpmath import mp
 
-    lam = mp.mpc(seed)
+    lam = mp.mpf(seed.real) if seed.imag == 0 else mp.mpc(seed)
     for _ in range(_NEWTON_MAX_STEPS):
         p_prev, p, dp_prev, dp = 1, diag[0] - lam, 0, -1
         for a, q in zip(diag[1:], pair_products):
@@ -192,6 +196,12 @@ def _newton_root(diag, pair_products, seed: complex, tol, d: int):
     raise SolverConvergenceError(f"Newton iteration did not converge on block d={d}", block=d)
 
 
+def _raised(value: float) -> float:
+    """A float64 eigenvalue's real part moved up by _PRECISE_SEED_MARGIN,
+    relative: an upper bound on the root Newton refines it to."""
+    return value + _PRECISE_SEED_MARGIN * abs(value)
+
+
 def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 40):
     """High-precision lowest eigenvalues for the truncation-convergence study.
 
@@ -200,35 +210,50 @@ def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 
     needs extended precision.  Returns a list of mpmath mpf real parts,
     rounded to `dps` digits.
 
-    Each block's `count` lowest float64 eigenvalues seed Newton's method on
-    its characteristic polynomial, run with _NEWTON_GUARD_DPS digits beyond
-    `dps` until a step is below 10^-(dps+5).  A root that does not converge
-    within _NEWTON_MAX_STEPS steps, or two seeds that reach the same root,
-    raise SolverConvergenceError.
-
     Blocks are included while they can still contribute: block d has
-    Re W >= d + 1, so once the current count-th smallest value is below
-    d + 2 the remaining blocks are irrelevant.
+    Re W >= d + 1, so once the count-th smallest value is below d + 2 the
+    remaining blocks are irrelevant.  That rule is decided on each block's
+    `count` lowest float64 eigenvalues (a value of block d > 0 counts twice,
+    for -d), each raised by _PRECISE_SEED_MARGIN relative, so it admits
+    every block the refined values would.
+
+    Only the seeds whose real part is at most the raised count-th lowest
+    value can reach the result, and only they are refined: by Newton's
+    method on the block's characteristic polynomial, run with
+    _NEWTON_GUARD_DPS digits beyond `dps` until a step is below
+    10^-(dps+5).  The margin, far above the float64 error, keeps near-ties
+    across blocks (level 3 of blocks 0 and 2) among the refined seeds, so
+    the count lowest refined values are those of refining every seed.  A
+    root that does not converge within _NEWTON_MAX_STEPS steps, or two
+    seeds of one block that reach the same root, raise
+    SolverConvergenceError.
     """
     from mpmath import mp
 
     _check_truncation(n_max)
+    blocks, reals = [], []
+    for d in range(n_max + 1):
+        blocks.append(_block_eigenvalues(n_max, gamma, d)[:count])
+        reals = sorted(reals + (2 if d else 1) * blocks[-1].real.tolist())
+        if len(reals) >= count and _raised(reals[count - 1]) < d + 2:
+            break
+    cut = _raised(reals[count - 1]) if len(reals) >= count else math.inf
     vals: list = []
     with mp.workdps(dps + _NEWTON_GUARD_DPS):
         tol = mp.mpf(10) ** -(dps + 5)
         coincident = mp.mpf(10) ** -dps
         g2 = mp.mpf(gamma) ** 2
-        for d in range(n_max + 1):
+        for d, seeds in enumerate(blocks):
+            seeds = seeds[seeds.real <= cut]  # a prefix: seeds are sorted by real part
+            if not seeds.size:
+                continue
             diag, coupling_sq = (a.tolist() for a in _block_data(n_max, d))
             pair_products = [-g2 * s for s in coupling_sq]  # -off^2 = -gamma^2 c^2
-            seeds = _block_eigenvalues(n_max, gamma, d)[:count]
-            roots = [_newton_root(diag, pair_products, complex(z), tol, d) for z in seeds]
+            roots = [_newton_root(diag, pair_products, z, tol, d) for z in seeds.tolist()]
             if any(abs(a - b) < coincident for a, b in combinations(roots, 2)):
                 raise SolverConvergenceError(f"Newton roots coincide on block d={d}", block=d)
-            reals = sorted(mp.re(z) for z in roots)
-            vals = sorted(vals + (2 * reals if d else reals))
-            if len(vals) >= count and vals[count - 1] < d + 2:
-                break
+            vals += (2 if d else 1) * [mp.re(z) for z in roots]
+        vals.sort()
     with mp.workdps(dps):
         return [+v for v in vals[:count]]
 
@@ -335,7 +360,11 @@ def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
     (d + 2k + 1) cos theta and |off-diagonal| |gamma sin theta| c_k, and
     its eigenvalues depend on nothing else.  In this region block 0 holds
     the minimum, so it alone is solved, by _lowest_eigenvalues over theta
-    batches of at most _SIGMA_MIN_BATCH_BYTES.  Proof: phase block d+1's
+    batches of at most _SIGMA_MIN_BATCH_BYTES.  Its lower bound is the
+    closed form sqrt(_support_gap), the untruncated block's lowest
+    eigenvalue (_range_bound's su(1,1) argument at d = 0), which truncation,
+    a compression, can only raise; so Newton starts within the truncation
+    error.  Proof that block 0 holds the minimum: phase block d+1's
     off-diagonals to <= 0 and take its Perron ground vector u >= 0, |u| = 1.
     Padded with one 0 it is a trial vector for block d, and the two Rayleigh
     quotients differ by cos theta - 2 |gamma sin theta| sum_k delta_k u_k u_k+1
@@ -350,11 +379,14 @@ def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
     diag, coupling_sq = _block_data(n_max, 0)
     cos = np.cos(thetas).ravel()
     coupling = (gamma * np.sin(thetas).ravel()) ** 2
+    closed = np.sqrt(_support_gap(gamma, thetas).ravel())
     out = np.empty(cos.size)
     # per theta: the two outer-product columns, _pivots's shifted copy and
     # the compacted copies, each a float per row
     for part in _batches(cos.size, 32 * diag.size) if cos.size else ():
-        out[part], _ = _lowest_eigenvalues(np.outer(diag, cos[part]), np.outer(coupling_sq, coupling[part]))
+        out[part], _ = _lowest_eigenvalues(
+            np.outer(diag, cos[part]), np.outer(coupling_sq, coupling[part]), closed[part]
+        )
     if not np.all(np.isfinite(out)):
         raise SolverConvergenceError("support energy not converged")
     return out.reshape(thetas.shape)
@@ -403,20 +435,34 @@ def rayleigh_quotients(n_max: int, gamma: float, count: int, seed: int = 0) -> n
 
     Vector i is standard_normal(dim) + 1j * standard_normal(dim), drawn in
     turn from one generator; drawing a chunk of vectors at once gives the
-    same stream.  A psi is one tridiagonal matvec on the vectors permuted
-    to the d-blocks."""
+    same stream.  Each draw v = x + iy is taken as it comes, in the natural
+    (m, n) order, where A couples index i only with i + s, s = N + 2, the
+    (m + 1, n + 1) neighbour: _tridiagonal's (order, diag, off) scattered
+    there give a_i on the diagonal, A[i, i + s] = c_i and A[i + s, i] = -c_i.
+    So the quotient is a real quadratic form, with no complex array, no
+    gather and no normalized copy:
+    Re q = sum_i a_i (x_i^2 + y_i^2) / |v|^2 and
+    Im q = 2 sum_i c_i (x_i y_{i+s} - y_i x_{i+s}) / |v|^2."""
     order, diag, off = _tridiagonal(n_max, gamma)
+    dim, shift = diag.size, n_max + 2
+    # columns: a for sum_i a_i |v_i|^2, ones for |v|^2
+    weights = np.ones((dim, 2))
+    weights[order, 0] = diag
+    coupling = np.zeros(dim)
+    coupling[order[:-1]] = off  # 0 at each block's last row, which has no (m + 1, n + 1)
+    coupling = coupling[: max(dim - shift, 0)]
     rng = np.random.default_rng(seed)
     out = np.empty(count, dtype=complex)
-    chunk = max(1, _RAYLEIGH_CHUNK_ENTRIES // (2 * diag.size))
+    chunk = max(1, _RAYLEIGH_CHUNK_ENTRIES // (2 * dim))
     for lo in range(0, count, chunk):
-        draws = rng.standard_normal((min(chunk, count - lo), 2, diag.size))
-        v = (draws[:, 0] + 1j * draws[:, 1])[:, order]
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        av = diag * v
-        av[:, 1:] -= off * v[:, :-1]
-        av[:, :-1] += off * v[:, 1:]
-        out[lo : lo + chunk] = np.einsum("ij,ij->i", v.conj(), av)
+        draws = rng.standard_normal((min(chunk, count - lo), 2, dim))
+        x, y = draws[:, 0], draws[:, 1]
+        sums = np.einsum("kij,kij->kj", draws, draws) @ weights
+        cross = np.einsum("ij,ij->i", x[:, : coupling.size] * coupling, y[:, shift:])
+        cross -= np.einsum("ij,ij->i", y[:, : coupling.size] * coupling, x[:, shift:])
+        part = out[lo : lo + chunk]
+        part.real = sums[:, 0] / sums[:, 1]
+        part.imag = 2.0 * cross / sums[:, 1]
     return out
 
 

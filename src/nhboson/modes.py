@@ -12,6 +12,7 @@ nodes, which keeps the integrands overflow-free.  `gram_matrix`,
 `flat_norms` and `expand_amplitudes` tabulate every order at every node
 once and contract for all pairs at a time; `expand_amplitudes` takes its
 state as a coefficient array, so psi too comes from that one 1D table.
+Each refuses a rule with too few nodes to be exact (`min_nodes`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ from .quadrature import gauss_hermite, hermite_function_jet, hermite_scaled
 #: expand_amplitudes warns when the residual norm^2 of its reconstruction
 #: exceeds this, as psi then lies outside the truncated span
 _EXPAND_WARN_RESIDUAL = 1e-6
+#: polynomial degree per axis of each tabulated product's integrands, per
+#: unit of its top Hermite order: h_m h_p for gram_matrix and
+#: expand_amplitudes, and h_m^2 h_n^2, of degree 4 m_max in u, for flat_norms
+_DEGREE_PER_ORDER = {"gram": 2, "norms": 4, "expand": 2}
 
 
 class ModeKind(Enum):
@@ -161,6 +166,21 @@ def eigen_residual(which: str, m: int, n: int, gamma: float) -> float:
     return float(np.max(np.abs(applied - reference)) / np.max(np.abs(reference)))
 
 
+def min_nodes(kind: str, top: int) -> int:
+    """Fewest Gauss-Hermite nodes that integrate the `kind` product
+    ("gram", "norms" or "expand") up to Hermite order `top` exactly.  Every
+    integrand is a polynomial times the rule's own Gaussian, and an n-node
+    rule is exact through degree 2n - 1 (Golub & Welsch, Math. Comp. 23,
+    1969); below this count the result is wrong, not merely less accurate."""
+    return _DEGREE_PER_ORDER[kind] * top // 2 + 1
+
+
+def _check_nodes(kind: str, top: int, n_nodes: int) -> None:
+    need = min_nodes(kind, top)
+    if n_nodes < need:
+        raise ValueError(f"{kind} up to order {top} needs at least {need} quadrature nodes, got {n_nodes}")
+
+
 def _oscillator_table(omega: float, m_max: int, n_nodes: int):
     """Gauss-Hermite rule for e^(-a x^2), a = 2 omega, mapped to x = t/sqrt(a),
     and the scaled Hermite table h_k(sqrt(a) x) for k = 0..m_max at its nodes.
@@ -176,7 +196,9 @@ def gram_matrix(gamma: float, m_max: int, n_nodes: int = 96) -> np.ndarray:
 
     The biorthogonal product (Psi_mn, Psi~_pq) under the flat weight and the
     physical product (Psi_mn, Psi_pq) both fold the couplings to c = 0, so
-    both equal G[m, p] G[n, q], the identity on exact quadrature."""
+    both equal G[m, p] G[n, q], the identity on exact quadrature, which
+    needs m_max + 1 nodes (min_nodes); fewer raise ValueError."""
+    _check_nodes("gram", m_max, n_nodes)
     omega = math.hypot(1.0, gamma)
     _, w, p = _oscillator_table(omega, m_max, n_nodes)
     return math.sqrt(2.0 * omega / math.pi) * (p * w) @ p.T
@@ -188,7 +210,10 @@ def flat_norms(gamma: float, m_max: int, n_nodes: int = 96) -> np.ndarray:
     They are even in gamma, so take gamma >= 0: the folded exponent is then
     -(2w - 2 gamma) u^2 - (2w + 2 gamma) v^2 in u, v = (x +- y) / sqrt(2).
     The two coefficients multiply to exactly 4, so the smaller is taken as 4
-    over the larger: 2w - 2 gamma itself cancels to 0 from gamma ~ 1e8."""
+    over the larger: 2w - 2 gamma itself cancels to 0 from gamma ~ 1e8.
+    The integrands have degree 4 m_max in u, so fewer than 2 m_max + 1
+    nodes raise ValueError (min_nodes)."""
+    _check_nodes("norms", m_max, n_nodes)
     omega = math.hypot(1.0, gamma)
     big = 2.0 * (omega + abs(gamma))
     cu, cv = 4.0 / big, big
@@ -222,10 +247,14 @@ def expand_amplitudes(coeffs: np.ndarray, gamma: float, cutoff: int, n_nodes: in
     its reconstruction) measures the part of psi beyond the cutoff.
 
     One 1D Hermite table T gives psi's de-Gaussianized part T^T coeffs T on
-    the tensor nodes and projects it back, so no Gaussian is inverted there."""
+    the tensor nodes and projects it back, so no Gaussian is inverted there.
+    Its top order, the larger of `cutoff` and psi's, needs top + 1 nodes
+    (min_nodes); fewer raise ValueError."""
     coeffs = np.asarray(coeffs, dtype=float)
     omega = math.hypot(1.0, gamma)
-    _, w, t = _oscillator_table(omega, max(cutoff + 1, *coeffs.shape) - 1, n_nodes)
+    top = max(cutoff + 1, *coeffs.shape) - 1
+    _check_nodes("expand", top, n_nodes)
+    _, w, t = _oscillator_table(omega, top, n_nodes)
     weights = np.outer(w, w)
     scale = math.sqrt(2.0 * omega / math.pi)
     # psi = bare * e^(-w (x^2+y^2)) * e^(2 g x y) at the tensor nodes

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,24 @@ def test_byte_identical_reruns(tmp_path, argv):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, need",
+    [
+        (("norms", "--max-index", "8", "--nodes", "16"), 17),
+        (("biorth", "--max-index", "6", "--nodes", "2"), 7),
+        (("expand", "--cutoff", "3", "--nodes", "1"), 4),
+    ],
+)
+def test_quadrature_below_the_exact_node_count_exits_2(tmp_path, capsys, argv, need):
+    # an n-node Gauss-Hermite rule is exact through degree 2n - 1; below the
+    # minimum these runs wrote wrong values with exit 0
+    code, out = run(tmp_path, *argv)
+    assert code == 2 and not out.exists()
+    assert f"needs nodes >= {need} " in capsys.readouterr().err
+    code, out = run(tmp_path, *argv[:-1], str(need))
+    assert code == 0 and out.exists()
+
+
 def test_gamma_warning_on_spectral_commands(tmp_path, capsys):
     code, _ = run(tmp_path, "spectrum", "--gamma", "1.5", "--truncation", "4")
     assert code == 0
@@ -385,19 +404,30 @@ def test_package_imports_without_scipy():
     assert _fresh_interpreter(code).strip() == "False False"
 
 
-def test_library_warning_is_one_nhboson_line(tmp_path):
-    # a 1-node rule cannot resolve cutoff 3: modes warns of the residual, and
-    # the command still writes its artifact
+def test_library_warning_is_one_nhboson_line(tmp_path, monkeypatch, capsys):
+    # |gamma| >= 1 on a truncation command warns, and the command still
+    # writes its artifact; a fresh interpreter shows no Python warning text
     src = str(Path(__file__).resolve().parents[1] / "src")
-    argv = ["expand", "--cutoff", "3", "--nodes", "1", "--out", str(tmp_path / "expand.csv")]
+    argv = ["spectrum", "--gamma", "2", "--truncation", "2", "--out", str(tmp_path / "spectrum.csv")]
     done = subprocess.run(
         [sys.executable, "-m", "nhboson.cli", *argv],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0
-    assert done.stderr.startswith("nhboson: warning: expansion residual ")
+    assert done.stderr.startswith("nhboson: warning: |gamma| = 2.0 >= 1")
     assert len(done.stderr.splitlines()) == 1
     assert "UserWarning" not in done.stderr and ".py:" not in done.stderr
+    # a warning raised inside the library is one nhboson: line too
+    gram_matrix = modes.gram_matrix
+
+    def warning_gram_matrix(*args):
+        warnings.warn("a library warning", stacklevel=2)
+        return gram_matrix(*args)
+
+    monkeypatch.setattr(modes, "gram_matrix", warning_gram_matrix)
+    code, out = run(tmp_path, "biorth", "--max-index", "1", "--nodes", "8")
+    assert code == 0 and out.exists()
+    assert capsys.readouterr().err == "nhboson: warning: a library warning\n"
 
 
 def test_wkb_underflowing_hbar_exits_3_fast(tmp_path):
@@ -544,6 +574,18 @@ def test_csv_chunks_join_to_the_same_bytes(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 2)  # five rows: chunks of 2, 2 and 1
     assert main([*argv, "--out", str(tmp_path / "chunked.csv")]) == 0
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_float_cells_are_each_cells_repr(monkeypatch):
+    # each distinct float is formatted once per chunk, keyed by its bits:
+    # -0.0 and 0.0 keep their own text, and chunks of 3 cut the repeats apart
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 3)
+    values = [0.0, -0.0, 1.5, math.inf, -0.0, 1.5, -math.inf, 0.1 + 0.2, 0.0, 1.5, 5e-324]
+    column = np.array(values, dtype=complex).real  # a strided view, as spectrum's re column is
+    fh = io.StringIO()
+    cli._write_csv(fh, ["i", "x", "flag"], [np.arange(11), column, np.arange(11) % 2 == 0])
+    rows = [f"{i},{x!r},{'true' if i % 2 == 0 else 'false'}" for i, x in enumerate(values)]
+    assert fh.getvalue() == "\n".join(["i,x,flag", *rows]) + "\n"
 
 
 def test_csv_memory_is_bounded_by_the_columns(tmp_path):

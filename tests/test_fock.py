@@ -230,6 +230,21 @@ def test_rayleigh_quotients_match_per_vector_reference(monkeypatch, chunk_entrie
     assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_rayleigh_quotients_of_the_smallest_truncations(n_max):
+    # N = 0: one row, no (m + 1, n + 1) pair, A = [1]; N = 1: one pair
+    mat = _ladder_matrix("H", n_max, 0.45)
+    rng = np.random.default_rng(5)
+    want = []
+    for _ in range(40):
+        v = rng.standard_normal(mat.shape[0]) + 1j * rng.standard_normal(mat.shape[0])
+        want.append(np.vdot(v, mat @ v) / np.vdot(v, v).real)
+    got = fock.rayleigh_quotients(n_max, 0.45, 40, seed=5)
+    if n_max == 0:
+        assert np.all(got == 1.0)
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
 def test_block_eigenvalues_match_full_dense_solve():
     n_max, gamma = 8, 0.5
     by_blocks = fock.eigenvalues(n_max, gamma)
@@ -268,6 +283,48 @@ def test_precise_newton_roots_match_mp_eig(n_max):
     assert len(got) == len(want) == 6
     with mp.workdps(40):
         assert max(abs(a - b) for a, b in zip(got, want)) <= mp.mpf("1e-35")
+
+
+@pytest.mark.parametrize("n_max", [10, 20])
+def test_precise_counts_that_cut_through_degenerate_levels(n_max):
+    # levels 1, 2, 2, 3, 3, 3, 4, 4 (times sqrt(1 + g^2)): counts 2, 4, 5
+    # and 7 split a level between the refined and the dropped seeds, and
+    # level 3 comes from blocks 0 and 2 at once
+    from mpmath import mp
+
+    want = _mp_eig_lowest(n_max, 0.5, 8, dps=40)  # the lowest 8 start every shorter list
+    for count in range(1, 9):
+        got = fock.lowest_eigenvalues_precise(n_max, 0.5, count, dps=40)
+        assert len(got) == count
+        with mp.workdps(40):
+            assert max(abs(a - b) for a, b in zip(got, want)) <= mp.mpf("1e-35"), count
+
+
+@pytest.mark.parametrize("gamma", [0.5, 0.9])
+def test_precise_margin_keeps_near_ties_across_blocks(monkeypatch, gamma):
+    # at N = 30 level 4 of blocks 1 and 3 agree to far below float64
+    # rounding, and count 7 splits it: without the margin the float64
+    # order picks block 3's copy where the refined order wants block 1's,
+    # 3e-30 off at gamma = 0.5.  An infinite margin refines every seed of
+    # every block, the solve before any seed was dropped
+    got = fock.lowest_eigenvalues_precise(30, gamma, 7, dps=40)
+    monkeypatch.setattr(fock, "_PRECISE_SEED_MARGIN", math.inf)
+    assert got == fock.lowest_eigenvalues_precise(30, gamma, 7, dps=40)
+
+
+def test_precise_refines_only_the_seeds_that_reach_the_result(monkeypatch):
+    # at N = 20 the six lowest are levels 1 and 3 of block 0, 2 of block 1
+    # and 3 of block 2: four roots, where blocks 0..2 hold 18 seeds
+    newton_root, seeds = fock._newton_root, []
+
+    def recording(diag, pair_products, seed, tol, d):
+        seeds.append((d, seed))
+        return newton_root(diag, pair_products, seed, tol, d)
+
+    monkeypatch.setattr(fock, "_newton_root", recording)
+    fock.lowest_eigenvalues_precise(20, 0.5, 6, dps=40)
+    assert [d for d, _ in seeds] == [0, 0, 1, 2]
+    assert all(seed.imag == 0 for _, seed in seeds)
 
 
 def test_precise_raises_rather_than_return_unconverged(monkeypatch):
@@ -353,9 +410,9 @@ def test_lowest_eigenvalues_match_eigvalsh_on_every_block(n_max, gamma, theta):
 def test_support_energies_skip_blocks_only_where_block_0_is_proven_lowest(monkeypatch, gamma, theta, blocks):
     lowest, seen = fock._lowest_eigenvalues, []
 
-    def recording(diag, off_sq):
+    def recording(diag, off_sq, *bound):
         seen.append(40 + 1 - diag.shape[0])  # block d has 41 - d rows
-        return lowest(diag, off_sq)
+        return lowest(diag, off_sq, *bound)
 
     monkeypatch.setattr(fock, "_lowest_eigenvalues", recording)
     if not blocks:
@@ -404,6 +461,24 @@ def test_support_energy_batch_stays_c_contiguous(monkeypatch):
     assert all(contiguous for _, contiguous in calls)
 
 
+def test_support_energies_start_at_the_closed_form(monkeypatch):
+    # the untruncated support energy sqrt(gap) bounds the truncated one from
+    # below, so Newton starts within the truncation error: at N = 60 two
+    # pivot passes settle numrange's default 57-theta grid, which takes 8
+    # from the Gershgorin bound
+    pivots, calls = fock._pivots, []
+
+    def recording(diag, off_sq, lam):
+        calls.append(lam.size)
+        return pivots(diag, off_sq, lam)
+
+    monkeypatch.setattr(fock, "_pivots", recording)
+    boundary = fock.numerical_range_boundary(60, 0.5, np.linspace(-1.4, 1.4, 57))
+    assert len(calls) <= 3, calls
+    assert sum(calls) <= 2 * boundary.theta.size, calls
+    assert np.all(boundary.e_numeric >= boundary.e_closed - 1e-15)
+
+
 def test_support_energies_bisect_where_newton_fails(monkeypatch):
     # a non-finite Newton step (as an exact zero pivot gives) is replaced by
     # the midpoint of the bracket, from which Newton still finds the lowest
@@ -428,7 +503,8 @@ def test_support_energies_raise_rather_than_return_unconverged(monkeypatch):
     # inside it |gamma sin theta| <= cos theta, so nothing overflows
     closed = math.sqrt(fock._support_gap(1e200, 1e-201))
     assert closed - 1e-12 <= fock.support_energies(10, 1e200, [1e-201])[0] <= 1.0
-    monkeypatch.setattr(fock, "_SUPPORT_MAX_STEPS", 2)
+    # from the closed form two steps settle this theta; one cannot
+    monkeypatch.setattr(fock, "_SUPPORT_MAX_STEPS", 1)
     with pytest.raises(fock.SolverConvergenceError):
         fock.support_energies(10, 0.5, [0.5])
 

@@ -17,6 +17,7 @@ from nhboson.modes import (
     expand_amplitudes,
     flat_norms,
     gram_matrix,
+    min_nodes,
     norm_growth,
 )
 from nhboson.quadrature import gauss_hermite
@@ -264,6 +265,25 @@ def test_expand_amplitudes_warns_outside_span():
     coeffs[3, 3] = 1.0  # outside cutoff 1
     with pytest.warns(UserWarning, match="residual"):
         expand_amplitudes(coeffs, gamma, 1)
+
+
+def test_products_reject_a_rule_that_cannot_be_exact():
+    # the fewest nodes are m_max + 1 (gram), 2 m_max + 1 (norms) and the
+    # top order + 1 (expand, whose state may reach past the cutoff)
+    assert [min_nodes(kind, 8) for kind in ("gram", "norms", "expand")] == [9, 17, 9]
+    with pytest.raises(ValueError, match="at least 9 "):
+        gram_matrix(0.5, 8, 8)
+    with pytest.raises(ValueError, match="at least 17 "):
+        flat_norms(0.5, 8, 16)
+    with pytest.raises(ValueError, match="at least 4 "):
+        expand_amplitudes(np.eye(2), 0.5, 3, 3)
+    with pytest.raises(ValueError, match="at least 6 "):
+        expand_amplitudes(np.eye(6), 0.5, 3, 5)
+    # at the minimum each is exact to rounding
+    assert np.allclose(gram_matrix(0.5, 8, 9), np.eye(9), rtol=0, atol=1e-13)
+    assert np.allclose(flat_norms(0.5, 8, 17), flat_norms(0.5, 8, 96), rtol=1e-13, atol=0)
+    state = np.eye(4) / 2.0
+    assert np.allclose(expand_amplitudes(state, 0.5, 3, 4).coeffs, state, rtol=0, atol=1e-13)
 
 
 def test_expand_amplitudes_memory_at_the_cap():
