@@ -16,6 +16,11 @@ CSV_CHUNK_ROWS rows, so its memory is bounded by the columns themselves.
 Configuration precedence: command-line flags > config file (key=value
 lines) > built-in defaults.  The default output directory can be set with
 the NHBOSON_OUTDIR environment variable.
+
+A call builds only the invoked command's parser: when the first argument
+names a command, main adds that one subparser (_build_parser(only)), which
+parses and reports exactly as the full parser would.  Without a command
+(no arguments, -h, --version or an unknown word) it builds all of them.
 """
 
 from __future__ import annotations
@@ -42,12 +47,14 @@ class CliError(ValueError):
     pass
 
 
-#: inclusive bounds of the size options.  The upper caps keep the largest
-#: run within minutes and its arrays far inside numpy's limits: spectrum
-#: grows as N^4, biorth writes (max_index + 1)^4 rows from one Hermite table,
-#: norms tabulates (max_index + 1) Hermite orders on nodes^2 points, expand
+#: inclusive bounds of the size options.  The upper caps keep every array
+#: far inside numpy's limits and a cap run under a minute (pseudo's about
+#: 45 s, spectrum's 20 s, the others' a few seconds): spectrum grows as N^4,
+#: biorth writes (max_index + 1)^4 rows from one Hermite table, norms
+#: tabulates (max_index + 1) Hermite orders on nodes^2 points, expand
 #: tabulates (cutoff + 1) orders on nodes points and contracts on nodes^2,
-#: numrange and accretive grow linearly in theta_steps and vectors
+#: numrange grows linearly in theta_steps, and accretive's draws are bounded
+#: jointly by ACCRETIVE_DRAWS_MAX
 SIZE_RANGES = {
     "truncation": (0, 500),
     "resolution": (1, 512),
@@ -57,6 +64,9 @@ SIZE_RANGES = {
     "vectors": (1, 100_000),
     "nodes": (1, 512),
 }
+#: most complex normals accretive may draw, vectors x (N + 1)^2: its largest
+#: accepted run takes about 4 s, like most other commands' cap runs
+ACCRETIVE_DRAWS_MAX = 125_000_000
 #: the quadrature commands: the modes product each tabulates (min_nodes's
 #: kind) and the RunConfig field that holds its top Hermite order
 _QUADRATURE = {"biorth": ("gram", "max_index"), "norms": ("norms", "max_index"), "expand": ("expand", "cutoff")}
@@ -105,6 +115,8 @@ class RunConfig:
         for name, (low, high) in SIZE_RANGES.items():
             if not low <= getattr(self, name) <= high:
                 raise CliError(f"{name} must be in [{low}, {high}]")
+        if self.command == "accretive" and self.vectors * (self.truncation + 1) ** 2 > ACCRETIVE_DRAWS_MAX:
+            raise CliError(f"accretive needs vectors * (truncation + 1)^2 <= {ACCRETIVE_DRAWS_MAX}")
         if self.command in _QUADRATURE:
             kind, field = _QUADRATURE[self.command]
             top = getattr(self, field)
@@ -309,7 +321,12 @@ def _flags(spec: Command) -> dict:
     return flags
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with every command's subparser, or with only
+    the command `only`.  The top level takes no option values, so once the
+    first token names a command argparse hands every later token to that
+    subparser and consults no other: a call that names its command gets the
+    same parse and the same messages from its own subparser alone."""
     parser = argparse.ArgumentParser(
         prog="nhboson",
         description="Exact identities and spectral diagnostics for the "
@@ -317,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"nhboson {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, spec in COMMANDS.items():
+    for name, spec in COMMANDS.items() if only is None else [(only, COMMANDS[only])]:
         p = sub.add_parser(name, help=spec.help)
         p.add_argument("--config", help=_HELP["--config"])
         for flag, names in _flags(spec).items():
@@ -468,8 +485,11 @@ def main(argv=None) -> int:
     """Exit codes: 0 artifact written; 2 bad input, or the artifact or the
     memory a run needs cannot be had; 3 the solver did not converge or the
     result is not finite (a NaN cell; +inf is a legal value)."""
-    parser = _build_parser()
-    args = parser.parse_args(_fold_dash_values(sys.argv[1:] if argv is None else list(argv)))
+    argv = _fold_dash_values(sys.argv[1:] if argv is None else list(argv))
+    # no command, -h, --version or an unknown word: the full parser's usage,
+    # help and invalid-choice message list every command
+    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2

@@ -30,7 +30,13 @@ touched when they can actually lower the minimum:
   rounding margin of 256 eps times a bound on max_i (M^H M)_ii; all pivots
   positive proves sigma_min(M) > s by Sylvester's law (_sigma_min_above).
 
-Every batch of a block's remaining points is solved by Lanczos on a
+A block whose couplings are all zero is diagonal: every block at gamma = 0,
+and the one-row block d = N at any gamma.  There sigma_min(zI - B_d) =
+min_k |z - a_k| exactly, over its diagonal a_k, which is its Johnson bound:
+the sweep takes that distance directly, with no certificate and no
+Lanczos; at gamma = 0 the grid is the distance to the levels 1, ..., 2N + 1.
+
+Every other batch of a block's remaining points is solved by Lanczos on a
 batched tridiagonal LU (_sigma_min_invit), so a step costs O(size) per
 point rather than the O(size^3) of a dense SVD.  The LU is of S(zI - B),
 the parity S = diag(1, -1, 1, ...) folded in, so each of a step's two
@@ -818,7 +824,9 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     diagonal entry of (zI - B_d)^H (zI - B_d).  A proven pair cannot lower
     the minimum and is dropped; Lanczos solves only the rest.  On the far
     grid right of the spectrum, where block 0 holds the minimum, Lanczos
-    solves block 0 alone."""
+    solves block 0 alone.  A block with no nonzero coupling is diagonal:
+    its Johnson bound is exact, min_k |z - a_k|, and it skips the
+    certificate and Lanczos."""
     zs = np.asarray(zs, dtype=complex).ravel()
     smin, edge = np.full(zs.size, np.inf), np.empty(zs.size)
     for d in range(0, n_max + 1):
@@ -835,6 +843,11 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
         # per point: Johnson's complex (point x row) differences and their moduli
         for part in _batches(candidates.size, 32 * diag.size):
             johnson[part] = np.min(np.abs(zs[candidates[part], None] - diag) - radius, axis=1)
+        if not off.any():
+            # a diagonal block: its radii are 0, and Johnson's bound is its
+            # sigma_min, the distance min_k |z - a_k| to its nearest entry
+            smin[candidates] = np.minimum(smin[candidates], johnson)
+            continue
         bound = np.maximum(np.fmax(edge[candidates], johnson), 0.0)
         todo = candidates[~(bound >= smin[candidates])]
         held = todo[np.isfinite(smin[todo])]  # the points with a running minimum to beat

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from nhboson import __version__, cli, fock, modes
 from nhboson.cli import (
+    ACCRETIVE_DRAWS_MAX,
     COMMANDS,
     ENV_OUTDIR,
     SIZE_RANGES,
@@ -316,6 +317,19 @@ def test_size_caps_are_inclusive(tmp_path):
     assert not out.exists()
 
 
+def test_accretive_draws_are_bounded_before_any_work(tmp_path, capsys):
+    # 125 000 000 = 50 000 x 50^2 and 125 000 001 = 10 521 x 109^2
+    assert ACCRETIVE_DRAWS_MAX == 125_000_000
+    RunConfig(command="accretive", truncation=49, vectors=50_000).validate()
+    with pytest.raises(ValueError, match="vectors"):
+        RunConfig(command="accretive", truncation=108, vectors=10_521).validate()
+    RunConfig(command="accretive").validate()  # the default, N = 40 and 1 000 vectors
+    code, out = run(tmp_path, "accretive", "--truncation", "500", "--vectors", "100000")
+    assert code == 2
+    assert f"<= {ACCRETIVE_DRAWS_MAX}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_accretive_rejects_infinite_point(tmp_path, capsys):
     code, out = run(tmp_path, "accretive", "--points=-inf", "--truncation", "3")
     assert code == 2
@@ -601,8 +615,8 @@ def test_csv_memory_is_bounded_by_the_columns(tmp_path):
     assert peak < 25e6
 
 
-def _subparsers():
-    parser = _build_parser()
+def _subparsers(parser=None):
+    parser = parser or _build_parser()
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
@@ -633,6 +647,51 @@ def test_flag_surface():
         "verify-algebra", "spectrum", "numrange", "pseudo", "biorth",
         "norms", "accretive", "wkb", "expand",
     ]
+
+
+#: argv whose parse must not depend on which subparsers exist: no command,
+#: the top-level flags, an unknown command, each command's help, errors the
+#: top level reports after a subparser ran, a subparser's own errors, and a
+#: parse that succeeds
+_DISPATCH_CASES = [
+    [], ["-h"], ["--version"], ["frobnicate"],
+    *([name, "-h"] for name in COMMANDS),
+    ["pseudo", "--bogus", "1"], ["pseudo", "--version"], ["wkb", "--summand", "foo"],
+    ["pseudo", "--truncation"], ["pseudo", "--gamma=-3", "--res", "5", "--grid=-1,8,-4,4"],
+]
+
+
+def _parse_outcome(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            parsed, code = None, exc.code
+    return parsed, out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_own_command_parser_matches_the_full_parser(argv):
+    only = argv[0] if argv and argv[0] in COMMANDS else None
+    assert _parse_outcome(_build_parser(only), argv) == _parse_outcome(_build_parser(), argv)
+
+
+def test_a_call_builds_only_its_own_commands_parser(tmp_path, monkeypatch):
+    built = []
+
+    def spy(only=None):
+        parser = _build_parser(only)
+        built.append(list(_subparsers(parser)))
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    code, _ = run(tmp_path, "norms", "--max-index", "0", "--nodes", "8")
+    assert code == 0
+    assert built == [["norms"]]
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+        main(["frobnicate"])
+    assert built[1:] == [list(COMMANDS)]
 
 
 #: every command at tiny sizes, so that the one fuzzed option decides the run

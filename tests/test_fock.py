@@ -102,7 +102,8 @@ def _hard_points(n_max, gamma):
     convergence), the Re z = -1 and |Im z| = 4 edges of the default grid,
     points just right of a block's first diagonal entry d + 1 (a tiny
     leading pivot, which the LU must pivot away), and the size-1 block d = N
-    at and next to its eigenvalue N + 1, where the pivot is exactly zero."""
+    at and next to its eigenvalue N + 1, which the sweep takes in closed
+    form."""
     blocks = [fock._block_dense(n_max, gamma, d) for d in range(n_max + 1)]
     eigs = np.concatenate([np.linalg.eigvals(blocks[d]) for d in (0, 1, 2, n_max // 2, n_max - 1)])
     every = np.concatenate([np.linalg.eigvals(b) for b in blocks])
@@ -790,8 +791,11 @@ def test_inverse_iteration_matches_svd_sweep_at_hard_points(monkeypatch, gamma):
     zs = _hard_points(n_max, gamma)
     got, factored = _assert_matches_svd_sweep(monkeypatch, n_max, gamma, zs)
     assert max(factored) > 0  # Lanczos solved blocks past d = 0 too
-    # down to the size-1 block and its exactly zero pivot at z = N + 1
+    # down to the size-1 block, exactly 0 at its entry z = N + 1, which the
+    # sweep takes in closed form; Lanczos there meets an exactly zero pivot
+    # and leaves the point to the SVD
     assert got[zs == n_max + 1] == 0.0
+    assert fock._sigma_min_block(n_max, gamma, n_max, np.array([n_max + 1 + 0j])).tolist() == [0.0]
 
 
 def test_lanczos_matches_svd_sweep_in_the_far_field(monkeypatch):
@@ -1102,6 +1106,39 @@ def test_johnson_bound_is_formed_in_batches(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 16 * (n_max + 1) * 6_000 / 4
+
+
+@pytest.mark.parametrize(
+    "n_max, re_range, im_range, resolution",
+    [
+        (0, (-2, 3), (-1, 1), 11),
+        (20, (-1, 8), (-4, 4), 41),
+        (40, (100, 150), (-20, 20), 41),
+        (160, (-1, 400), (-30, 30), 41),
+    ],
+)
+def test_zero_coupling_sigma_min_is_the_distance_to_the_levels(
+    monkeypatch, n_max, re_range, im_range, resolution
+):
+    # at gamma = 0 every block is diagonal and the levels of A_N are
+    # 1 + m + n = 1, ..., 2N + 1: sigma_min is the distance to the nearest,
+    # taken without the certificate or Lanczos
+    def unused(*args):
+        raise AssertionError("a diagonal block reached the certificate or Lanczos")
+
+    monkeypatch.setattr(fock, "_sigma_min_block", unused)
+    monkeypatch.setattr(fock, "_sigma_min_above", unused)
+    grid = fock.pseudospectrum(n_max, 0.0, re_range, im_range, resolution)
+    levels = np.arange(1, 2 * n_max + 2)
+    np.testing.assert_array_equal(grid.sigma_min, np.abs(grid.points()[..., None] - levels).min(axis=-1))
+
+
+@pytest.mark.parametrize("gamma", [0.5, -3.0, 1e150])
+def test_one_row_block_is_the_distance_to_its_entry(monkeypatch, gamma):
+    # block d = N is the single entry N + 1 at any gamma; at N = 0 it is A_N
+    monkeypatch.setattr(fock, "_sigma_min_block", lambda *a: pytest.fail("Lanczos on a one-row block"))
+    zs = np.array([1, 1 + 1e-9, -0.5, 0.5j, -3 + 4j, 1e200])
+    np.testing.assert_array_equal(fock.sigma_min_points(0, gamma, zs), np.abs(zs - 1))
 
 
 @pytest.mark.parametrize("gamma", [math.inf, math.nan])
