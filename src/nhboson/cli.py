@@ -49,7 +49,7 @@ class CliError(ValueError):
 
 #: inclusive bounds of the size options.  The upper caps keep every array
 #: far inside numpy's limits and a cap run under a minute (pseudo's about
-#: 45 s, spectrum's 20 s, the others' a few seconds): spectrum grows as N^4,
+#: 30 s, spectrum's 20 s, the others' a few seconds): spectrum grows as N^4,
 #: biorth writes (max_index + 1)^4 rows from one Hermite table, norms
 #: tabulates (max_index + 1) Hermite orders on nodes^2 points, expand
 #: tabulates (cutoff + 1) orders on nodes points and contracts on nodes^2,

@@ -13,7 +13,7 @@ and spectrum tables come out as columns: numerical_range_boundary and
 spectrum_levels return arrays over the whole theta grid or level list,
 with no Python loop over thetas or levels.
 
-sigma_min evaluation uses exact skip bounds so large-d blocks are only
+sigma_min evaluation uses three exact skip tests so large-d blocks are only
 touched when they can actually lower the minimum:
 
 * Re W(B_d) >= d + 1 (the block's diagonal dominates its Hermitian part),
@@ -23,8 +23,6 @@ touched when they can actually lower the minimum:
   wherever cos theta > |gamma sin theta| (an su(1,1) argument, in
   _range_bound), and sigma_min(zI - B_d) >= dist(z, W(B_d)); it is
   taken at 16 such theta;
-* Johnson's Gershgorin-type bound
-  sigma_min(M) >= min_k(|M_kk| - (row_k + col_k)/2);
 * an inertia certificate, once a block has set a running minimum s: one
   banded LDL^H pass over the pentadiagonal M^H M - tI, with t = s^2 plus a
   rounding margin of 256 eps times a bound on max_i (M^H M)_ii; all pivots
@@ -32,9 +30,9 @@ touched when they can actually lower the minimum:
 
 A block whose couplings are all zero is diagonal: every block at gamma = 0,
 and the one-row block d = N at any gamma.  There sigma_min(zI - B_d) =
-min_k |z - a_k| exactly, over its diagonal a_k, which is its Johnson bound:
-the sweep takes that distance directly, with no certificate and no
-Lanczos; at gamma = 0 the grid is the distance to the levels 1, ..., 2N + 1.
+min_k |z - a_k| exactly, over its diagonal a_k: the sweep takes that
+distance directly, with no certificate and no Lanczos; at gamma = 0 the
+grid is the distance to the levels 1, ..., 2N + 1.
 
 Every other batch of a block's remaining points is solved by Lanczos on a
 batched tridiagonal LU (_sigma_min_invit), so a step costs O(size) per
@@ -814,19 +812,17 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     the exact lower bounds cannot rule it out.  The bounds are formed in
     batches, so their memory does not grow with the number of points, and
     joined by fmax, so a NaN term (from a non-finite gamma) leaves the
-    others as they are.  d + 1 - Re z and _range_bound are cheap and come
-    first: the Johnson bound, a pass over the block's rows, is formed only
-    at the points they leave open.  Neither of the two decreases as d
-    grows, so once they rule out every point the sweep stops.  Last, at the
-    points with a finite running minimum s that Johnson leaves open,
-    _sigma_min_above's LDL^H pass proves sigma_min(zI - B_d) > s, with a
-    margin against rounding of 256 eps times a bound on the largest
-    diagonal entry of (zI - B_d)^H (zI - B_d).  A proven pair cannot lower
-    the minimum and is dropped; Lanczos solves only the rest.  On the far
-    grid right of the spectrum, where block 0 holds the minimum, Lanczos
-    solves block 0 alone.  A block with no nonzero coupling is diagonal:
-    its Johnson bound is exact, min_k |z - a_k|, and it skips the
-    certificate and Lanczos."""
+    others as they are.  d + 1 - Re z and _range_bound come first, and
+    neither decreases as d grows, so once they rule out every point the
+    sweep stops.  Then, at the points they leave open that have a finite
+    running minimum s, _sigma_min_above's LDL^H pass proves
+    sigma_min(zI - B_d) > s, with a margin against rounding of 256 eps
+    times a bound on the largest diagonal entry of (zI - B_d)^H (zI - B_d).
+    A proven pair cannot lower the minimum and is dropped; Lanczos solves
+    only the rest.  On the far grid right of the spectrum, where block 0
+    holds the minimum, Lanczos solves block 0 alone.  A block with no
+    nonzero coupling is diagonal: its sigma_min is min_k |z - a_k|, taken
+    in batches, with no certificate and no Lanczos."""
     zs = np.asarray(zs, dtype=complex).ravel()
     smin, edge = np.full(zs.size, np.inf), np.empty(zs.size)
     for d in range(0, n_max + 1):
@@ -835,21 +831,17 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
         for part in _batches(zs.size, 24 * 16):
             z = zs[part]
             edge[part] = np.fmax(d + 1.0 - z.real, _range_bound(gamma, d, z))
-        candidates = np.flatnonzero(~(np.maximum(edge, 0.0) >= smin))  # a NaN bound rules nothing out
-        if candidates.size == 0:
+        todo = np.flatnonzero(~(np.maximum(edge, 0.0) >= smin))  # a NaN bound rules nothing out
+        if todo.size == 0:
             break  # every remaining block is bounded away from the minimum
-        radius = _gershgorin_radii(np.abs(off))
-        johnson = np.empty(candidates.size)
-        # per point: Johnson's complex (point x row) differences and their moduli
-        for part in _batches(candidates.size, 32 * diag.size):
-            johnson[part] = np.min(np.abs(zs[candidates[part], None] - diag) - radius, axis=1)
         if not off.any():
-            # a diagonal block: its radii are 0, and Johnson's bound is its
-            # sigma_min, the distance min_k |z - a_k| to its nearest entry
-            smin[candidates] = np.minimum(smin[candidates], johnson)
+            # a diagonal block: sigma_min is the distance min_k |z - a_k| to
+            # its nearest entry; per point, the complex (point x row)
+            # differences and their moduli
+            for part in _batches(todo.size, 32 * diag.size):
+                at = todo[part]
+                smin[at] = np.minimum(smin[at], np.min(np.abs(zs[at, None] - diag), axis=1))
             continue
-        bound = np.maximum(np.fmax(edge[candidates], johnson), 0.0)
-        todo = candidates[~(bound >= smin[candidates])]
         held = todo[np.isfinite(smin[todo])]  # the points with a running minimum to beat
         proven = np.zeros(zs.size, dtype=bool)
         # per point: _sigma_min_above's float vectors, about 20

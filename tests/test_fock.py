@@ -839,18 +839,27 @@ def test_range_bound_is_below_sigma_min(gamma):
     assert ruled_out > 1000  # the bound says something at many of the points
 
 
-def test_skip_bounds_and_start_vector_cut_lanczos_work(monkeypatch):
-    # the benchmark's N = 40 grid: 14 340 point-block pairs and 213 660
-    # solved columns with the d + 1 - Re z and Johnson bounds and a constant
-    # start; both counts are exact and deterministic
+@pytest.mark.parametrize(
+    "re_range, im_range, resolution, max_pairs, max_columns",
+    [((-1, 8), (-4, 4), 81, 3_800, 150_000), ((-50, 200), (-100, 100), 101, 5_600, 210_000)],
+    ids=["benchmark", "wide"],
+)
+def test_skip_bounds_and_start_vector_cut_lanczos_work(
+    monkeypatch, re_range, im_range, resolution, max_pairs, max_columns
+):
+    # N = 40: the skip tests (d + 1 - Re z, the range bound and the inertia
+    # certificate) leave Lanczos 3 743 point-block pairs and 40 634 solved
+    # columns on the benchmark's grid, and 5 475 pairs and 204 406 columns
+    # on the wide one.  Both counts are exact and deterministic; the pair
+    # bounds sit about 2% above them
     pairs, columns = [], []
     block, gttrs = fock._sigma_min_block, fock._gttrs
     monkeypatch.setattr(fock, "_sigma_min_block", lambda n, g, d, z: pairs.append(z.size) or block(n, g, d, z))
     monkeypatch.setattr(fock, "_gttrs", lambda f, b: columns.append(b.shape[1]) or gttrs(f, b))
-    grid = fock.pseudospectrum(40, 0.5, (-1, 8), (-4, 4), 81)
+    grid = fock.pseudospectrum(40, 0.5, re_range, im_range, resolution)
     assert np.all(np.isfinite(grid.sigma_min))
-    assert sum(pairs) <= 11_600
-    assert sum(columns) <= 150_000
+    assert sum(pairs) <= max_pairs
+    assert sum(columns) <= max_columns
 
 
 def test_residual_stop_cuts_lanczos_work(monkeypatch):
@@ -956,10 +965,13 @@ def test_pivot_weight_is_the_last_eigenvector_component(monkeypatch):
         assert np.max(np.abs(got - _last_component_sq(diag, off_sq))) < 1e-12
 
 
-def test_lanczos_matches_svd_sweep_near_normal():
+@pytest.mark.parametrize("gamma", [1e-3, 1e-300])
+def test_lanczos_matches_svd_sweep_near_normal(gamma):
     # at gamma = 1e-3 the blocks are nearly normal and sigma_1 ~ sigma_2 over
-    # much of the window; steeper start weights miss here by 1e-12
-    n_max, gamma = 30, 1e-3
+    # much of the window; steeper start weights miss here by 1e-12.  At
+    # gamma = 1e-300 off^2 underflows and levels tie across blocks, so tied
+    # pairs the certificate cannot drop reach Lanczos
+    n_max = 30
     grid = fock.pseudospectrum(n_max, gamma, (-5, 40), (-30, 30), 31)
     reference = _svd_sweep(n_max, gamma, grid.points()).reshape(grid.sigma_min.shape)
     assert np.max(np.abs(grid.sigma_min - reference)) < 1e-12
@@ -1089,10 +1101,13 @@ def test_support_energies_are_formed_in_batches(monkeypatch):
     assert peaks[1] - peaks[0] < 8 * (n_max + 1) * 6_000 / 4
 
 
-def test_johnson_bound_is_formed_in_batches(monkeypatch):
-    # unbatched, the Johnson bound of a block is a complex (points x rows)
-    # matrix: 16 bytes x 101 rows per point here.  Batched, the heap grows
-    # only by the per-point vectors of the sweep
+@pytest.mark.parametrize("gamma", [0.5, 0.0])
+def test_skip_passes_are_formed_in_batches(monkeypatch, gamma):
+    # at gamma = 0.5 every block takes the range bound and the certificate;
+    # at gamma = 0 every block visited is diagonal and takes the distance
+    # pass, which unbatched is a complex (points x rows) matrix: 16 bytes x
+    # 101 rows per point here.  Batched, the heap grows only by the per-point
+    # vectors of the sweep
     n_max = 100
     monkeypatch.setattr(fock, "_SIGMA_MIN_BATCH_BYTES", 2**18)
     monkeypatch.setattr(fock, "_sigma_min_block", lambda n, g, d, z: np.full(z.size, 1e300))  # visit every block
@@ -1101,7 +1116,7 @@ def test_johnson_bound_is_formed_in_batches(monkeypatch):
         zs = np.linspace(-1, 8, count) + 1j
         tracemalloc.start()
         try:
-            fock._sigma_min_blockwise(n_max, 0.5, zs)
+            fock._sigma_min_blockwise(n_max, gamma, zs)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
