@@ -13,16 +13,11 @@ and spectrum tables come out as columns: numerical_range_boundary and
 spectrum_levels return arrays over the whole theta grid or level list,
 with no Python loop over thetas or levels.
 
-sigma_min evaluation uses three exact skip tests so large-d blocks are only
+sigma_min evaluation uses two exact skip tests so large-d blocks are only
 touched when they can actually lower the minimum:
 
 * Re W(B_d) >= d + 1 (the block's diagonal dominates its Hermitian part),
   hence sigma_min(zI - B_d) >= max(0, d + 1 - Re z);
-* the hyperbolic numerical-range bound: W(B_d) lies right of the line
-  Re(e^{-i theta} w) = (d + 1) sqrt(cos^2 theta - (gamma sin theta)^2)
-  wherever cos theta > |gamma sin theta| (an su(1,1) argument, in
-  _range_bound), and sigma_min(zI - B_d) >= dist(z, W(B_d)); it is
-  taken at 16 such theta;
 * an inertia certificate, once a block has set a running minimum s: one
   banded LDL^H pass over the pentadiagonal M^H M - tI, with t = s^2 plus a
   rounding margin of 256 eps times a bound on max_i (M^H M)_ii; all pivots
@@ -63,8 +58,9 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded here, not inside the first draw)
 
 #: bytes one sigma_min batch may hold: an SVD stack of shifted blocks, the
-#: LU factors and Lanczos vectors of a batch, or a chunk of skip bounds;
-#: support_energies' theta batches use the same budget
+#: LU factors and Lanczos vectors of a batch, a chunk of inertia
+#: certificates or of diagonal-block distances; support_energies' theta
+#: batches use the same budget
 _SIGMA_MIN_BATCH_BYTES = 8 * 2**20
 #: _sigma_min_above's margin over floor^2, relative to max_i A_ii: four
 #: times the 64 eps its rounding argument needs, as that count is not tight
@@ -365,11 +361,14 @@ def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
     its eigenvalues depend on nothing else.  In this region block 0 holds
     the minimum, so it alone is solved, by _lowest_eigenvalues over theta
     batches of at most _SIGMA_MIN_BATCH_BYTES.  Its lower bound is the
-    closed form sqrt(_support_gap), the untruncated block's lowest
-    eigenvalue (_range_bound's su(1,1) argument at d = 0), which truncation,
-    a compression, can only raise; so Newton starts within the truncation
-    error.  Proof that block 0 holds the minimum: phase block d+1's
-    off-diagonals to <= 0 and take its Perron ground vector u >= 0, |u| = 1.
+    closed form sqrt(gap), gap = _support_gap(gamma, theta), the untruncated
+    block's lowest eigenvalue: up to a diagonal phase, that block is
+    2 cos theta K_0 + 2 gamma sin theta K_1 in the su(1,1) discrete series
+    of Bargmann index 1/2, SU(1,1)-conjugate to 2 sqrt(gap) K_0, whose
+    lowest eigenvalue is sqrt(gap).  Truncation, a compression, can only
+    raise it, so Newton starts within the truncation error.  Proof that
+    block 0 holds the minimum: phase block d+1's off-diagonals to <= 0 and
+    take its Perron ground vector u >= 0, |u| = 1.
     Padded with one 0 it is a trial vector for block d, and the two Rayleigh
     quotients differ by cos theta - 2 |gamma sin theta| sum_k delta_k u_k u_k+1
     with delta_k = sqrt(k+1) (sqrt(d+k+2) - sqrt(d+k+1)) <= 1/2.  As
@@ -387,7 +386,7 @@ def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
     out = np.empty(cos.size)
     # per theta: the two outer-product columns, _pivots's shifted copy and
     # the compacted copies, each a float per row
-    for part in _batches(cos.size, 32 * diag.size) if cos.size else ():
+    for part in _batches(cos.size, 32 * diag.size):
         out[part], _ = _lowest_eigenvalues(
             np.outer(diag, cos[part]), np.outer(coupling_sq, coupling[part]), closed[part]
         )
@@ -573,8 +572,11 @@ def _gttrs(factors, b: np.ndarray) -> None:
 
 
 def _batches(count: int, point_bytes: int) -> list[np.ndarray]:
-    """range(count) in even batches of at most _SIGMA_MIN_BATCH_BYTES."""
-    return np.array_split(np.arange(count), max(1, -(-count * point_bytes // _SIGMA_MIN_BATCH_BYTES)))
+    """range(count) in even batches of at most _SIGMA_MIN_BATCH_BYTES; no
+    batch at all for a count of 0."""
+    if count == 0:
+        return []
+    return np.array_split(np.arange(count), -(-count * point_bytes // _SIGMA_MIN_BATCH_BYTES))
 
 
 def _sigma_min_svd(block: np.ndarray, zs: np.ndarray, d: int) -> np.ndarray:
@@ -706,35 +708,6 @@ def _sigma_min_block(n_max: int, gamma: float, d: int, zs: np.ndarray) -> np.nda
     return out
 
 
-def _range_bound_thetas(gamma: float) -> np.ndarray:
-    """The 16 fixed theta of _range_bound, evenly spaced strictly inside
-    (-theta*, theta*), theta* = atan2(1, |gamma|): exactly where
-    cos theta > |gamma sin theta|."""
-    return math.atan2(1.0, abs(gamma)) * (np.arange(16) - 7.5) / 8
-
-
-def _range_bound(gamma: float, d: int, zs: np.ndarray) -> np.ndarray:
-    """Lower bound on sigma_min(zI - B_d) per point from supporting lines of
-    the numerical range W(B_d), the largest over _range_bound_thetas.
-
-    For cos theta > |gamma sin theta|, Re(e^{-i theta} B_d) is, up to a
-    diagonal phase, 2 cos theta K_0 + 2 gamma sin theta K_1 in the su(1,1)
-    discrete series of Bargmann index (d + 1)/2 (the Hermitian tridiagonal
-    support_energies describes).  That operator is SU(1,1)-conjugate to
-    2 sqrt(gap) K_0, gap = _support_gap(gamma, theta), whose lowest
-    eigenvalue is (d + 1) sqrt(gap); truncation compresses it, which can
-    only raise that.  So W(B_d) lies right of the line Re(e^{-i theta} w) =
-    (d + 1) sqrt(gap), and sigma_min(zI - B_d) >= dist(z, W(B_d)) >=
-    (d + 1) sqrt(gap) - Re(e^{-i theta} z) (Trefethen & Embree, Spectra and
-    Pseudospectra, 2005, ch. 17).  The bound is moved down by _SUPPORT_RTOL
-    (|z| + d + 1) against rounding; it never decreases as d grows."""
-    theta = _range_bound_thetas(gamma)
-    with np.errstate(invalid="ignore"):  # an infinite gamma gives NaN, which callers drop
-        support = (d + 1) * np.sqrt(_support_gap(gamma, theta))
-    bound = np.max(support - np.outer(zs.real, np.cos(theta)) - np.outer(zs.imag, np.sin(theta)), axis=1)
-    return bound - _SUPPORT_RTOL * (np.abs(zs) + d + 1)
-
-
 def _sigma_min_above(diag, off, zs: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """True where sigma_min(zI - B) > floor is proven, per point, by one
     banded LDL^H pass; B has diagonal `diag`, superdiagonal `off` and
@@ -809,31 +782,26 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     """sigma_min(zI - A_N) per point, min over tridiagonal blocks.
 
     Blocks are visited in ascending d; each is applied only at points where
-    the exact lower bounds cannot rule it out.  The bounds are formed in
-    batches, so their memory does not grow with the number of points, and
-    joined by fmax, so a NaN term (from a non-finite gamma) leaves the
-    others as they are.  d + 1 - Re z and _range_bound come first, and
-    neither decreases as d grows, so once they rule out every point the
-    sweep stops.  Then, at the points they leave open that have a finite
-    running minimum s, _sigma_min_above's LDL^H pass proves
-    sigma_min(zI - B_d) > s, with a margin against rounding of 256 eps
-    times a bound on the largest diagonal entry of (zI - B_d)^H (zI - B_d).
-    A proven pair cannot lower the minimum and is dropped; Lanczos solves
-    only the rest.  On the far grid right of the spectrum, where block 0
-    holds the minimum, Lanczos solves block 0 alone.  A block with no
-    nonzero coupling is diagonal: its sigma_min is min_k |z - a_k|, taken
-    in batches, with no certificate and no Lanczos."""
+    the exact lower bounds cannot rule it out.  The first is
+    max(0, d + 1 - Re z), one float per point; it never decreases as d
+    grows, so once it rules out every point the sweep stops.  Then, at the
+    points it leaves open that have a finite running minimum s,
+    _sigma_min_above's LDL^H pass proves sigma_min(zI - B_d) > s, with a
+    margin against rounding of 256 eps times a bound on the largest
+    diagonal entry of (zI - B_d)^H (zI - B_d); it runs in batches, so its
+    memory does not grow with the number of points.  A proven pair cannot
+    lower the minimum and is dropped; Lanczos solves only the rest.  On
+    the far grid right of the spectrum, where block 0 holds the minimum,
+    Lanczos solves block 0 alone.  A block with no nonzero coupling is
+    diagonal: its sigma_min is min_k |z - a_k|, taken in batches, with no
+    certificate and no Lanczos."""
     zs = np.asarray(zs, dtype=complex).ravel()
-    smin, edge = np.full(zs.size, np.inf), np.empty(zs.size)
+    smin = np.full(zs.size, np.inf)
     for d in range(0, n_max + 1):
-        diag, off = _block_tridiag(n_max, gamma, d)
-        # per point: _range_bound's three float (point x theta) products
-        for part in _batches(zs.size, 24 * 16):
-            z = zs[part]
-            edge[part] = np.fmax(d + 1.0 - z.real, _range_bound(gamma, d, z))
-        todo = np.flatnonzero(~(np.maximum(edge, 0.0) >= smin))  # a NaN bound rules nothing out
+        todo = np.flatnonzero(~(np.maximum(d + 1.0 - zs.real, 0.0) >= smin))
         if todo.size == 0:
             break  # every remaining block is bounded away from the minimum
+        diag, off = _block_tridiag(n_max, gamma, d)
         if not off.any():
             # a diagonal block: sigma_min is the distance min_k |z - a_k| to
             # its nearest entry; per point, the complex (point x row)
@@ -845,7 +813,7 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
         held = todo[np.isfinite(smin[todo])]  # the points with a running minimum to beat
         proven = np.zeros(zs.size, dtype=bool)
         # per point: _sigma_min_above's float vectors, about 20
-        for part in _batches(held.size, 8 * 20) if held.size else ():
+        for part in _batches(held.size, 8 * 20):
             at = held[part]
             proven[at] = _sigma_min_above(diag, off, zs[at], smin[at])
         todo = todo[~proven[todo]]

@@ -173,19 +173,14 @@ def conjugate_by_gaussian(p: OperatorPoly, sign: int) -> OperatorPoly:
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     s_op = gaussian_exponent()
-    order = p.derivative_order()
-    total = p
-    term = p
-    k = 0
-    while not term.is_zero():
+    total = term = p
+    for k in range(1, p.derivative_order() + 2):
         bracket = commutator(s_op, term)
         if bracket.is_zero():
-            break
-        k += 1
-        assert k <= order, "conjugation series failed to terminate"
+            return total
         term = bracket.scaled(Fraction(-sign, k))
         total = total + term
-    return total
+    raise RuntimeError("conjugation series failed to terminate")
 
 
 # -- model operators -----------------------------------------------------

@@ -802,7 +802,7 @@ def test_lanczos_matches_svd_sweep_in_the_far_field(monkeypatch):
     # far right of the spectrum sigma_1 / sigma_2 is near 1, where a power
     # iteration stalls and Lanczos needs the most steps.  Block 0 holds the
     # minimum there, and the inertia certificate proves it at every d >= 1
-    # point the other bounds leave open, so Lanczos solves block 0 alone
+    # point d + 1 - Re z leaves open, so Lanczos solves block 0 alone
     proven, above = [], fock._sigma_min_above
     monkeypatch.setattr(fock, "_sigma_min_above", lambda *a: proven.append(above(*a)) or proven[-1])
     re, im = np.linspace(100, 150, 21), np.linspace(0, 20, 5)
@@ -813,50 +813,42 @@ def test_lanczos_matches_svd_sweep_in_the_far_field(monkeypatch):
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5, -1.5, 10.0])
 @pytest.mark.parametrize("n_max", [5, 20])
-def test_range_bound_lines_support_every_block(n_max, gamma):
-    # the lowest eigenvalue of Re(e^{-i theta} B_d) is at least the su(1,1)
-    # value (d + 1) sqrt(gap) at each angle the bound takes
-    for d in range(n_max + 1):
-        block = fock._block_dense(n_max, gamma, d)
-        for theta in fock._range_bound_thetas(gamma):
-            hermitian = (cmath.exp(-1j * theta) * block + cmath.exp(1j * theta) * block.T) / 2
-            support = (d + 1) * math.sqrt(fock._support_gap(gamma, np.array(theta)))
-            scale = d + 1 + np.max(np.abs(hermitian).sum(axis=1))
-            assert np.linalg.eigvalsh(hermitian)[0] >= support - fock._SUPPORT_RTOL * scale
-
-
-@pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5, -1.5, 10.0])
-def test_range_bound_is_below_sigma_min(gamma):
-    n_max, rng = 20, np.random.default_rng(3)
-    ruled_out = 0
-    for d in range(n_max + 1):
-        block = fock._block_dense(n_max, gamma, d)
-        zs = rng.uniform(-10, 3 * n_max + 5, 200) + 1j * rng.uniform(-3 * n_max - 5, 3 * n_max + 5, 200)
-        sigma = np.linalg.svd(zs[:, None, None] * np.eye(block.shape[0]) - block, compute_uv=False)[:, -1]
-        bound = fock._range_bound(gamma, d, zs)
-        assert np.all(bound <= sigma)
-        ruled_out += np.count_nonzero(bound > 0)
-    assert ruled_out > 1000  # the bound says something at many of the points
+def test_support_energy_newton_start_is_below_block_0(n_max, gamma):
+    # support_energies starts Newton at sqrt(gap), the su(1,1) lowest
+    # eigenvalue of the untruncated block 0; the truncated block's lowest
+    # eigenvalue of Re(e^{-i theta} B_0) is at least that, at 16 theta
+    # evenly spaced strictly inside cos theta > |gamma sin theta|
+    block = fock._block_dense(n_max, gamma, 0)
+    for theta in math.atan2(1.0, abs(gamma)) * (np.arange(16) - 7.5) / 8:
+        hermitian = (cmath.exp(-1j * theta) * block + cmath.exp(1j * theta) * block.T) / 2
+        start = math.sqrt(fock._support_gap(gamma, np.array(theta)))
+        scale = 1 + np.max(np.abs(hermitian).sum(axis=1))
+        assert np.linalg.eigvalsh(hermitian)[0] >= start - fock._SUPPORT_RTOL * scale
 
 
 @pytest.mark.parametrize(
-    "re_range, im_range, resolution, max_pairs, max_columns",
-    [((-1, 8), (-4, 4), 81, 3_800, 150_000), ((-50, 200), (-100, 100), 101, 5_600, 210_000)],
-    ids=["benchmark", "wide"],
+    "n_max, re_range, im_range, resolution, max_pairs, max_columns",
+    [
+        (40, (-1, 8), (-4, 4), 81, 3_800, 150_000),
+        (40, (-50, 200), (-100, 100), 101, 5_600, 210_000),
+        (160, (-20, 20), (-60, 60), 41, 895, 43_200),
+    ],
+    ids=["benchmark", "wide", "tall"],
 )
 def test_skip_bounds_and_start_vector_cut_lanczos_work(
-    monkeypatch, re_range, im_range, resolution, max_pairs, max_columns
+    monkeypatch, n_max, re_range, im_range, resolution, max_pairs, max_columns
 ):
-    # N = 40: the skip tests (d + 1 - Re z, the range bound and the inertia
-    # certificate) leave Lanczos 3 743 point-block pairs and 40 634 solved
-    # columns on the benchmark's grid, and 5 475 pairs and 204 406 columns
-    # on the wide one.  Both counts are exact and deterministic; the pair
-    # bounds sit about 2% above them
+    # the skip tests (d + 1 - Re z and the inertia certificate) leave
+    # Lanczos, at N = 40, 3 743 point-block pairs and 40 634 solved columns
+    # on the benchmark's grid and 5 475 pairs and 204 406 columns on the
+    # wide one; on the tall N = 160 grid, where the certificate alone rules
+    # out the high blocks, 877 pairs and 42 294 columns.  The counts are
+    # exact and deterministic; the pair bounds sit about 2% above them
     pairs, columns = [], []
     block, gttrs = fock._sigma_min_block, fock._gttrs
     monkeypatch.setattr(fock, "_sigma_min_block", lambda n, g, d, z: pairs.append(z.size) or block(n, g, d, z))
     monkeypatch.setattr(fock, "_gttrs", lambda f, b: columns.append(b.shape[1]) or gttrs(f, b))
-    grid = fock.pseudospectrum(40, 0.5, re_range, im_range, resolution)
+    grid = fock.pseudospectrum(n_max, 0.5, re_range, im_range, resolution)
     assert np.all(np.isfinite(grid.sigma_min))
     assert sum(pairs) <= max_pairs
     assert sum(columns) <= max_columns
@@ -900,8 +892,8 @@ def test_inertia_certificate_never_claims_more_than_the_svd(gamma):
 
 
 def test_inertia_certificate_cuts_lanczos_pairs(monkeypatch):
-    # the benchmark's grids: the other skip bounds leave Lanczos 14 531
-    # point-block pairs, and 9 820 of the 10 349 at d >= 1 do not lower the
+    # the benchmark's grids: d + 1 - Re z alone leaves Lanczos 18 603
+    # point-block pairs, and 13 892 of the 14 421 at d >= 1 do not lower the
     # minimum.  On the far grid block 0 holds the minimum at every point,
     # and every d >= 1 pair is proven away
     pairs, block = [], fock._sigma_min_block
@@ -1084,6 +1076,17 @@ def test_failed_ritz_solves_fall_back_to_svd_point_by_point(monkeypatch):
     assert np.max(np.abs(starved - reference)) < 1e-12
 
 
+@pytest.mark.parametrize("count", [0, 1, 7, 100_000])
+def test_batches_cover_the_count_within_the_budget(monkeypatch, count):
+    # in order, each index once, each batch within the byte budget; a count
+    # of 0 gives no batch at all, so callers need no guard
+    monkeypatch.setattr(fock, "_SIGMA_MIN_BATCH_BYTES", 2**16)
+    parts = fock._batches(count, 128)
+    assert len(parts) == -(-count * 128 // 2**16)
+    assert all(part.size * 128 <= 2**16 for part in parts)
+    np.testing.assert_array_equal(np.concatenate(parts or [np.arange(0)]), np.arange(count))
+
+
 def test_support_energies_are_formed_in_batches(monkeypatch):
     # unbatched, block 0's diagonal and couplings are (rows x thetas)
     # matrices: 8 bytes x 101 rows per theta each, and _pivots copies one
@@ -1103,11 +1106,11 @@ def test_support_energies_are_formed_in_batches(monkeypatch):
 
 @pytest.mark.parametrize("gamma", [0.5, 0.0])
 def test_skip_passes_are_formed_in_batches(monkeypatch, gamma):
-    # at gamma = 0.5 every block takes the range bound and the certificate;
-    # at gamma = 0 every block visited is diagonal and takes the distance
-    # pass, which unbatched is a complex (points x rows) matrix: 16 bytes x
-    # 101 rows per point here.  Batched, the heap grows only by the per-point
-    # vectors of the sweep
+    # at gamma = 0.5 every block visited takes the inertia certificate, a
+    # row-by-row pass over per-point vectors; at gamma = 0 every block
+    # visited is diagonal and takes the distance pass, which unbatched is a
+    # complex (points x rows) matrix: 16 bytes x 101 rows per point here.
+    # Batched, the heap grows only by the per-point vectors of the sweep
     n_max = 100
     monkeypatch.setattr(fock, "_SIGMA_MIN_BATCH_BYTES", 2**18)
     monkeypatch.setattr(fock, "_sigma_min_block", lambda n, g, d, z: np.full(z.size, 1e300))  # visit every block

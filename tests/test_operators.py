@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhboson import operators
 from nhboson.modes import ModeFunction, ModeKind
 from nhboson.operators import (
     DegreeLimitError,
@@ -106,6 +107,16 @@ def test_gaussian_conjugation_of_dx():
 def test_gaussian_conjugation_of_scalar():
     assert conjugate_by_gaussian(ONE, +1) == ONE
     assert conjugate_by_gaussian(ONE, -1) == ONE
+
+
+def test_gaussian_conjugation_that_never_terminates_raises(monkeypatch):
+    # a bracket that never vanishes: the series stops after derivative
+    # order + 1 commutators and raises RuntimeError, which python -O keeps
+    brackets = []
+    monkeypatch.setattr(operators, "commutator", lambda s, t: brackets.append(t) or t)
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        conjugate_by_gaussian(DX, +1)
+    assert len(brackets) == DX.derivative_order() + 1
 
 
 def test_similarity_identity():
