@@ -26,8 +26,8 @@ touched when they can actually lower the minimum:
 A block whose couplings are all zero is diagonal: every block at gamma = 0,
 and the one-row block d = N at any gamma.  There sigma_min(zI - B_d) =
 min_k |z - a_k| exactly, over its diagonal a_k: the sweep takes that
-distance directly, with no certificate and no Lanczos; at gamma = 0 the
-grid is the distance to the levels 1, ..., 2N + 1.
+distance by a sorted lookup, with no certificate and no Lanczos; at
+gamma = 0 the grid is the distance to the levels 1, ..., 2N + 1.
 
 Every other batch of a block's remaining points is solved by Lanczos on a
 batched tridiagonal LU (_sigma_min_invit), so a step costs O(size) per
@@ -58,9 +58,8 @@ import numpy as np
 import numpy.random  # noqa: F401  (loaded here, not inside the first draw)
 
 #: bytes one sigma_min batch may hold: an SVD stack of shifted blocks, the
-#: LU factors and Lanczos vectors of a batch, a chunk of inertia
-#: certificates or of diagonal-block distances; support_energies' theta
-#: batches use the same budget
+#: LU factors and Lanczos vectors of a batch or a chunk of inertia
+#: certificates; support_energies' theta batches use the same budget
 _SIGMA_MIN_BATCH_BYTES = 8 * 2**20
 #: _sigma_min_above's margin over floor^2, relative to max_i A_ii: four
 #: times the 64 eps its rounding argument needs, as that count is not tight
@@ -377,18 +376,18 @@ def support_energies(n_max: int, gamma: float, thetas) -> np.ndarray:
     _check_truncation(n_max)
     thetas = np.asarray(thetas, dtype=float)
     _check_theta(thetas)
-    if not np.all(_support_gap(gamma, thetas) >= 0):
+    gap = _support_gap(gamma, thetas).ravel()
+    if not np.all(gap >= 0):
         raise ValueError("support energies need cos theta >= |gamma sin theta|")
     diag, coupling_sq = _block_data(n_max, 0)
     cos = np.cos(thetas).ravel()
     coupling = (gamma * np.sin(thetas).ravel()) ** 2
-    closed = np.sqrt(_support_gap(gamma, thetas).ravel())
     out = np.empty(cos.size)
     # per theta: the two outer-product columns, _pivots's shifted copy and
     # the compacted copies, each a float per row
     for part in _batches(cos.size, 32 * diag.size):
         out[part], _ = _lowest_eigenvalues(
-            np.outer(diag, cos[part]), np.outer(coupling_sq, coupling[part]), closed[part]
+            np.outer(diag, cos[part]), np.outer(coupling_sq, coupling[part]), np.sqrt(gap[part])
         )
     if not np.all(np.isfinite(out)):
         raise SolverConvergenceError("support energy not converged")
@@ -793,8 +792,8 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     lower the minimum and is dropped; Lanczos solves only the rest.  On
     the far grid right of the spectrum, where block 0 holds the minimum,
     Lanczos solves block 0 alone.  A block with no nonzero coupling is
-    diagonal: its sigma_min is min_k |z - a_k|, taken in batches, with no
-    certificate and no Lanczos."""
+    diagonal: its sigma_min is min_k |z - a_k|, taken by a sorted lookup
+    in O(log rows) per point, with no certificate and no Lanczos."""
     zs = np.asarray(zs, dtype=complex).ravel()
     smin = np.full(zs.size, np.inf)
     for d in range(0, n_max + 1):
@@ -804,11 +803,11 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
         diag, off = _block_tridiag(n_max, gamma, d)
         if not off.any():
             # a diagonal block: sigma_min is the distance min_k |z - a_k| to
-            # its nearest entry; per point, the complex (point x row)
-            # differences and their moduli
-            for part in _batches(todo.size, 32 * diag.size):
-                at = todo[part]
-                smin[at] = np.minimum(smin[at], np.min(np.abs(zs[at, None] - diag), axis=1))
+            # its nearest entry; diag increases, so that entry is one of the
+            # two that bracket Re z (np.minimum keeps a NaN point NaN)
+            right = np.minimum(np.searchsorted(diag, zs[todo].real), diag.size - 1)
+            for k in (right, np.maximum(right - 1, 0)):
+                smin[todo] = np.minimum(smin[todo], np.abs(zs[todo] - diag[k]))
             continue
         held = todo[np.isfinite(smin[todo])]  # the points with a running minimum to beat
         proven = np.zeros(zs.size, dtype=bool)
