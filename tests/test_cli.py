@@ -413,9 +413,13 @@ def test_commands_run_without_scipy(tmp_path, command):
 
 def test_package_imports_without_scipy():
     assert _fresh_interpreter("import sys, nhboson; print('scipy' in sys.modules)").strip() == "False"
-    # the CLI's start-up cost: mpmath is imported only by the calls that need it
-    code = "import sys, nhboson.cli; print('scipy' in sys.modules, 'mpmath' in sys.modules)"
-    assert _fresh_interpreter(code).strip() == "False False"
+    # the CLI's start-up cost: mpmath is imported only by the calls that need
+    # it, and numpy.polynomial by none (wkb builds its own Legendre rules)
+    code = (
+        "import sys, nhboson.cli; "
+        "print('scipy' in sys.modules, 'mpmath' in sys.modules, 'numpy.polynomial' in sys.modules)"
+    )
+    assert _fresh_interpreter(code).strip() == "False False False"
 
 
 def test_library_warning_is_one_nhboson_line(tmp_path, monkeypatch, capsys):

@@ -1,10 +1,13 @@
-"""Semiclassical phases: Jacobi residuals, closed-form values, and the
-three hbar-scaling integrals."""
+"""Semiclassical phases: Jacobi residuals, closed-form values, the
+Gauss-Legendre rules and the three hbar-scaling integrals."""
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss as eigensolve_leggauss
 from scipy.integrate import quad
 from scipy.special import erf, erfi
 
@@ -15,6 +18,7 @@ from nhboson.wkb import (
     _converged_quadrature,
     _log_gaussian_integral,
     difference_coordinate_summand,
+    leggauss,
     sum_coordinate_summand,
     wkb_integrals,
 )
@@ -177,6 +181,75 @@ def test_doubling_loops_raise_rather_than_return_unconverged():
         _converged_quadrature(lambda x: np.full_like(x, np.nan), 1.0)
     with pytest.raises(FloatingPointError, match="non-finite"):
         _log_gaussian_integral(math.inf, 1.0)
+
+
+def _reference_leggauss(n):
+    """40-digit rule: Newton on the recurrence from numpy's eigensolve
+    nodes, on the nonnegative half, mirrored."""
+    start = eigensolve_leggauss(n)[0][n // 2:]
+    with mpmath.workdps(40):
+
+        def legendre_and_derivative(x):
+            p_prev, p = mpmath.mpf(1), x
+            for j in range(1, n):
+                p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+            return p, n * (x * p - p_prev) / (x * x - 1)
+
+        half_nodes, half_weights = [], []
+        for x0 in start:
+            x = mpmath.mpf(float(x0))
+            for _ in range(2):  # from ~1e-16 to below 1e-40
+                p, d = legendre_and_derivative(x)
+                x -= p / d
+            half_nodes.append(float(x))
+            half_weights.append(float(2 / ((1 - x * x) * d * d)))
+    half_nodes, half_weights = np.array(half_nodes), np.array(half_weights)
+    return (
+        np.concatenate((-half_nodes[::-1][: n // 2], half_nodes)),
+        np.concatenate((half_weights[::-1][: n // 2], half_weights)),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 512])
+def test_leggauss_matches_extended_precision_rule(n):
+    nodes, weights = leggauss(n)
+    want_nodes, want_weights = _reference_leggauss(n)
+    assert np.max(np.abs(nodes - want_nodes)) <= 2 * np.finfo(float).eps
+    assert np.max(np.abs(weights / want_weights - 1)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65, 511, 512, 8192])
+def test_leggauss_symmetry_and_weight_sum(n):
+    nodes, weights = leggauss(n)
+    assert nodes.shape == weights.shape == (n,)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+    if n % 2:  # exactly +0.0, not a rounded cos(pi / 2) or -0.0
+        assert math.copysign(1.0, nodes[n // 2]) == 1.0 and nodes[n // 2] == 0.0
+    assert abs(weights.sum() - 2.0) <= 1e-13
+
+
+def test_leggauss_rejects_empty_rule_and_is_read_only():
+    with pytest.raises(ValueError):
+        leggauss(0)
+    nodes, weights = leggauss(4)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+
+
+def test_node_cap_is_reached_in_bounded_memory():
+    # hbar = 1e-6 doubles up to the 8192-node cap without converging; the
+    # rules must cost O(n) memory on the way (an 8192^2 matrix is 512 MB)
+    leggauss.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(FloatingPointError, match="8192"):
+            wkb_integrals(SUM, 1.0, [1e-6])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_rejects_nonpositive_hbar():
