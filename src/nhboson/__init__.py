@@ -7,6 +7,9 @@ closed-form eigenfunctions and their inner products (modes), truncated
 number-basis matrices with numerical-range / pseudospectrum / accretivity
 diagnostics (fock), semiclassical phase integrals (wkb), and a data-emitting
 command line (cli).
+
+Records are NamedTuples, or __slots__ classes where they check their
+fields, so importing the package generates no code (no dataclasses).
 """
 
 __version__ = "0.1.0"

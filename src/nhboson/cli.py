@@ -21,6 +21,11 @@ A call builds only the invoked command's parser: when the first argument
 names a command, main adds that one subparser (_build_parser(only)), which
 parses and reports exactly as the full parser would.  Without a command
 (no arguments, -h, --version or an unknown word) it builds all of them.
+
+Start-up: importing this module loads numpy and every nhboson module, but
+not mpmath (loaded by the calls that need it), numpy.polynomial or
+dataclasses.  RunConfig, Command and the library's records are NamedTuples
+or __slots__ classes, so no methods are generated and compiled at import.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,8 +80,7 @@ _SVD_COMMANDS = ("pseudo", "accretive")
 SVD_GAMMA_MAX = 1e150
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str = ""
     gamma: float = 0.5
     gamma_symbolic: bool = False
@@ -144,10 +147,8 @@ class RunConfig:
                 raise CliError(f"accretivity sample {p!r} must be finite with Re z < 0")
 
     def as_params(self) -> dict:
-        d = asdict(self)
-        d["hbars"] = [float(h) for h in self.hbars]
-        d["points"] = [str(p) for p in self.points]
-        return d
+        """Every field, in field order, with hbars and points as JSON lists."""
+        return {**self._asdict(), "hbars": [float(h) for h in self.hbars], "points": [str(p) for p in self.points]}
 
 
 # -- row builders ----------------------------------------------------------
@@ -238,8 +239,7 @@ def _rows_expand(cfg: RunConfig):
 # -- the option table --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand: its help text, its row builder, the RunConfig fields
     it reads (each set by the flag --field-name unless _FLAG_FIELDS says
     otherwise), its default output format, and (field, text) defaults that
@@ -357,13 +357,12 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def _set_field(cfg: RunConfig, name: str, text: str) -> None:
-    if name == "gamma" and text == "symbolic":
-        cfg.gamma_symbolic = True
-        return
-    parse = _FIELD_PARSERS.get(name, type(getattr(RunConfig, name)))
+def _parse_field(name: str, text: str):
+    """A field's value from its text, by _FIELD_PARSERS or else by the type
+    of the field's default."""
+    parse = _FIELD_PARSERS.get(name, type(RunConfig._field_defaults[name]))
     try:
-        setattr(cfg, name, parse(text))
+        return parse(text)
     except ValueError as exc:
         raise CliError(f"cannot parse {name} value {text!r}") from exc
 
@@ -373,9 +372,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     flag and file texts go through the same per-field parser."""
     spec = COMMANDS[args.command]
     file_values = read_config_file(args.config) if args.config else {}
-    known = {f.name for f in fields(RunConfig)}
     for key in file_values:
-        if key not in known:
+        if key not in RunConfig._fields:
             raise CliError(f"unknown config key {key!r}")
     texts = {**dict(spec.defaults), **file_values}
     for flag, names in _flags(spec).items():
@@ -386,11 +384,15 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if len(parts) != len(names):
             raise CliError(f"{flag} needs {','.join(names)}")
         texts.update(zip(names, parts))
-    cfg = RunConfig(command=args.command)
+    values = {}
     for name in (*_COMMON_OPTIONS, *spec.options):
-        if name in texts:
-            _set_field(cfg, name, texts[name])
-    return cfg
+        if name not in texts:
+            continue
+        if name == "gamma" and texts[name] == "symbolic":
+            values["gamma_symbolic"] = True
+        else:
+            values[name] = _parse_field(name, texts[name])
+    return RunConfig(args.command, **values)
 
 
 # -- emission ---------------------------------------------------------------

@@ -27,7 +27,8 @@ A block whose couplings are all zero is diagonal: every block at gamma = 0,
 and the one-row block d = N at any gamma.  There sigma_min(zI - B_d) =
 min_k |z - a_k| exactly, over its diagonal a_k: the sweep takes that
 distance by a sorted lookup, with no certificate and no Lanczos; at
-gamma = 0 the grid is the distance to the levels 1, ..., 2N + 1.
+gamma = 0 the grid is the distance to the levels 1, ..., 2N + 1, which
+blocks 0 and 1 alone hold, so the sweep stops after block 1.
 
 Every other batch of a block's remaining points is solved by Lanczos on a
 batched tridiagonal LU (_sigma_min_invit), so a step costs O(size) per
@@ -41,8 +42,10 @@ already leans toward the smallest singular vector.  A point stops, after
 1/sigma^2 agree to a relative 4e-15, or Paige's residual beta_k |s_k|
 puts the Ritz value within that of the top eigenvalue by Kato-Temple,
 with the gap taken as half the Ritz value while a Sturm count finds no
-second Ritz value above it.  The batched dense SVD is the fallback only:
-it takes the points Lanczos does not settle.  Batches are sized in bytes.
+second Ritz value above it (at the first step, with one Ritz value, while
+Weyl's bound from the diagonal proves that gap for the matrix itself).
+The batched dense SVD is the fallback only: it takes the points Lanczos
+does not settle.  Batches are sized in bytes.
 Results agree with dense SVD to 1e-12; no unconverged value is returned.
 """
 
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
@@ -627,7 +629,14 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
       while a Sturm count (_count_below) finds no other Ritz value of T_k
       above lambda_k / 2.  Ritz values only bound C's eigenvalues from
       below, so this is a guard, not a proof; the agreement rule waits for
-      the points it turns away (sigma_2 near sigma_min).
+      the points it turns away (sigma_2 near sigma_min).  T_0 has one Ritz
+      value, so at k = 0 the count would pass vacuously; far from the
+      diagonal the start's Rayleigh quotient meets the residual bound there
+      though C's eigenvalues lie within a relative 2 ||B|| / |z| of each
+      other.  At k = 0 the gap is instead proven for C itself, by Weyl's
+      bound sigma_2(zI - B) >= m_2 - ||B - diag(a)||_2, with m_2 the second
+      smallest |z - a_k| and 2 max |off| for the norm: a point stops there
+      only if (m_2 - 2 max |off|)^-2 <= lambda_0 / 2.
 
     The residual rule saves the step that agreement needs after lambda has
     converged.  The batch stops once no point is left.  Left to the SVD are
@@ -672,9 +681,15 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
             done = ok & (np.abs(lam - prev) <= _INVIT_RTOL * lam)
             # Kato-Temple: lambda_max(C) - lam <= r^2 / gap, r = beta_k |s_k|
             near = np.flatnonzero(ok & ~done & (beta_sq[k] * end_sq <= _INVIT_RTOL * lam * (0.5 * lam)))
-            if near.size:
+            if k and near.size:
                 # the gap lam / 2 holds for T_k if no other Ritz value passes lam / 2
                 done[near] = _count_below(-alpha[: k + 1, near], beta_sq[:k, near], -0.5 * lam[near]) == 1
+            elif near.size:
+                # T_0 has one Ritz value: Weyl's bound proves the gap for C itself,
+                # lambda_2(C) <= (m_2 - 2 max |off|)^-2 <= lam / 2
+                dist = np.abs(zs[active[near]] - diag[:, None])
+                m_2 = np.partition(dist, 1, axis=0)[1] if size > 1 else np.inf
+                done[near] = (m_2 - 2.0 * np.abs(off).max(initial=0.0)) * np.sqrt(0.5 * lam[near]) >= 1.0
             out[active[done]] = 1.0 / np.sqrt(lam[done])
             keep = ok & ~done & (beta_sq[k] > 0) & (beta_sq[k] < np.inf)
             q_prev, q = q, w * (1.0 / np.sqrt(beta_sq[k]))
@@ -796,7 +811,9 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     in O(log rows) per point, with no certificate and no Lanczos."""
     zs = np.asarray(zs, dtype=complex).ravel()
     smin = np.full(zs.size, np.inf)
-    for d in range(0, n_max + 1):
+    # at gamma = 0 every block is diagonal, and block d's diagonal is a
+    # subset of block d - 2's: blocks 0 and 1 hold every level
+    for d in range(n_max + 1 if gamma else min(n_max, 1) + 1):
         todo = np.flatnonzero(~(np.maximum(d + 1.0 - zs.real, 0.0) >= smin))
         if todo.size == 0:
             break  # every remaining block is bounded away from the minimum
@@ -839,8 +856,7 @@ def sigma_min_points(n_max: int, gamma: float, zs) -> np.ndarray:
     return smin[inverse].reshape(zs.shape)
 
 
-@dataclass(frozen=True)
-class SpectralGrid:
+class SpectralGrid(NamedTuple):
     """Rectangular complex grid with sigma_min(zI - A_N) per point."""
 
     re: np.ndarray
@@ -867,8 +883,7 @@ def pseudospectrum(
     return SpectralGrid(re, im, sig)
 
 
-@dataclass(frozen=True)
-class AccretivityReport:
+class AccretivityReport(NamedTuple):
     rows: list[tuple[complex, float, float, bool]]
     rayleigh_min_x: float
     rayleigh_max_hyper_excess: float

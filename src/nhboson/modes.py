@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -61,7 +60,6 @@ def eigenvalue(m: int, n: int, gamma: float) -> float:
     return (1 + m + n) * math.hypot(1.0, gamma)
 
 
-@dataclass(frozen=True)
 class ModeFunction:
     """Evaluable eigenfunction pinned to a kind, index pair and coupling.
 
@@ -69,14 +67,15 @@ class ModeFunction:
     whose values stay O(1) for any index, so no overflow guard or log
     scaling is needed even for very large m + n."""
 
-    kind: ModeKind
-    m: int
-    n: int
-    gamma: float
+    __slots__ = ("kind", "m", "n", "gamma")
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+    def __init__(self, kind: ModeKind, m: int, n: int, gamma: float):
+        if m < 0 or n < 0:
             raise ValueError("mode indices must be >= 0")
+        self.kind, self.m, self.n, self.gamma = kind, m, n, gamma
+
+    def __repr__(self):
+        return f"ModeFunction({self.kind}, {self.m}, {self.n}, {self.gamma})"
 
     @property
     def omega(self) -> float:
@@ -233,8 +232,7 @@ def norm_growth(gamma: float, m_max: int, n_nodes: int = 96) -> np.ndarray:
     return np.diag(flat_norms(gamma, m_max, n_nodes)).copy()
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
+class ExpansionResult(NamedTuple):
     coeffs: np.ndarray
     norm_sq: float
     norm_defect: float

@@ -19,9 +19,9 @@ identity suite over them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .ring import RingElem
 
@@ -288,8 +288,7 @@ def shear_term() -> OperatorPoly:
 # -- identity suite -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     passed: bool
     residual: OperatorPoly

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ def hermite_function_jet(n: int, t):
     return psi, d1, d2
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Gauss-Hermite nodes/weights for the weight e^(-t^2)."""
 
     n: int

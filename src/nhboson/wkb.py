@@ -30,9 +30,9 @@ and an odd n gets a middle node of exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,17 +78,18 @@ class Branch(Enum):
     LEFT_ADJOINT = -1
 
 
-@dataclass(frozen=True)
 class QuadraticSummand:
     """h = alpha p^2 + beta x^2 + i delta x p with alpha, beta > 0."""
 
-    alpha: float
-    beta: float
-    delta: float
+    __slots__ = ("alpha", "beta", "delta")
 
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
+    def __init__(self, alpha: float, beta: float, delta: float):
+        if alpha <= 0 or beta <= 0:
             raise ValueError("alpha and beta must be positive")
+        self.alpha, self.beta, self.delta = alpha, beta, delta
+
+    def __repr__(self):
+        return f"QuadraticSummand({self.alpha}, {self.beta}, {self.delta})"
 
     def turning_point(self, energy: float) -> float:
         if energy <= 0:
@@ -106,8 +107,7 @@ def difference_coordinate_summand() -> QuadraticSummand:
     return QuadraticSummand(0.5, 0.5, 1.0)
 
 
-@dataclass(frozen=True)
-class PhaseFunction:
+class PhaseFunction(NamedTuple):
     """Closed-form S(x) on |x| < x_t for one summand, energy and branch."""
 
     summand: QuadraticSummand
@@ -204,8 +204,7 @@ def _log_gaussian_integral(c: float, half_width: float, n0: int = 64, rtol: floa
     return _doubling(value_at, n0, rtol, n_cap)
 
 
-@dataclass(frozen=True)
-class NormIntegralRow:
+class NormIntegralRow(NamedTuple):
     hbar: float
     right_norm: float     # I1: integral of |Psi|^2, diverges as hbar -> 0
     left_norm: float      # I2: integral of |Psi_tilde|^2, vanishes

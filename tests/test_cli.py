@@ -414,12 +414,14 @@ def test_commands_run_without_scipy(tmp_path, command):
 def test_package_imports_without_scipy():
     assert _fresh_interpreter("import sys, nhboson; print('scipy' in sys.modules)").strip() == "False"
     # the CLI's start-up cost: mpmath is imported only by the calls that need
-    # it, and numpy.polynomial by none (wkb builds its own Legendre rules)
+    # it, numpy.polynomial by none (wkb builds its own Legendre rules), and
+    # dataclasses by none (records are NamedTuples or __slots__ classes, so
+    # no methods are generated and compiled at import)
     code = (
-        "import sys, nhboson.cli; "
-        "print('scipy' in sys.modules, 'mpmath' in sys.modules, 'numpy.polynomial' in sys.modules)"
+        "import sys, nhboson.cli; print(*(name in sys.modules for name in "
+        "('scipy', 'mpmath', 'numpy.polynomial', 'dataclasses')))"
     )
-    assert _fresh_interpreter(code).strip() == "False False False"
+    assert _fresh_interpreter(code).strip() == "False False False False"
 
 
 def test_library_warning_is_one_nhboson_line(tmp_path, monkeypatch, capsys):

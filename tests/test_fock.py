@@ -811,6 +811,37 @@ def test_lanczos_matches_svd_sweep_in_the_far_field(monkeypatch):
     assert proven and all(np.all(p) for p in proven)
 
 
+@pytest.mark.parametrize("ray", [1 + 0.5j, -(1 - 1j)])
+@pytest.mark.parametrize("n_max, top", [(3, 307.75), (40, 68.75)])
+def test_sigma_min_matches_svd_sweep_far_from_the_spectrum(n_max, top, ray):
+    # z = 10^e ray, e = 0, 0.25, ..., top.  Far from the diagonal Lanczos's
+    # start weights are nearly uniform and C's eigenvalues lie within a
+    # relative 2 ||B|| / |z| of each other, so the start's Rayleigh quotient
+    # meets the residual bound at k = 0, where T_0's one Ritz value passes
+    # the gap guard vacuously; accepted there, it missed by up to 3.4e-3.
+    # N = 40 stops below e ~ 69, where beta^2 turns subnormal
+    e = np.arange(0.0, top + 0.125, 0.25)
+    zs = 10.0**e * ray
+    got = fock.sigma_min_points(n_max, 0.5, zs)
+    reference = _svd_sweep(n_max, 0.5, zs)
+    assert np.max(np.abs(got - reference) / reference) < 1e-12
+
+
+def test_first_lanczos_step_stops_only_with_a_proven_gap(monkeypatch):
+    # at step 0 the residual rule needs lambda_2(C) <= lam / 2 proven by
+    # Weyl from the diagonal.  Near an entry of a nearly diagonal block that
+    # holds, and one step (two solves) settles the point; far from the
+    # diagonal every |z - a_k| is about the same, nothing is proven, and
+    # Lanczos goes on to the 2 x 2 guard
+    solves, original = [], fock._gttrs
+    monkeypatch.setattr(fock, "_gttrs", lambda factors, b: solves.append(b.shape[1]) or original(factors, b))
+    for n_max, gamma, z, one_step in ((20, 1e-300, 1.025, True), (3, 0.5, 1e8 * (1 + 0.5j), False)):
+        solves.clear()
+        got = fock._sigma_min_block(n_max, gamma, 0, np.array([z], dtype=complex))
+        assert (len(solves) == 2) == one_step
+        assert abs(got[0] / _svd_sweep(n_max, gamma, [z])[0] - 1) < 1e-12
+
+
 @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5, -1.5, 10.0])
 @pytest.mark.parametrize("n_max", [5, 20])
 def test_support_energy_newton_start_is_below_block_0(n_max, gamma):
@@ -1135,15 +1166,21 @@ def test_zero_coupling_sigma_min_is_the_distance_to_the_levels(
     # 1 + m + n = 1, ..., 2N + 1: sigma_min is the distance to the nearest,
     # taken without the certificate or Lanczos.  At N = 3 the Re z step is
     # 0.5, so points tie exactly between levels, inside one block and across
-    # blocks, and Re z lies past both ends
+    # blocks, and Re z lies past both ends.  Block d's diagonal d + 1, d + 3,
+    # ..., 2N - d + 1 is a subset of block d - 2's, so the sweep visits
+    # blocks 0 and 1 alone, though d + 1 - Re z rules out no block on the
+    # grids right of the spectrum
     def unused(*args):
         raise AssertionError("a diagonal block reached the certificate or Lanczos")
 
     monkeypatch.setattr(fock, "_sigma_min_block", unused)
     monkeypatch.setattr(fock, "_sigma_min_above", unused)
+    visited, original = [], fock._block_tridiag
+    monkeypatch.setattr(fock, "_block_tridiag", lambda n, g, d: visited.append(d) or original(n, g, d))
     grid = fock.pseudospectrum(n_max, 0.0, re_range, im_range, resolution)
     levels = np.arange(1, 2 * n_max + 2)
     np.testing.assert_array_equal(grid.sigma_min, np.abs(grid.points()[..., None] - levels).min(axis=-1))
+    assert visited == list(range(min(n_max, 1) + 1))
 
 
 @pytest.mark.parametrize("gamma", [0.5, -3.0, 1e150])

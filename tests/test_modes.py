@@ -29,6 +29,8 @@ def test_eigenvalue_formula():
     assert eigenvalue(0, 0, 0.75) == pytest.approx(1.25, rel=1e-15)
     with pytest.raises(ValueError):
         eigenvalue(-1, 0, 0.5)
+    with pytest.raises(ValueError, match="mode indices"):
+        ModeFunction(ModeKind.PSI, 0, -1, 0.5)
 
 
 def test_ground_mode_value_at_origin():
