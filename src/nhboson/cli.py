@@ -25,10 +25,9 @@ parses and reports exactly as the full parser would.  Without a command
 Start-up: importing this module loads numpy and every nhboson module, but
 not mpmath (loaded by the calls that need it), numpy.polynomial or
 dataclasses.  RunConfig, Command and the library's records are NamedTuples
-or __slots__ classes, so no methods are generated and compiled at import.
+or __slots__ classes, so no methods are generated and compiled at import,
+and no module defers its annotations, so none is compiled from a string.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
@@ -74,10 +73,6 @@ ACCRETIVE_DRAWS_MAX = 125_000_000
 #: the quadrature commands: the modes product each tabulates (min_nodes's
 #: kind) and the RunConfig field that holds its top Hermite order
 _QUADRATURE = {"biorth": ("gram", "max_index"), "norms": ("norms", "max_index"), "expand": ("expand", "cutoff")}
-#: the commands whose sigma_min may go to LAPACK's SVD, which writes an error
-#: to stdout once a block entry overflows; SVD_GAMMA_MAX keeps gamma^2 finite
-_SVD_COMMANDS = ("pseudo", "accretive")
-SVD_GAMMA_MAX = 1e150
 
 
 class RunConfig(NamedTuple):
@@ -113,8 +108,6 @@ class RunConfig(NamedTuple):
             raise CliError("--gamma symbolic is only meaningful for verify-algebra")
         if not math.isfinite(self.gamma):
             raise CliError("gamma must be finite")
-        if self.command in _SVD_COMMANDS and not abs(self.gamma) <= SVD_GAMMA_MAX:
-            raise CliError(f"{self.command} needs |gamma| <= {SVD_GAMMA_MAX:g}")
         for name, (low, high) in SIZE_RANGES.items():
             if not low <= getattr(self, name) <= high:
                 raise CliError(f"{name} must be in [{low}, {high}]")

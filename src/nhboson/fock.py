@@ -13,8 +13,14 @@ and spectrum tables come out as columns: numerical_range_boundary and
 spectrum_levels return arrays over the whole theta grid or level list,
 with no Python loop over thetas or levels.
 
-sigma_min evaluation uses two exact skip tests so large-d blocks are only
-touched when they can actually lower the minimum:
+sigma_min is a sweep over the blocks in ascending d (_sigma_min_blockwise).
+Weyl's bound for singular values puts sigma_min(zI - B_d) within rho_d,
+the block's largest Gershgorin radius, of m_d = min_k |z - a_k| over its
+diagonal; where rho_d <= 4e-15 m_d the sweep takes m_d by a sorted lookup.
+That is exact where the couplings vanish (every block at gamma = 0, where
+blocks 0 and 1 hold every level, and block d = N), and it settles the far
+field, where no exact test can tell the blocks apart.  Two exact tests
+drop the other pairs that cannot lower the minimum:
 
 * Re W(B_d) >= d + 1 (the block's diagonal dominates its Hermitian part),
   hence sigma_min(zI - B_d) >= max(0, d + 1 - Re z);
@@ -23,33 +29,14 @@ touched when they can actually lower the minimum:
   rounding margin of 256 eps times a bound on max_i (M^H M)_ii; all pivots
   positive proves sigma_min(M) > s by Sylvester's law (_sigma_min_above).
 
-A block whose couplings are all zero is diagonal: every block at gamma = 0,
-and the one-row block d = N at any gamma.  There sigma_min(zI - B_d) =
-min_k |z - a_k| exactly, over its diagonal a_k: the sweep takes that
-distance by a sorted lookup, with no certificate and no Lanczos; at
-gamma = 0 the grid is the distance to the levels 1, ..., 2N + 1, which
-blocks 0 and 1 alone hold, so the sweep stops after block 1.
-
-Every other batch of a block's remaining points is solved by Lanczos on a
-batched tridiagonal LU (_sigma_min_invit), so a step costs O(size) per
-point rather than the O(size^3) of a dense SVD.  The LU is of S(zI - B),
-the parity S = diag(1, -1, 1, ...) folded in, so each of a step's two
-solves follows a single conjugation.  Each point starts from the weights
-(m / |z - a_k|)^4 over the block diagonal a_k, m their smallest distance:
-about the diagonal of (zI - B)^-1 (zI - B)^-H applied twice, so the start
-already leans toward the smallest singular vector.  A point stops, after
-`size` steps at most, on either of two rules: successive Ritz values
-1/sigma^2 agree to a relative 4e-15, or Paige's residual beta_k |s_k|
-puts the Ritz value within that of the top eigenvalue by Kato-Temple,
-with the gap taken as half the Ritz value while a Sturm count finds no
-second Ritz value above it (at the first step, with one Ritz value, while
-Weyl's bound from the diagonal proves that gap for the matrix itself).
-The batched dense SVD is the fallback only: it takes the points Lanczos
-does not settle.  Batches are sized in bytes.
-Results agree with dense SVD to 1e-12; no unconverged value is returned.
+The rest are solved in batches by inverse Lanczos on a batched
+tridiagonal LU of S(zI - B), S = diag(1, -1, 1, ...), at O(size) per point
+and step rather than the O(size^3) of a dense SVD (_sigma_min_invit).  It
+is the only sigma_min solver: a point it does not settle takes the LU's
+pivot bound where it is singular to working precision, and raises
+SolverConvergenceError anywhere else, so no unconverged value is returned.
+Batches are sized in bytes.  Results agree with dense SVD to 1e-12.
 """
-
-from __future__ import annotations
 
 import math
 import re
@@ -59,9 +46,9 @@ from typing import NamedTuple
 import numpy as np
 import numpy.random  # noqa: F401  (loaded here, not inside the first draw)
 
-#: bytes one sigma_min batch may hold: an SVD stack of shifted blocks, the
-#: LU factors and Lanczos vectors of a batch or a chunk of inertia
-#: certificates; support_energies' theta batches use the same budget
+#: bytes one sigma_min batch may hold: the LU factors and Lanczos vectors
+#: of a batch or a chunk of inertia certificates; support_energies' theta
+#: batches use the same budget
 _SIGMA_MIN_BATCH_BYTES = 8 * 2**20
 #: _sigma_min_above's margin over floor^2, relative to max_i A_ii: four
 #: times the 64 eps its rounding argument needs, as that count is not tight
@@ -91,7 +78,7 @@ _ACCRETIVE_HYPER_TOL = 1e-8
 
 
 class SolverConvergenceError(RuntimeError):
-    """An eigen/SVD solve failed to converge; carries the block index."""
+    """An eigen or sigma_min solve failed to converge; carries the block index."""
 
     def __init__(self, message: str, block: int | None = None):
         super().__init__(message)
@@ -512,16 +499,17 @@ def _gttrf(diag, off, zs: np.ndarray):
     Returns (inv_d, dl, du, du2, swap), each with one column per point: the
     reciprocals of U's diagonal, U's two superdiagonals divided by their
     row's diagonal entry, L's multipliers, and where rows i and i+1 were
-    interchanged.  Pivots compare |Re| + |Im| as ?gttrf does.  A zero pivot
-    gives an infinite inv_d, and non-finite entries give NaNs; solves carry
-    either to that point's columns only."""
+    interchanged.  Pivots compare |Re| + |Im| as ?gttrf does.  A zero (or
+    subnormal) pivot gives an infinite inv_d, and non-finite entries give
+    NaNs, in every later row too; solves carry either to that point's
+    columns only."""
     sign = np.where(np.arange(diag.size) % 2, -1.0, 1.0)
     d = sign[:, None] * (zs[None, :] - diag[:, None])
     dl = np.repeat((-sign[:-1] * off)[:, None], zs.size, axis=1).astype(complex)
     du = dl.copy()
     du2 = np.zeros((max(d.shape[0] - 2, 0), zs.size), dtype=complex)
     swap = np.zeros(dl.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(dl.shape[0]):
             sw = np.abs(d[i].real) + np.abs(d[i].imag) < np.abs(dl[i].real) + np.abs(dl[i].imag)
             if not sw.any():
@@ -580,25 +568,12 @@ def _batches(count: int, point_bytes: int) -> list[np.ndarray]:
     return np.array_split(np.arange(count), -(-count * point_bytes // _SIGMA_MIN_BATCH_BYTES))
 
 
-def _sigma_min_svd(block: np.ndarray, zs: np.ndarray, d: int) -> np.ndarray:
-    """sigma_min(zI - B_d) per point by batched dense SVD: the fallback,
-    taken only for the points Lanczos leaves."""
-    out = np.empty(zs.size)
-    eye = np.eye(block.shape[0])
-    for part in _batches(zs.size, 16 * block.size):
-        try:
-            out[part] = np.linalg.svd(zs[part, None, None] * eye - block, compute_uv=False)[:, -1]
-        except np.linalg.LinAlgError as exc:
-            raise SolverConvergenceError(f"SVD failed on block d={d}", block=d) from exc
-    return out
-
-
 def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
     """sigma_min(zI - B) at each z by Lanczos on the batched LU: 1/sigma^2
     is lambda_max of C = (zI - B)^-1 (zI - B)^-H (inverse Lanczos:
     Trefethen, "Computation of pseudospectra", Acta Numerica 8, 1999; B is
     already tridiagonal, so no Schur step is needed).  NaN marks the points
-    left to the SVD.
+    it does not settle.
 
     C = K^2 for the antilinear K v = (zI - B)^-1 S conj(v): B is real with
     superdiagonal off and subdiagonal -off, so B^T = S B S with the parity
@@ -606,22 +581,35 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
     and (zI - B)^-H = S conj((zI - B)^-1) S.  _gttrf factors S(zI - B),
     whose inverse is (zI - B)^-1 S, so K is one conjugation and one solve.
 
-    Each point starts from q_k proportional to (m / |z - a_k|)^4, a_k the
-    diagonal and m = min_k |z - a_k|: C's diagonal is about |z - a_k|^-2,
-    so this is roughly C's diagonal applied twice.  Every weight is in
-    [0, 1] with one equal to 1, so none overflows, and a point exactly on a
-    diagonal entry starts from that unit vector.  It keeps two Lanczos
-    vectors and its recurrence alpha_k, beta_k^2, both taken as sums over
-    real views.  lambda_k = lambda_max(T_k) and the last component s_k of
-    its unit eigenvector come from _lowest_eigenvalues(-T_k), or at k <= 1,
-    where T_k is the bordered 2 x 2 matrix the step forms anyway, in closed
-    form.  Lost orthogonality only adds copies of lambda_max after it has
-    converged (Paige), so no basis is stored.
+    Partial pivoting keeps every multiplier |l| <= 1, so the x with
+    Ux = e_k has ||(zI - B)x|| = ||L e_k|| <= sqrt(2) and ||x|| >= 1 / |u_kk|:
+    sigma_min <= sqrt(2) min_k |u_kk|.  inv_d is multiplied, per point, by
+    the power of two `scale` that puts its largest real or imaginary part
+    in [1/2, 1), so sigma_min <= 2 sqrt(2) scale: Lanczos runs on scale^2 C,
+    whose lambda_max = (scale / sigma_min)^2 >= 1/8 however large |z| or
+    gamma, and sigma = scale / sqrt(lambda).  A power of two changes no
+    rounding: where nothing was subnormal, every bit is as for C itself.
+
+    Each point starts from q_k proportional to (m / |z - a_k|)^4: C's
+    diagonal is about |z - a_k|^-2, so this is roughly C's diagonal applied
+    twice.  Every weight is in [0, 1] with one equal to 1, so none
+    overflows, and a point exactly on a diagonal entry starts from that
+    unit vector.  It keeps two Lanczos vectors and its recurrence alpha_k,
+    beta_k^2, both taken as sums over real views.  lambda_k =
+    lambda_max(T_k) and the last component s_k of its unit eigenvector come
+    from _lowest_eigenvalues(-T_k), or at k <= 1, where T_k is the bordered
+    2 x 2 matrix the step forms anyway, in closed form.  Lost orthogonality
+    only adds copies of lambda_max after it has converged (Paige), so no
+    basis is stored; it also delays convergence, so a point may take up to
+    2 size steps.
 
     A point stops on either of two rules (Parlett, The Symmetric Eigenvalue
     Problem, SIAM 1998, ch. 13):
 
-    * agreement: successive lambda agree to _INVIT_RTOL;
+    * agreement: successive lambda agree to _INVIT_RTOL, or beta_k^2 is
+      below the smallest normal float: with lambda >= 1/8 that is
+      breakdown, the Krylov space invariant far below rounding (as where
+      all singular values are equal to rounding), and lambda is final;
     * residual: Paige's r_k = beta_k |s_k| is the residual of the Ritz pair
       in C, and Kato-Temple gives lambda_max(C) - lambda_k <= r_k^2 / gap.
       With gap = lambda_k / 2 the rule is r_k^2 <= _INVIT_RTOL lambda_k
@@ -639,21 +627,29 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
       only if (m_2 - 2 max |off|)^-2 <= lambda_0 / 2.
 
     The residual rule saves the step that agreement needs after lambda has
-    converged.  The batch stops once no point is left.  Left to the SVD are
-    points with a non-finite or zero estimate (a zero pivot, or a failed
-    Ritz solve), beta = 0 unless the residual rule took the point, and no
-    convergence within `size` steps."""
+    converged.  The batch stops once no point is left.  A point that leaves
+    with a non-finite or zero estimate (a zero pivot, an overflow or a
+    failed Ritz solve) takes the bound 2 / max |inv_d| where that is at most
+    eps (|z| + max |a| + 2 max |off|) >= eps ||zI - B||_2: it is singular to
+    working precision.  Any other, and one unsettled after 2 size steps, is
+    NaN."""
     size = diag.size
     out = np.full(zs.size, np.nan)
     factors = _gttrf(diag, off, zs)
     active, lam = np.arange(zs.size), np.zeros(zs.size)
+    off_norm = 2.0 * np.abs(off).max(initial=0.0)  # >= ||B - diag(a)||_2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # inv_d (after _gttrf divided du and du2 by it) as (re, im) pairs:
+        # a complex product would turn a zero pivot's inf + nan j into NaN
+        pairs = factors[0].view(float)
+        scale = np.ldexp(1.0, -np.frexp(np.abs(pairs).max(axis=0).reshape(-1, 2).max(axis=1))[1])
+        pairs *= np.repeat(scale, 2)
         q = np.abs(zs - diag[:, None])  # |z - a_k|
         q = np.where(q > 0, q.min(axis=0) / q, 1.0) ** 4  # in [0, 1]: nothing overflows
         q = (q / np.linalg.norm(q, axis=0)).astype(complex)
-        q_prev, recurrence = np.zeros_like(q), np.zeros((2, *q.shape))
+        q_prev, recurrence = np.zeros_like(q), np.zeros((2, 2 * size, q.shape[1]))
         alpha, beta_sq = recurrence
-        for k in range(size):
+        for k in range(2 * size):
             if not active.size:
                 break
             w = np.conjugate(q)  # w = K^2 q = C q
@@ -678,7 +674,10 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
                 low, end_sq = _lowest_eigenvalues(-alpha[: k + 1], beta_sq[:k], -lam)
                 lam = -low  # lambda_max(T_k)
             ok = (lam > 0) & (lam < np.inf)
-            done = ok & (np.abs(lam - prev) <= _INVIT_RTOL * lam)
+            # beta_k^2 below the smallest normal float, with lambda >= 1/8, is
+            # breakdown: the Krylov space is invariant to far below rounding,
+            # so lambda would never change again
+            done = ok & ((np.abs(lam - prev) <= _INVIT_RTOL * lam) | (beta_sq[k] < np.finfo(float).tiny))
             # Kato-Temple: lambda_max(C) - lam <= r^2 / gap, r = beta_k |s_k|
             near = np.flatnonzero(ok & ~done & (beta_sq[k] * end_sq <= _INVIT_RTOL * lam * (0.5 * lam)))
             if k and near.size:
@@ -686,12 +685,20 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
                 done[near] = _count_below(-alpha[: k + 1, near], beta_sq[:k, near], -0.5 * lam[near]) == 1
             elif near.size:
                 # T_0 has one Ritz value: Weyl's bound proves the gap for C itself,
-                # lambda_2(C) <= (m_2 - 2 max |off|)^-2 <= lam / 2
+                # lambda_2(C) <= (m_2 - 2 max |off|)^-2 <= lam / 2, in units of scale
                 dist = np.abs(zs[active[near]] - diag[:, None])
                 m_2 = np.partition(dist, 1, axis=0)[1] if size > 1 else np.inf
-                done[near] = (m_2 - 2.0 * np.abs(off).max(initial=0.0)) * np.sqrt(0.5 * lam[near]) >= 1.0
-            out[active[done]] = 1.0 / np.sqrt(lam[done])
-            keep = ok & ~done & (beta_sq[k] > 0) & (beta_sq[k] < np.inf)
+                spread = (m_2 - off_norm) / scale[active[near]]
+                done[near] = spread * np.sqrt(0.5 * lam[near]) >= 1.0
+            out[active[done]] = scale[active[done]] / np.sqrt(lam[done])
+            keep = ok & ~done & (beta_sq[k] < np.inf)
+            failed = np.flatnonzero(~(keep | done))
+            if failed.size:
+                at = active[failed]
+                # pivots past the first NaN are NaN; those before it are sound
+                bound = 2.0 * scale[at] / np.fmax.reduce(np.abs(factors[0][:, failed]), axis=0)
+                norm = np.abs(zs[at]) + diag.max() + off_norm
+                out[at] = np.where((bound <= np.finfo(float).eps * norm) & (norm < np.inf), bound, np.nan)
             q_prev, q = q, w * (1.0 / np.sqrt(beta_sq[k]))
             if not keep.all():
                 # compress keeps the rows C-contiguous, as _gttrs's row loop needs
@@ -699,7 +706,7 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
                 q, q_prev = q.compress(keep, axis=1), q_prev.compress(keep, axis=1)
                 factors = tuple(part.compress(keep, axis=1) for part in factors)
                 # of the recurrence only rows 0..k are written yet, and only they are copied
-                kept = np.empty((2, size, active.size))
+                kept = np.empty((2, 2 * size, active.size))
                 np.compress(keep, recurrence[:, : k + 1], axis=2, out=kept[:, : k + 1])
                 recurrence = kept
                 alpha, beta_sq = recurrence
@@ -707,18 +714,18 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
 
 
 def _sigma_min_block(n_max: int, gamma: float, d: int, zs: np.ndarray) -> np.ndarray:
-    """sigma_min(zI - B_d) at each z: by Lanczos in batches, and by batched
-    SVD for the points it leaves."""
+    """sigma_min(zI - B_d) at each z by Lanczos in batches, or raise."""
     diag, off = _block_tridiag(n_max, gamma, d)
     out = np.empty(zs.size)
     # LU factors, three Lanczos vectors and the recurrence: ~8 complex per
-    # row; the start's float temporaries are freed before the recurrence exists
+    # row; the start's float temporaries are freed before the recurrence
+    # exists, and of the recurrence's 2 size rows only those written are
+    # touched
     for part in _batches(zs.size, 128 * diag.size):
         out[part] = _sigma_min_invit(diag, off, zs[part])
-    redo = np.flatnonzero(np.isnan(out))
-    if redo.size:
-        block = _block_dense(n_max, gamma, d).astype(complex)
-        out[redo] = _sigma_min_svd(block, zs[redo], d)
+    failed = np.count_nonzero(np.isnan(out))
+    if failed:
+        raise SolverConvergenceError(f"sigma_min unsettled at {failed} of {zs.size} points of block d={d}", block=d)
     return out
 
 
@@ -806,11 +813,16 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     memory does not grow with the number of points.  A proven pair cannot
     lower the minimum and is dropped; Lanczos solves only the rest.  On
     the far grid right of the spectrum, where block 0 holds the minimum,
-    Lanczos solves block 0 alone.  A block with no nonzero coupling is
-    diagonal: its sigma_min is min_k |z - a_k|, taken by a sorted lookup
-    in O(log rows) per point, with no certificate and no Lanczos."""
+    Lanczos solves block 0 alone.
+
+    Ahead of the certificate, Weyl: |sigma_min(zI - B_d) - m_d| <= rho_d,
+    with m_d = min_k |z - a_k| and rho_d >= ||B_d - diag(a)||_2 the largest
+    Gershgorin radius.  Where rho_d <= _INVIT_RTOL m_d, m_d is the value,
+    by a sorted lookup in O(log rows) per point, taken only at blocks where
+    some point's |z| + max a, a bound on m_d, lets the test pass."""
     zs = np.asarray(zs, dtype=complex).ravel()
     smin = np.full(zs.size, np.inf)
+    reach = np.abs(zs).max(initial=0.0)
     # at gamma = 0 every block is diagonal, and block d's diagonal is a
     # subset of block d - 2's: blocks 0 and 1 hold every level
     for d in range(n_max + 1 if gamma else min(n_max, 1) + 1):
@@ -818,14 +830,16 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
         if todo.size == 0:
             break  # every remaining block is bounded away from the minimum
         diag, off = _block_tridiag(n_max, gamma, d)
-        if not off.any():
-            # a diagonal block: sigma_min is the distance min_k |z - a_k| to
-            # its nearest entry; diag increases, so that entry is one of the
-            # two that bracket Re z (np.minimum keeps a NaN point NaN)
-            right = np.minimum(np.searchsorted(diag, zs[todo].real), diag.size - 1)
-            for k in (right, np.maximum(right - 1, 0)):
-                smin[todo] = np.minimum(smin[todo], np.abs(zs[todo] - diag[k]))
-            continue
+        rho = _gershgorin_radii(np.abs(off)).max()
+        if rho <= _INVIT_RTOL * (reach + diag[-1]):
+            # diag increases, so the entry nearest z is one of the two that
+            # bracket Re z
+            at = zs[todo]
+            right = np.minimum(np.searchsorted(diag, at.real), diag.size - 1)
+            m_d = np.minimum(np.abs(at - diag[right]), np.abs(at - diag[np.maximum(right - 1, 0)]))
+            weyl = _INVIT_RTOL * m_d >= rho
+            smin[todo[weyl]] = np.minimum(smin[todo[weyl]], m_d[weyl])
+            todo = todo[~weyl]
         held = todo[np.isfinite(smin[todo])]  # the points with a running minimum to beat
         proven = np.zeros(zs.size, dtype=bool)
         # per point: _sigma_min_above's float vectors, about 20

@@ -15,8 +15,6 @@ state as a coefficient array, so psi too comes from that one 1D table.
 Each refuses a rule with too few nodes to be exact (`min_nodes`).
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from enum import Enum

@@ -17,8 +17,6 @@ self-adjoint similarity partner, the Gaussian exponent) and runs the exact
 identity suite over them.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple

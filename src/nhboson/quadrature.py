@@ -13,8 +13,6 @@ than from eigenvectors, so they keep full relative accuracy far into the
 tails (Townsend, Trogdon & Olver, IMA J. Numer. Anal. 36, 2016).
 """
 
-from __future__ import annotations
-
 import math
 from collections import deque
 from functools import lru_cache

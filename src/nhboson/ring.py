@@ -9,8 +9,6 @@ is canonical, so equality is a plain comparison, and products need the one
 rewrite rule g * g -> r^4 - 1.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

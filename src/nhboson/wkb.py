@@ -27,8 +27,6 @@ of Legendre's equation; the weights are 2 / P_n'^2.  The half is mirrored,
 and an odd n gets a middle node of exactly 0.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from functools import lru_cache

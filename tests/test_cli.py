@@ -27,7 +27,6 @@ from nhboson.cli import (
     COMMANDS,
     ENV_OUTDIR,
     SIZE_RANGES,
-    SVD_GAMMA_MAX,
     RunConfig,
     _build_parser,
     _fold_dash_values,
@@ -294,9 +293,13 @@ def test_validation_exit_codes(tmp_path):
     ],
 )
 def test_huge_gamma_keeps_lapack_off_stdout(tmp_path, capfd, argv):
-    # LAPACK's SVD scaling writes "** On entry to DLASCL ..." to file
-    # descriptor 1 once a block entry overflows; redirect_stdout cannot see it
-    for gamma, expected in (("1e308", 2), ("-1e200", 2), (repr(SVD_GAMMA_MAX), 0)):
+    # a LAPACK routine that rescales writes "** On entry to DLASCL ..." to
+    # file descriptor 1 once an entry overflows, which redirect_stdout
+    # cannot see.  No gamma is capped: at 1e308 block entries overflow and
+    # sigma_min raises (exit 3); accretive's Rayleigh quotients overflow to
+    # NaN from about 1e155 (exit 3), while pseudo still exits 0 at -1e200
+    pseudo = argv[0] == "pseudo"
+    for gamma, expected in (("1e308", 3), ("-1e200", 0 if pseudo else 3), ("1e151", 0)):
         code, out = run(tmp_path, *argv, "--gamma", gamma)
         captured = capfd.readouterr().out
         assert code == expected, (gamma, captured)

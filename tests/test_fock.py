@@ -3,12 +3,15 @@ pseudospectra and accretivity."""
 
 import cmath
 import math
+import time
 import tracemalloc
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhboson import fock
 
@@ -82,7 +85,10 @@ def _mp_eig_lowest(n_max, gamma, count, dps):
 def _svd_sweep(n_max, gamma, zs):
     """sigma_min(zI - A_N) per point as the min over blocks of a batched
     dense SVD, skipping only blocks with d + 1 - Re z >= the running min:
-    the reference for the Lanczos sweep."""
+    the reference for the Lanczos sweep.  Each point's zI - B_d is formed
+    already multiplied by a power of two 2^-k, exactly, with k such that
+    every entry is below 1, so that huge entries neither overflow nor make
+    LAPACK print; sigma_min is then divided by 2^-k."""
     zs = np.asarray(zs, dtype=complex).ravel()
     smin = np.full(zs.size, np.inf)
     for d in range(n_max + 1):
@@ -90,8 +96,10 @@ def _svd_sweep(n_max, gamma, zs):
         if todo.size == 0:
             break
         block = fock._block_dense(n_max, gamma, d)
-        shifted = zs[todo, None, None] * np.eye(block.shape[0]) - block
-        smin[todo] = np.minimum(smin[todo], np.linalg.svd(shifted, compute_uv=False)[:, -1])
+        # every entry of zI - B_d is at most 2 max(|z|, max |B_ij|)
+        scale = np.ldexp(1.0, -1 - np.frexp(np.maximum(np.abs(zs[todo]), np.abs(block).max()))[1])
+        shifted = (scale * zs[todo])[:, None, None] * np.eye(block.shape[0]) - scale[:, None, None] * block
+        smin[todo] = np.minimum(smin[todo], np.linalg.svd(shifted, compute_uv=False)[:, -1] / scale)
     return smin
 
 
@@ -793,7 +801,7 @@ def test_inverse_iteration_matches_svd_sweep_at_hard_points(monkeypatch, gamma):
     assert max(factored) > 0  # Lanczos solved blocks past d = 0 too
     # down to the size-1 block, exactly 0 at its entry z = N + 1, which the
     # sweep takes in closed form; Lanczos there meets an exactly zero pivot
-    # and leaves the point to the SVD
+    # and takes the pivot bound 2 / max |inv_d| = 0
     assert got[zs == n_max + 1] == 0.0
     assert fock._sigma_min_block(n_max, gamma, n_max, np.array([n_max + 1 + 0j])).tolist() == [0.0]
 
@@ -819,8 +827,22 @@ def test_sigma_min_matches_svd_sweep_far_from_the_spectrum(n_max, top, ray):
     # relative 2 ||B|| / |z| of each other, so the start's Rayleigh quotient
     # meets the residual bound at k = 0, where T_0's one Ritz value passes
     # the gap guard vacuously; accepted there, it missed by up to 3.4e-3.
-    # N = 40 stops below e ~ 69, where beta^2 turns subnormal
+    # N = 40 goes on past e = 68.75 below
     e = np.arange(0.0, top + 0.125, 0.25)
+    zs = 10.0**e * ray
+    got = fock.sigma_min_points(n_max, 0.5, zs)
+    reference = _svd_sweep(n_max, 0.5, zs)
+    assert np.max(np.abs(got - reference) / reference) < 1e-12
+
+
+@pytest.mark.parametrize("ray", [1 + 0.5j, -(1 - 1j)])
+def test_sigma_min_matches_svd_sweep_to_the_end_of_the_float_range(ray):
+    # N = 40, e = 69, 69.25, ..., 307.75, as above.  There beta^2 of the
+    # unscaled Lanczos recurrence was subnormal and missed 1e-12 by up to
+    # 5e-11 at e ~ 70, and past e ~ 81 it underflowed.  From e ~ 16 on,
+    # Weyl's bound settles every block; the reference SVD is prescaled
+    n_max = 40
+    e = np.arange(69.0, 307.75 + 0.125, 0.25)
     zs = 10.0**e * ray
     got = fock.sigma_min_points(n_max, 0.5, zs)
     reference = _svd_sweep(n_max, 0.5, zs)
@@ -840,6 +862,80 @@ def test_first_lanczos_step_stops_only_with_a_proven_gap(monkeypatch):
         got = fock._sigma_min_block(n_max, gamma, 0, np.array([z], dtype=complex))
         assert (len(solves) == 2) == one_step
         assert abs(got[0] / _svd_sweep(n_max, gamma, [z])[0] - 1) < 1e-12
+
+
+def test_far_field_grid_takes_weyls_bound(monkeypatch):
+    # at |z| ~ 1e100 every block's Gershgorin radius is far below 4e-15
+    # |z - a_k|, so the sweep takes min_k |z - a_k| for each of the 501
+    # blocks, with no certificate and no Lanczos.  The nearest level is
+    # 2N + 1 = 1001.  The dense SVD took 81 s on these 16 points
+    def unused(*args):
+        raise AssertionError("a far-field block reached the certificate or Lanczos")
+
+    monkeypatch.setattr(fock, "_sigma_min_block", unused)
+    monkeypatch.setattr(fock, "_sigma_min_above", unused)
+    start = time.perf_counter()
+    grid = fock.pseudospectrum(500, 0.5, (1e100, 2e100), (0, 1e100), 4)
+    assert time.perf_counter() - start < 5.0
+    exact = np.abs(grid.points() - 1001)
+    assert np.max(np.abs(grid.sigma_min - exact) / exact) <= fock._INVIT_RTOL
+
+
+@pytest.mark.parametrize(
+    "n_max, gamma, zs",
+    [
+        (7, 1e100, [1 + 1j, -3 + 2j, 2.5]),
+        (1, 1e148, [1.25, 1.2620985236397697, 5 + 1j]),
+        (1, -9.362784894367247e147, [1.2620985236397697 + 2.4414298559608707e-08j]),
+    ],
+)
+def test_lanczos_scale_and_breakdown_at_huge_gamma(n_max, gamma, zs):
+    # block 0 at N = 7, gamma = 1e100 has sigma_min ~ 1e100 though z is
+    # within 2 of its diagonal: a scale taken from min |z - a_k| would leave
+    # 1 / sigma^2 at 1e-200, where beta^2 underflows; scaled by the LU's
+    # pivots it is at least 1/8.  Block 0 at N = 1 is 2 x 2 with its two
+    # singular values equal to rounding: the start is an eigenvector of C,
+    # beta_0^2 is 0 or subnormal, and Lanczos on the normalized noise that
+    # follows keeps successive Ritz values 1e-13 apart up to the step cap.
+    # That is breakdown, and lambda is taken there
+    zs = np.asarray(zs, dtype=complex)
+    got = fock._sigma_min_block(n_max, gamma, 0, zs)
+    block = fock._block_dense(n_max, gamma, 0)
+    scale = np.ldexp(1.0, -np.frexp(np.abs(block).max())[1])  # exact: SVD entries below 1
+    shifted = (scale * zs)[:, None, None] * np.eye(n_max + 1) - scale * block
+    want = np.linalg.svd(shifted, compute_uv=False)[:, -1] / scale
+    assert np.max(np.abs(got / want - 1)) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_max=st.integers(0, 12),
+    gamma=st.floats(allow_nan=False, allow_infinity=False),
+    re=st.floats(min_value=-8e307, max_value=8e307),
+    im=st.floats(min_value=-8e307, max_value=8e307),
+)
+def test_sigma_min_matches_prescaled_svd_sweep(n_max, gamma, re, im):
+    # any N <= 12, any finite gamma and any z of finite modulus.  Every value
+    # returned agrees with the prescaled dense SVD at 1e-12 relative wherever
+    # eps ||M|| / sigma < 1e-13, with ||M|| <= |z| + 2N + 1 + 2 |gamma| N,
+    # and to rounding, 1e-12 sigma + 1000 eps ||M||, everywhere.  It raises
+    # only for |gamma| > 1e150, as where a block entry overflows
+    z = complex(re, im)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # blocks overflow past |gamma| ~ 1e307
+            got = fock.sigma_min_points(n_max, gamma, [z])[0]
+    except fock.SolverConvergenceError:
+        assert abs(gamma) > 1e150
+        return
+    with np.errstate(over="ignore"):
+        if not all(np.all(np.isfinite(fock._block_tridiag(n_max, gamma, d)[1])) for d in range(n_max + 1)):
+            return  # no reference; the value rests on d + 1 - Re z alone
+    reference = _svd_sweep(n_max, gamma, [z])[0]
+    # eps ||M||, its halves summed so that nothing overflows
+    rounding = 2 * np.finfo(float).eps * (abs(z) / 2 + n_max + 0.5 + n_max * abs(gamma))
+    assert abs(got - reference) <= 1e-12 * reference + 1000 * rounding
+    if rounding < 1e-13 * reference:
+        assert abs(got - reference) <= 1e-12 * reference
 
 
 @pytest.mark.parametrize("gamma", [0.0, 1e-3, 0.5, -1.5, 10.0])
@@ -983,8 +1079,8 @@ def test_pivot_weight_is_the_last_eigenvector_component(monkeypatch):
 def test_lanczos_matches_svd_sweep_near_normal(gamma):
     # at gamma = 1e-3 the blocks are nearly normal and sigma_1 ~ sigma_2 over
     # much of the window; steeper start weights miss here by 1e-12.  At
-    # gamma = 1e-300 off^2 underflows and levels tie across blocks, so tied
-    # pairs the certificate cannot drop reach Lanczos
+    # gamma = 1e-300 off^2 underflows and levels tie across blocks, which
+    # the certificate cannot separate; Weyl's bound settles those pairs
     n_max = 30
     grid = fock.pseudospectrum(n_max, gamma, (-5, 40), (-30, 30), 31)
     reference = _svd_sweep(n_max, gamma, grid.points()).reshape(grid.sigma_min.shape)
@@ -1026,44 +1122,40 @@ def test_inverse_iteration_batch_stays_c_contiguous(monkeypatch):
     assert ritz and all(ritz)
 
 
-def test_inverse_iteration_cap_falls_back_to_svd(monkeypatch):
-    # with no point ever converged, every batch runs Lanczos for `size`
-    # steps (two solves each) and hands all its points to the SVD.  Past
-    # convergence, lost orthogonality adds near-equal copies of lambda_max,
-    # on which Newton converges only linearly, so the Ritz solves get more
-    # steps here: no point leaves early by a failed Ritz solve
+def test_inverse_iteration_cap_raises(monkeypatch):
+    # with no point ever converged, a batch runs Lanczos for 2 size steps
+    # (two solves each) and then raises rather than return an unconverged
+    # value; block 0 is the first block solved.  Past convergence, lost
+    # orthogonality adds near-equal copies of lambda_max, on which Newton
+    # converges only linearly, so the Ritz solves get more steps here: no
+    # point leaves early by a failed Ritz solve
     n_max, gamma = 20, 0.5
-    zs = _hard_points(n_max, gamma)
-    reference = _svd_sweep(n_max, gamma, zs)
-    solved, pairs, solves = [], [], Counter()
-    original, block, gttrs = fock._sigma_min_svd, fock._sigma_min_block, fock._gttrs
-    monkeypatch.setattr(fock, "_sigma_min_svd", lambda b, z, d: solved.append(z.size) or original(b, z, d))
-    monkeypatch.setattr(fock, "_sigma_min_block", lambda n, g, d, z: pairs.append(z.size) or block(n, g, d, z))
+    solves, gttrs = Counter(), fock._gttrs
     monkeypatch.setattr(fock, "_gttrs", lambda f, b: solves.update([len(b)]) or gttrs(f, b))  # solves per size
     monkeypatch.setattr(fock, "_INVIT_RTOL", -1.0)
     monkeypatch.setattr(fock, "_SUPPORT_MAX_STEPS", 1000)
-    capped = fock._sigma_min_blockwise(n_max, gamma, zs)
-    assert sum(solved) == sum(pairs)  # every point reached the cap and went to the SVD
-    assert solves[n_max + 1] == 2 * (n_max + 1)  # block 0: one batch, `size` steps
-    assert all(count <= 2 * size for size, count in solves.items())
-    assert np.max(np.abs(capped - reference)) < 1e-12
+    with pytest.raises(fock.SolverConvergenceError, match="block d=0") as raised:
+        fock._sigma_min_blockwise(n_max, gamma, _hard_points(n_max, gamma))
+    assert raised.value.block == 0
+    assert dict(solves) == {n_max + 1: 4 * (n_max + 1)}  # one batch, 2 size steps
 
 
-def test_only_points_lanczos_leaves_reach_the_svd(monkeypatch):
-    # Lanczos settles every point of the default-window grids.  At the
-    # eigenvalues of N = 4 the blocks have at most 5 rows, too few steps for
-    # successive Ritz values to agree, and z = 5, a double eigenvalue of
-    # block 3, is an exact zero pivot of its LU
-    solved = []
-    original = fock._sigma_min_svd
-    monkeypatch.setattr(fock, "_sigma_min_svd", lambda b, z, d: solved.append(d) or original(b, z, d))
+def test_singular_points_take_the_pivot_bound(monkeypatch):
+    # Lanczos settles every point of the default-window grids.  A point
+    # singular to working precision does not settle: at z = 5, the double
+    # eigenvalue of block 3 = [[4, 1], [-1, 6]] at N = 4, the LU's second
+    # pivot is exactly 0, and the bound sqrt(2) min |u_kk| <= 2 / max |inv_d|
+    # is exactly 0.  At gamma = 1e-300, z = 8 is a diagonal entry of block 7,
+    # whose pivots reach 1e-300: the Ritz estimate overflows, and the bound,
+    # 5.7e-300, is the value
     for n_max, resolution in ((40, 81), (80, 41)):
         assert np.all(np.isfinite(fock.pseudospectrum(n_max, 0.5, (-1, 8), (-4, 4), resolution).sigma_min))
-    assert not solved
+    assert fock._sigma_min_block(4, 0.5, 3, np.array([5 + 0j])).tolist() == [0.0]
     zs = fock.eigenvalues(4, 0.5)
-    got = fock.sigma_min_points(4, 0.5, zs)
-    assert 3 in solved
-    assert np.max(np.abs(got - _svd_sweep(4, 0.5, zs))) < 1e-12
+    assert np.max(np.abs(fock.sigma_min_points(4, 0.5, zs) - _svd_sweep(4, 0.5, zs))) < 1e-12
+    got = fock._sigma_min_block(20, 1e-300, 7, np.array([8 + 0j]))
+    assert 0 < got[0] <= np.finfo(float).eps * (8 + 34 + 2 * np.abs(fock._block_tridiag(20, 1e-300, 7)[1]).max())
+    assert abs(fock.sigma_min_points(20, 1e-300, [8])[0] - _svd_sweep(20, 1e-300, [8])[0]) < 1e-299
 
 
 def test_lowest_eigenvalues_mark_failed_points_alone():
@@ -1079,23 +1171,14 @@ def test_lowest_eigenvalues_mark_failed_points_alone():
     assert not np.any(np.isfinite(got[2:]))
 
 
-def test_failed_ritz_solves_fall_back_to_svd_point_by_point(monkeypatch):
-    # with too few Newton steps some Ritz solves fail: those points alone go
-    # to the SVD, and the rest of their batch stays on Lanczos
+def test_starved_ritz_solves_raise(monkeypatch):
+    # with too few Newton steps some Ritz solves fail: those points are not
+    # singular, so the block raises rather than return a value for them
     n_max, gamma = 40, 0.5
     zs = _hard_points(n_max, gamma)
-    reference = _svd_sweep(n_max, gamma, zs)
-    solved, pairs = [], []
-    original, block = fock._sigma_min_svd, fock._sigma_min_block
-    monkeypatch.setattr(fock, "_sigma_min_svd", lambda b, z, d: solved.append(z.size) or original(b, z, d))
-    monkeypatch.setattr(fock, "_sigma_min_block", lambda n, g, d, z: pairs.append(z.size) or block(n, g, d, z))
-    fock._sigma_min_blockwise(n_max, gamma, zs)
-    shipped = sum(solved)
-    solved.clear(), pairs.clear()
     monkeypatch.setattr(fock, "_SUPPORT_MAX_STEPS", 3)
-    starved = fock._sigma_min_blockwise(n_max, gamma, zs)
-    assert shipped < sum(solved) < sum(pairs)
-    assert np.max(np.abs(starved - reference)) < 1e-12
+    with pytest.raises(fock.SolverConvergenceError, match="unsettled"):
+        fock._sigma_min_blockwise(n_max, gamma, zs)
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 100_000])
@@ -1192,9 +1275,9 @@ def test_one_row_block_is_the_distance_to_its_entry(monkeypatch, gamma):
 
 
 @pytest.mark.parametrize("gamma", [math.inf, math.nan])
-def test_inverse_iteration_hands_non_finite_blocks_to_svd(monkeypatch, gamma):
+def test_inverse_iteration_stops_at_step_0_on_non_finite_blocks(monkeypatch, gamma):
     # every point leaves at step 0, and its batch stops there: one Lanczos
-    # step, two solves, per factored batch
+    # step, two solves, per factored batch, and then the block raises
     solves = []  # _gttrs calls per _gttrf batch
     gttrf, gttrs = fock._gttrf, fock._gttrs
 
@@ -1210,7 +1293,7 @@ def test_inverse_iteration_hands_non_finite_blocks_to_svd(monkeypatch, gamma):
 
 
 def test_pseudospectrum_peak_memory():
-    # a 2048-point SVD stack of 81 x 81 complex blocks alone would take 215 MB
+    # a 2048-point stack of dense 81 x 81 complex blocks alone would take 215 MB
     tracemalloc.start()
     try:
         grid = fock.pseudospectrum(80, 0.5, (-1, 8), (-4, 4), 41)
