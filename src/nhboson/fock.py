@@ -459,10 +459,20 @@ def rayleigh_quotients(n_max: int, gamma: float, count: int, seed: int = 0) -> n
 
 def hyperbola_excess(points, gamma: float) -> tuple[float, float]:
     """How far points stray outside {x >= 1, y^2 <= g^2 (x^2 - 1)}:
-    (max of 1 - x, max of y^2 - g^2 (x^2 - 1)); both <= 0 means inside."""
+    (max of 1 - x, max of y^2 - g^2 (x^2 - 1)); both <= 0 means inside.
+
+    y^2 and g^2 overflow from about 1.34e154, so, as in
+    numerical_range_boundary, the excess is formed in units of 4^k with
+    2^k >= |g| and scaled back: exact, so the same bits wherever the direct
+    form is finite and nothing underflows, and +-inf instead of
+    inf - inf = NaN beyond."""
     pts = np.asarray(points, dtype=complex)
     x, y = pts.real, pts.imag
-    return float(np.max(1.0 - x)), float(np.max(y * y - gamma * gamma * (x * x - 1.0)))
+    k = max(math.frexp(gamma)[1], 0)
+    y_k, g_k = np.ldexp(y, -k), math.ldexp(gamma, -k)
+    with np.errstate(over="ignore"):
+        excess = np.ldexp(y_k * y_k - g_k * g_k * (x * x - 1.0), 2 * k)
+    return float(np.max(1.0 - x)), float(np.max(excess))
 
 
 # -- sigma_min machinery ----------------------------------------------------
@@ -770,12 +780,12 @@ def _sigma_min_above(diag, off, zs: np.ndarray, floor: np.ndarray) -> np.ndarray
     D_0 is -inf or NaN and proves nothing; so does any later overflow, as
     a pivot only ever has nonnegative terms taken from a finite H_ii."""
     x, y = zs.real, zs.imag
-    off_sq = off * off
-    edge = np.zeros(diag.size)  # off_{i-1}^2 + off_i^2
-    edge[:-1] += off_sq
-    edge[1:] += off_sq
-    rises = off * (diag[:-1] - diag[1:])  # Re A_{i,i+1}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        off_sq = off * off
+        edge = np.zeros(diag.size)  # off_{i-1}^2 + off_i^2
+        edge[:-1] += off_sq
+        edge[1:] += off_sq
+        rises = off * (diag[:-1] - diag[1:])  # Re A_{i,i+1}
         # (Re z - a)^2 is convex in a: its largest value is at min a or max a
         reach = np.maximum(np.square(x - diag.min()), np.square(x - diag.max()))
         t = floor * floor + _INERTIA_MARGIN * (reach + y * y + edge.max())

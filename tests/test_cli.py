@@ -180,6 +180,22 @@ def test_accretive_json_rows(tmp_path):
     assert all(row["ok"] for row in doc["rows"])
 
 
+def test_accretive_rayleigh_row_at_huge_and_unit_gamma(tmp_path):
+    # past |gamma| ~ 1e155 the hyperbola excess is -inf, not NaN, as every
+    # Rayleigh quotient is finite and inside; at 0.5 it is the direct form's
+    # value to the last bit, so the artifact keeps its bytes
+    for gamma in ("1e155", "1e200", "0.5"):
+        code, out = run(tmp_path, "accretive", "--gamma", gamma, "--truncation", "2", "--vectors", "2",
+                        "--points=-1", "--format", "json")
+        assert code == 0, gamma
+        rayleigh = json.loads(out.read_text())["rows"][-1]
+        g = np.float64(gamma)
+        pts = fock.rayleigh_quotients(2, g, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = float(np.max(pts.imag**2 - g * g * (pts.real**2 - 1.0)))
+        assert rayleigh["ok"] and rayleigh["b"] == (direct if gamma == "0.5" else -math.inf), gamma
+
+
 def test_accretive_rejects_right_halfplane_points(tmp_path):
     code, _ = run(tmp_path, "accretive", "--points=0.5", "--truncation", "5")
     assert code == 2
@@ -296,10 +312,8 @@ def test_huge_gamma_keeps_lapack_off_stdout(tmp_path, capfd, argv):
     # a LAPACK routine that rescales writes "** On entry to DLASCL ..." to
     # file descriptor 1 once an entry overflows, which redirect_stdout
     # cannot see.  No gamma is capped: at 1e308 block entries overflow and
-    # sigma_min raises (exit 3); accretive's Rayleigh quotients overflow to
-    # NaN from about 1e155 (exit 3), while pseudo still exits 0 at -1e200
-    pseudo = argv[0] == "pseudo"
-    for gamma, expected in (("1e308", 3), ("-1e200", 0 if pseudo else 3), ("1e151", 0)):
+    # sigma_min raises (exit 3), and both commands exit 0 at -1e200
+    for gamma, expected in (("1e308", 3), ("-1e200", 0), ("1e151", 0)):
         code, out = run(tmp_path, *argv, "--gamma", gamma)
         captured = capfd.readouterr().out
         assert code == expected, (gamma, captured)

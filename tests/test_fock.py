@@ -640,6 +640,30 @@ def test_rayleigh_quotients_inside_hyperbolic_region():
     assert hyper_excess <= 1e-8
 
 
+def _direct_excess(pts, gamma):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(pts.imag**2 - gamma * gamma * (pts.real**2 - 1.0))
+
+
+@pytest.mark.parametrize("gamma", [0.5, -3.0, 1e-300, 1e100, -1e150])
+def test_hyperbola_excess_keeps_the_direct_bits_where_finite(gamma):
+    pts = fock.rayleigh_quotients(12, gamma, 200, seed=3)
+    got = fock.hyperbola_excess(pts, gamma)[1]
+    want = _direct_excess(pts, gamma)
+    assert math.isfinite(want) and got == want
+
+
+@pytest.mark.parametrize("gamma", [1e155, -1e200, 1e300])
+def test_hyperbola_excess_is_minus_inf_where_the_direct_form_is_nan(gamma):
+    # y^2 and g^2 (x^2 - 1) both overflow, and inf - inf is NaN; every
+    # Rayleigh quotient is finite and inside the region
+    pts = fock.rayleigh_quotients(12, gamma, 200, seed=3)
+    assert np.all(np.isfinite(pts)) and math.isnan(_direct_excess(pts, gamma))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fock.hyperbola_excess(pts, gamma) == (fock.hyperbola_excess(pts, gamma)[0], -math.inf)
+
+
 def test_rayleigh_real_at_zero_coupling():
     pts = fock.rayleigh_quotients(10, 0.0, 50, seed=1)
     assert np.max(np.abs(pts.imag)) < 1e-12
@@ -905,6 +929,18 @@ def test_lanczos_scale_and_breakdown_at_huge_gamma(n_max, gamma, zs):
     shifted = (scale * zs)[:, None, None] * np.eye(n_max + 1) - scale * block
     want = np.linalg.svd(shifted, compute_uv=False)[:, -1] / scale
     assert np.max(np.abs(got / want - 1)) < 1e-12
+
+
+@pytest.mark.parametrize("gamma", [1e155, 1e200, 1e307, -1e307])
+def test_sigma_min_points_do_not_warn_at_huge_gamma(gamma):
+    zs = np.array([-1.0, -2 + 3j, 5j, -1e3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = fock.sigma_min_points(7, gamma, zs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fock.sigma_min_points(7, gamma, zs)
+    assert np.array_equal(got, want) and np.all(np.isfinite(got))
 
 
 @settings(max_examples=300, deadline=None)

@@ -239,17 +239,52 @@ def test_leggauss_rejects_empty_rule_and_is_read_only():
 
 
 def test_node_cap_is_reached_in_bounded_memory():
-    # hbar = 1e-6 doubles up to the 8192-node cap without converging; the
-    # rules must cost O(n) memory on the way (an 8192^2 matrix is 512 MB)
+    # cos(1e5 x) on [-1, 1] is resolved by no rule up to the 8192-node cap;
+    # the rules must cost O(n) memory on the way (an 8192^2 matrix is 512 MB)
     leggauss.cache_clear()
     tracemalloc.start()
     try:
         with pytest.raises(FloatingPointError, match="8192"):
-            wkb_integrals(SUM, 1.0, [1e-6])
+            _converged_quadrature(lambda x: np.cos(1e5 * x), 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def _log_closed_forms(summand, energy, hbar):
+    """40-digit log I1 and log I2 from erfi and erf (DLMF 7.2, 7.5)."""
+    with mpmath.workdps(40):
+        alpha = mpmath.mpf(summand.alpha)
+        x_t = mpmath.sqrt(4 * alpha * energy / (4 * alpha * summand.beta + mpmath.mpf(summand.delta) ** 2))
+        c = summand.delta / (2 * alpha) / mpmath.mpf(hbar)
+        scale = mpmath.sqrt(mpmath.pi / c)
+        return mpmath.log(scale * mpmath.erfi(x_t * mpmath.sqrt(c))), mpmath.log(scale * mpmath.erf(x_t * mpmath.sqrt(c)))
+
+
+_SEMICLASSICAL_HBARS = [0.5, 0.2, 0.1, 0.01, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12]
+
+
+@pytest.mark.parametrize("energy", [0.5, 1.0, 7.0, 1e300])
+@pytest.mark.parametrize("summand", [SUM, DIFF], ids=["sum", "diff"])
+def test_log_integrals_match_extended_precision_closed_forms(summand, energy):
+    for hbar in _SEMICLASSICAL_HBARS:
+        want1, want2 = _log_closed_forms(summand, energy, hbar)
+        if abs(want1) > np.finfo(float).max:  # log I1 itself is past the float range
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                wkb_integrals(summand, energy, [hbar])
+            continue
+        (row,) = wkb_integrals(summand, energy, [hbar])
+        assert row.log_right_norm == pytest.approx(float(want1), rel=1e-13), hbar
+        assert row.log_left_norm == pytest.approx(float(want2), rel=1e-13), hbar
+
+
+def test_every_hbar_converges_at_the_first_two_rules():
+    # the rules cover only the span where the integrand lives, whose width
+    # scales with hbar, so the doubling stops at 128 nodes for every hbar
+    leggauss.cache_clear()
+    wkb_integrals(SUM, 1.0, [0.2, 0.1, 0.01, 0.001, 1e-6, 1e-12])
+    assert leggauss.cache_info().misses == 2
 
 
 def test_rejects_nonpositive_hbar():
