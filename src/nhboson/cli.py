@@ -17,10 +17,15 @@ Configuration precedence: command-line flags > config file (key=value
 lines) > built-in defaults.  The default output directory can be set with
 the NHBOSON_OUTDIR environment variable.
 
-A call builds only the invoked command's parser: when the first argument
-names a command, main adds that one subparser (_build_parser(only)), which
-parses and reports exactly as the full parser would.  Without a command
-(no arguments, -h, --version or an unknown word) it builds all of them.
+A well-formed call builds no parser: main reads a command followed only
+by that command's exact flags, each as --flag=value or with a separate
+value not starting with '-', every choice valid, straight from the option
+table (_read_canonical), into the Namespace argparse would give.  Any
+other argv goes to argparse, which alone prints help, usage and errors:
+when the first argument names a command, main adds that one subparser
+(_build_parser(only)), which parses and reports exactly as the full parser
+would.  Without a command (no arguments, -h, --version or an unknown word)
+it builds all of them.
 
 Start-up: importing this module loads numpy and every nhboson module, but
 not mpmath (loaded by the calls that need it), numpy.polynomial or
@@ -471,6 +476,32 @@ def _fold_dash_values(argv):
     return out
 
 
+def _read_canonical(argv: list) -> argparse.Namespace | None:
+    """The Namespace _build_parser(argv[0]).parse_args(argv) returns, read
+    straight from the option table, or None unless argv is canonical: a
+    command, then only that command's exact flags, each as --flag=value or
+    as --flag value with a value not starting with '-', every choice valid
+    (a repeated flag keeps its last value).  Everything else, help, usage
+    and every error included, is left to argparse."""
+    spec = COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    choices = {"--config": None, **{flag: _CHOICES.get(names[0]) for flag, names in _flags(spec).items()}}
+    values = dict.fromkeys(choices)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "-")  # a missing value is refused as a '-' one
+        # argparse drops a value of exactly "--", even after "="
+        if flag not in choices or value == "--" or not eq and value.startswith("-"):
+            return None
+        if choices[flag] is not None and value not in choices[flag]:
+            return None
+        values[flag] = value
+    return argparse.Namespace(command=argv[0], **{f[2:].replace("-", "_"): v for f, v in values.items()})
+
+
 def _fail(code: int, message: str) -> int:
     print(f"nhboson: {message}", file=sys.stderr)
     return code
@@ -481,13 +512,15 @@ def main(argv=None) -> int:
     memory a run needs cannot be had; 3 the solver did not converge or the
     result is not finite (a NaN cell; +inf is a legal value)."""
     argv = _fold_dash_values(sys.argv[1:] if argv is None else list(argv))
-    # no command, -h, --version or an unknown word: the full parser's usage,
-    # help and invalid-choice message list every command
-    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
+    args = _read_canonical(argv)
+    if args is None:
+        # no command, -h, --version or an unknown word: the full parser's
+        # usage, help and invalid-choice message list every command
+        parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 2
     try:
         cfg = _merge_config(args)
         cfg.validate()

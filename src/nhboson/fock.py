@@ -96,9 +96,11 @@ def _block_data(n_max: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _block_tridiag(n_max: int, gamma: float, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(diag, off) of block d: off = gamma sqrt(coupling_sq) is its
-    superdiagonal, and -off its subdiagonal."""
+    superdiagonal, and -off its subdiagonal; a coupling past the float
+    range is inf, which callers report."""
     diag, coupling_sq = _block_data(n_max, d)
-    return diag.astype(float), gamma * np.sqrt(coupling_sq)
+    with np.errstate(over="ignore"):
+        return diag.astype(float), gamma * np.sqrt(coupling_sq)
 
 
 def _block_dense(n_max: int, gamma: float, d: int) -> np.ndarray:
@@ -111,7 +113,8 @@ def _gershgorin_radii(off: np.ndarray) -> np.ndarray:
     matrix with off-diagonal moduli `off`, or of one per column of `off`."""
     radius = np.zeros((off.shape[0] + 1, *off.shape[1:]))
     radius[:-1] += off
-    radius[1:] += off
+    with np.errstate(over="ignore"):  # two couplings near the float range sum to inf
+        radius[1:] += off
     return radius
 
 
@@ -647,8 +650,8 @@ def _sigma_min_invit(diag, off, zs: np.ndarray) -> np.ndarray:
     out = np.full(zs.size, np.nan)
     factors = _gttrf(diag, off, zs)
     active, lam = np.arange(zs.size), np.zeros(zs.size)
-    off_norm = 2.0 * np.abs(off).max(initial=0.0)  # >= ||B - diag(a)||_2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        off_norm = 2.0 * np.abs(off).max(initial=0.0)  # >= ||B - diag(a)||_2
         # inv_d (after _gttrf divided du and du2 by it) as (re, im) pairs:
         # a complex product would turn a zero pivot's inf + nan j into NaN
         pairs = factors[0].view(float)

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -441,6 +442,19 @@ def test_package_imports_without_scipy():
     assert _fresh_interpreter(code).strip() == "False False False False"
 
 
+def test_a_successful_call_loads_no_locale(tmp_path):
+    # building an argparse parser imports locale (gettext); a canonical
+    # argv builds none
+    argv = ["norms", "--max-index", "0", "--nodes", "8", "--out", str(tmp_path / "norms.csv")]
+    code = (
+        "import sys\n"
+        "from nhboson import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print('locale' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code).splitlines()[-1] == "False"
+
+
 def test_library_warning_is_one_nhboson_line(tmp_path, monkeypatch, capsys):
     # |gamma| >= 1 on a truncation command warns, and the command still
     # writes its artifact; a fresh interpreter shows no Python warning text
@@ -709,12 +723,71 @@ def test_a_call_builds_only_its_own_commands_parser(tmp_path, monkeypatch):
         return parser
 
     monkeypatch.setattr(cli, "_build_parser", spy)
+    # a canonical argv is read from the option table: no parser at all
     code, _ = run(tmp_path, "norms", "--max-index", "0", "--nodes", "8")
     assert code == 0
-    assert built == [["norms"]]
+    assert built == []
+    # an error in a named command: that command's parser reports it
+    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
+        main(["wkb", "--summand", "foo"])
+    assert built == [["wkb"]]
     with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
         main(["frobnicate"])
     assert built[1:] == [list(COMMANDS)]
+
+
+#: token values: empty, dash-led, "--", plain texts and every choice,
+#: valid or not for the flag
+_READ_VALUES = ("", "-1", "-x", "--", "foo", "0.5", "a=b", *sorted({v for c in cli._CHOICES.values() for v in c}))
+
+
+def _token_groups(flag, value):
+    """A flag with a separate value or with =value."""
+    pairs = st.tuples(flag, value)
+    return st.one_of(pairs.map(list), pairs.map(lambda pair: ["=".join(pair)]))
+
+
+def _argvs(command, sub):
+    """The command and its exact flags with values, into which up to
+    two other tokens of its table may be put: exact flags and their unique
+    and ambiguous prefixes, alone, with a separate value or with =value,
+    and stray positionals.  A flag may repeat."""
+    every = [opt for action in sub._actions for opt in action.option_strings]
+    prefixes = sorted({flag[:k] for flag in every if flag.startswith("--") for k in range(3, len(flag))})
+    exact = st.sampled_from([flag for flag in every if flag not in ("-h", "--help")])
+    value = st.sampled_from(_READ_VALUES)
+    canonical = st.lists(_token_groups(exact, value), max_size=5)
+    flag = st.sampled_from(every + prefixes)
+    other = st.one_of(_token_groups(flag, value), flag.map(lambda f: [f]), value.map(lambda v: [v]))
+    others = st.lists(other, max_size=2)
+
+    @st.composite
+    def argv(draw):
+        groups = draw(canonical)
+        for group in draw(others):
+            groups.insert(draw(st.integers(0, len(groups))), group)
+        return [command, *(token for group in groups for token in group)]
+
+    return argv()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argv=st.one_of(*(_argvs(name, sub) for name, sub in _subparsers().items())))
+def test_option_table_reads_as_argparse_parses(argv):
+    args = cli._read_canonical(argv)
+    if args is not None:
+        assert _parse_outcome(_build_parser(argv[0]), argv) == (vars(args), "", "", None)
+
+
+def test_every_benchmark_op_is_read_from_the_option_table():
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    argvs = [op.argv(seed) for ops in workloads["WORKLOADS"].values() for op in ops for seed in (0, 1)]
+    argvs = [_fold_dash_values(argv) for argv in argvs if argv is not None]
+    assert len(argvs) > 10
+    for argv in argvs:
+        args = cli._read_canonical(argv)
+        assert args is not None, argv
+        assert _parse_outcome(_build_parser(argv[0]), argv) == (vars(args), "", "", None)
 
 
 #: every command at tiny sizes, so that the one fuzzed option decides the run

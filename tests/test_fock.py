@@ -1133,6 +1133,18 @@ def test_start_weights_neither_overflow_nor_underflow():
     assert np.all(np.isfinite(sig))
 
 
+def test_couplings_near_the_float_range_warn_nothing():
+    # at |gamma| ~ 3e307 the couplings, their Gershgorin sums and Lanczos's
+    # norm bound overflow to inf: the sweep raises or answers, silently
+    zs = [-1, 5j, 1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fock.SolverConvergenceError):
+            fock.sigma_min_points(7, 3e307, zs)
+        sig = fock.sigma_min_points(2, 8e307, zs)
+    assert sig.tolist() == [2.8, 5.314132102234568, 1e300]
+
+
 def test_inverse_iteration_batch_stays_c_contiguous(monkeypatch):
     # _gttrs and _pivots loop over rows, each a vector over the batch's
     # points; once converged points leave, the compacted Lanczos vectors
