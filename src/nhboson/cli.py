@@ -28,7 +28,7 @@ would.  Without a command (no arguments, -h, --version or an unknown word)
 it builds all of them.
 
 Start-up: importing this module loads numpy and every nhboson module, but
-not mpmath (loaded by the calls that need it), numpy.polynomial or
+not mpmath (loaded only by ring._sum_in_r), numpy.polynomial or
 dataclasses.  RunConfig, Command and the library's records are NamedTuples
 or __slots__ classes, so no methods are generated and compiled at import,
 and no module defers its annotations, so none is compiled from a string.
@@ -367,8 +367,13 @@ def _parse_field(name: str, text: str):
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """Flags > config file > the command's defaults > RunConfig defaults;
-    flag and file texts go through the same per-field parser."""
+    flag and file texts go through the same per-field parser.  argparse
+    stores the list [] for a value of exactly "--", even after "="; any
+    value but a str is refused."""
     spec = COMMANDS[args.command]
+    for flag in ("--config", *_flags(spec)):
+        if not isinstance(getattr(args, flag[2:].replace("-", "_")), (str, type(None))):
+            raise CliError(f"{flag} needs a value")
     file_values = read_config_file(args.config) if args.config else {}
     for key in file_values:
         if key not in RunConfig._fields:

@@ -40,6 +40,7 @@ Batches are sized in bytes.  Results agree with dense SVD to 1e-12.
 
 import math
 import re
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from itertools import combinations
 from typing import NamedTuple
 
@@ -164,26 +165,47 @@ def eigenvalues(n_max: int, gamma: float) -> np.ndarray:
 
 
 def _newton_root(diag, pair_products, seed: complex, tol, d: int):
-    """Root of det(B_d - lambda) reached by Newton's method from `seed`, in
-    the current mpmath precision.
+    """Root (re, im) of det(B_d - lambda) reached by Newton's method from
+    `seed`, in the current decimal context.
 
     det and its derivative come from the three-term recurrence
     p_{k+1} = (a_k - lambda) p_k - q_{k-1} p_{k-1}, which needs only the
     diagonal a and the products q_k = -off_k^2 of the entries coupling rows
     k and k + 1.  Both are real, so from a real seed every iterate is real,
-    and it is iterated in mpf rather than mpc."""
-    from mpmath import mp
-
-    lam = mp.mpf(seed.real) if seed.imag == 0 else mp.mpc(seed)
+    and it is iterated in Decimal; a complex seed is iterated as a pair of
+    Decimals, (re, im).  Decimal(float) is exact."""
+    lam, lam_im = Decimal(seed.real), Decimal(seed.imag)
     for _ in range(_NEWTON_MAX_STEPS):
-        p_prev, p, dp_prev, dp = 1, diag[0] - lam, 0, -1
-        for a, q in zip(diag[1:], pair_products):
-            shifted = a - lam
-            p_prev, p, dp_prev, dp = p, shifted * p - q * p_prev, dp, shifted * dp - p - q * dp_prev
-        step = p / dp
-        lam -= step
-        if abs(step) < tol:
-            return lam
+        if lam_im:
+            # p_k, p_{k-1} and their derivatives as (re, im) pairs; a - lam
+            # is the real part of a_k - lambda, and -lam_im its imaginary part
+            p, p_im, p_prev, p_prev_im = diag[0] - lam, -lam_im, 1, 0
+            dp, dp_im, dp_prev, dp_prev_im = -1, 0, 0, 0
+            for a, q in zip(diag[1:], pair_products):
+                shifted = a - lam
+                dp, dp_im, dp_prev, dp_prev_im = (
+                    shifted * dp + lam_im * dp_im - p - q * dp_prev,
+                    shifted * dp_im - lam_im * dp - p_im - q * dp_prev_im,
+                    dp,
+                    dp_im,
+                )
+                p, p_im, p_prev, p_prev_im = (
+                    shifted * p + lam_im * p_im - q * p_prev,
+                    shifted * p_im - lam_im * p - q * p_prev_im,
+                    p,
+                    p_im,
+                )
+            norm = dp * dp + dp_im * dp_im
+            step, step_im = (p * dp + p_im * dp_im) / norm, (p_im * dp - p * dp_im) / norm
+        else:
+            p_prev, p, dp_prev, dp = 1, diag[0] - lam, 0, -1
+            for a, q in zip(diag[1:], pair_products):
+                shifted = a - lam
+                p_prev, p, dp_prev, dp = p, shifted * p - q * p_prev, dp, shifted * dp - p - q * dp_prev
+            step, step_im = p / dp, 0
+        lam, lam_im = lam - step, lam_im - step_im
+        if step * step + step_im * step_im < tol * tol:
+            return lam, lam_im
     raise SolverConvergenceError(f"Newton iteration did not converge on block d={d}", block=d)
 
 
@@ -193,13 +215,13 @@ def _raised(value: float) -> float:
     return value + _PRECISE_SEED_MARGIN * abs(value)
 
 
-def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 40):
+def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 40) -> list[Decimal]:
     """High-precision lowest eigenvalues for the truncation-convergence study.
 
     Float64 eigensolves bottom out near 1e-13; the truncation error of the
     low modes falls far below that already at N ~ 20, so measuring its decay
-    needs extended precision.  Returns a list of mpmath mpf real parts,
-    rounded to `dps` digits.
+    needs extended precision.  Returns a list of Decimal real parts, each
+    rounded to `dps` significant digits.
 
     Blocks are included while they can still contribute: block d has
     Re W >= d + 1, so once the count-th smallest value is below d + 2 the
@@ -210,17 +232,15 @@ def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 
 
     Only the seeds whose real part is at most the raised count-th lowest
     value can reach the result, and only they are refined: by Newton's
-    method on the block's characteristic polynomial, run with
+    method on the block's characteristic polynomial, run in decimal with
     _NEWTON_GUARD_DPS digits beyond `dps` until a step is below
     10^-(dps+5).  The margin, far above the float64 error, keeps near-ties
     across blocks (level 3 of blocks 0 and 2) among the refined seeds, so
     the count lowest refined values are those of refining every seed.  A
     root that does not converge within _NEWTON_MAX_STEPS steps, or two
-    seeds of one block that reach the same root, raise
-    SolverConvergenceError.
+    seeds of one block that reach the same root (within 10^-dps in the
+    complex plane), raise SolverConvergenceError.
     """
-    from mpmath import mp
-
     _check_truncation(n_max)
     blocks, reals = [], []
     for d in range(n_max + 1):
@@ -230,10 +250,11 @@ def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 
             break
     cut = _raised(reals[count - 1]) if len(reals) >= count else math.inf
     vals: list = []
-    with mp.workdps(dps + _NEWTON_GUARD_DPS):
-        tol = mp.mpf(10) ** -(dps + 5)
-        coincident = mp.mpf(10) ** -dps
-        g2 = mp.mpf(gamma) ** 2
+    # fresh contexts with the widest exponent range: the caller's is left alone
+    with localcontext(Context(prec=dps + _NEWTON_GUARD_DPS, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        tol = Decimal(10) ** -(dps + 5)
+        coincident = Decimal(10) ** -(2 * dps)  # on the squared distance of two roots
+        g2 = Decimal(gamma) ** 2
         for d, seeds in enumerate(blocks):
             seeds = seeds[seeds.real <= cut]  # a prefix: seeds are sorted by real part
             if not seeds.size:
@@ -241,11 +262,12 @@ def lowest_eigenvalues_precise(n_max: int, gamma: float, count: int, dps: int = 
             diag, coupling_sq = (a.tolist() for a in _block_data(n_max, d))
             pair_products = [-g2 * s for s in coupling_sq]  # -off^2 = -gamma^2 c^2
             roots = [_newton_root(diag, pair_products, z, tol, d) for z in seeds.tolist()]
-            if any(abs(a - b) < coincident for a, b in combinations(roots, 2)):
-                raise SolverConvergenceError(f"Newton roots coincide on block d={d}", block=d)
-            vals += (2 if d else 1) * [mp.re(z) for z in roots]
+            for (a, a_im), (b, b_im) in combinations(roots, 2):
+                if (a - b) ** 2 + (a_im - b_im) ** 2 < coincident:
+                    raise SolverConvergenceError(f"Newton roots coincide on block d={d}", block=d)
+            vals += (2 if d else 1) * [root for root, _ in roots]
         vals.sort()
-    with mp.workdps(dps):
+    with localcontext(Context(prec=dps, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         return [+v for v in vals[:count]]
 
 
@@ -832,16 +854,29 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     with m_d = min_k |z - a_k| and rho_d >= ||B_d - diag(a)||_2 the largest
     Gershgorin radius.  Where rho_d <= _INVIT_RTOL m_d, m_d is the value,
     by a sorted lookup in O(log rows) per point, taken only at blocks where
-    some point's |z| + max a, a bound on m_d, lets the test pass."""
+    some point's |z| + max a, a bound on m_d, lets the test pass.
+
+    A point Weyl's test settles at block d - 2 leaves blocks d, d + 2, ...:
+    block d's diagonal is a subset of block d - 2's, so m_d >= m_{d-2}; and
+    coupling k + 1 of block d - 2 is coupling k of block d plus d - 1, so
+    row j's Gershgorin radius in block d is at most row j + 1's in block
+    d - 2, and rho_d <= rho_{d-2}.  Both hold in floating point too (the
+    same entries, and monotone roundings), so the test would pass again
+    with an m_d that cannot lower the running minimum.  Once both parities
+    have settled a point it leaves the sweep, exactly.  So the far field
+    stops after blocks 0 and 1, and so does gamma = 0, where every block is
+    diagonal and blocks 0 and 1 hold every level."""
     zs = np.asarray(zs, dtype=complex).ravel()
     smin = np.full(zs.size, np.inf)
     reach = np.abs(zs).max(initial=0.0)
-    # at gamma = 0 every block is diagonal, and block d's diagonal is a
-    # subset of block d - 2's: blocks 0 and 1 hold every level
-    for d in range(n_max + 1 if gamma else min(n_max, 1) + 1):
-        todo = np.flatnonzero(~(np.maximum(d + 1.0 - zs.real, 0.0) >= smin))
+    settled = np.zeros((2, zs.size), dtype=bool)  # by Weyl's test, per parity of d
+    for d in range(n_max + 1):
+        open_ = ~(np.maximum(d + 1.0 - zs.real, 0.0) >= smin)
+        if not (open_ & ~(settled[0] & settled[1])).any():
+            break  # every remaining block is bounded away from the minimum, or settled
+        todo = np.flatnonzero(open_ & ~settled[d % 2])
         if todo.size == 0:
-            break  # every remaining block is bounded away from the minimum
+            continue
         diag, off = _block_tridiag(n_max, gamma, d)
         rho = _gershgorin_radii(np.abs(off)).max()
         if rho <= _INVIT_RTOL * (reach + diag[-1]):
@@ -852,6 +887,7 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
             m_d = np.minimum(np.abs(at - diag[right]), np.abs(at - diag[np.maximum(right - 1, 0)]))
             weyl = _INVIT_RTOL * m_d >= rho
             smin[todo[weyl]] = np.minimum(smin[todo[weyl]], m_d[weyl])
+            settled[d % 2, todo[weyl]] = True
             todo = todo[~weyl]
         held = todo[np.isfinite(smin[todo])]  # the points with a running minimum to beat
         proven = np.zeros(zs.size, dtype=bool)

@@ -152,7 +152,7 @@ def test_criterion_07_truncation_convergence():
         errors = []
         for n_max in (10, 20, 40):
             vals = fock.lowest_eigenvalues_precise(n_max, 0.5, 6, dps=60)
-            errors.append(max(abs(v - t) for v, t in zip(vals, targets)))
+            errors.append(max(abs(mp.mpmathify(v) - t) for v, t in zip(vals, targets)))
         strictly_decreasing = errors[0] > errors[1] > errors[2]
         ok = strictly_decreasing and errors[-1] <= 1e-4
         _report(

@@ -802,7 +802,7 @@ _TINY = {
     "wkb": ("--hbars", "0.5"),
     "expand": ("--cutoff", "0", "--nodes", "8"),
 }
-_FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "1e-320", "", "abc", "1,2")
+_FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "1e-320", "", "abc", "1,2", "--")
 #: every size option has an upper bound; 3 * 10**18 is also past numpy's
 #: largest array
 _CAPPED = {
@@ -813,24 +813,27 @@ _CAPPED = {
         for flag in ("--truncation", "--theta-steps", "--max-index", "--cutoff", "--vectors")
     },
 }
+#: (command, flag, value, joined): joined passes the value as --flag=value,
+#: where argparse still drops a value of exactly "--"
 _FUZZ_CASES = [
-    (name, flag, value)
+    (name, flag, value, joined)
     for name, sub in _subparsers().items()
     for action in sub._actions
     for flag in action.option_strings[:1]
     if flag not in ("-h", "--config", "--out")
     for value in _FUZZ_VALUES + ((_CAPPED[flag],) if flag in _CAPPED else ())
+    for joined in (False, True)
 ]
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
+@settings(max_examples=1000, deadline=None, derandomize=True)  # every case of _FUZZ_CASES
 @given(case=st.sampled_from(_FUZZ_CASES))
 def test_fuzzed_option_exits_0_2_or_3_without_nan(case):
-    name, flag, value = case
+    name, flag, value, joined = case
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "artifact.out"
-        argv = [name, *_TINY[name], flag, value, "--out", str(out)]
+        argv = [name, *_TINY[name], *([f"{flag}={value}"] if joined else [flag, value]), "--out", str(out)]
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             try:
                 code = main(argv)
@@ -841,3 +844,23 @@ def test_fuzzed_option_exits_0_2_or_3_without_nan(case):
         assert out.exists() == (code == 0), argv
         if out.exists():
             assert not re.search(r"\bnan\b", out.read_text(), re.IGNORECASE), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--truncation=--"),
+        ("wkb", "--hbars=--"),
+        ("norms", "--max-index", "0", "--nodes", "8", "--out=--"),
+        ("spectrum", "--truncation", "2", "--config=--"),
+    ],
+)
+def test_a_dropped_dash_dash_value_exits_2_without_an_artifact(tmp_path, monkeypatch, capsys, argv):
+    # argparse stores [] for a value of exactly "--" after "=": refused like
+    # any bad value, for --out and --config too, with no file named "[]"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(ENV_OUTDIR, str(tmp_path))
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nhboson: ") and err.count("\n") == 1, err
+    assert os.listdir(tmp_path) == []

@@ -3,10 +3,14 @@ pseudospectra and accretivity."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,7 +295,7 @@ def test_precise_newton_roots_match_mp_eig(n_max):
     want = _mp_eig_lowest(n_max, 0.5, 6, dps=40)
     assert len(got) == len(want) == 6
     with mp.workdps(40):
-        assert max(abs(a - b) for a, b in zip(got, want)) <= mp.mpf("1e-35")
+        assert max(abs(mp.mpmathify(a) - b) for a, b in zip(got, want)) <= mp.mpf("1e-35")
 
 
 @pytest.mark.parametrize("n_max", [10, 20])
@@ -306,7 +310,43 @@ def test_precise_counts_that_cut_through_degenerate_levels(n_max):
         got = fock.lowest_eigenvalues_precise(n_max, 0.5, count, dps=40)
         assert len(got) == count
         with mp.workdps(40):
-            assert max(abs(a - b) for a, b in zip(got, want)) <= mp.mpf("1e-35"), count
+            assert max(abs(mp.mpmathify(a) - b) for a, b in zip(got, want)) <= mp.mpf("1e-35"), count
+
+
+@pytest.mark.parametrize("n_max, gamma, count", [(4, 0.9, 8), (10, 3.0, 6), (20, 10.0, 6)])
+def test_precise_newton_from_complex_seeds(monkeypatch, n_max, gamma, count):
+    # here some refined seeds are complex float64 eigenvalues, iterated as
+    # (re, im) pairs of Decimals to the real root
+    from mpmath import mp
+
+    newton_root, roots = fock._newton_root, []
+
+    def recording(diag, pair_products, seed, tol, d):
+        roots.append((seed, newton_root(diag, pair_products, seed, tol, d)))
+        return roots[-1][1]
+
+    monkeypatch.setattr(fock, "_newton_root", recording)
+    got = fock.lowest_eigenvalues_precise(n_max, gamma, count, dps=40)
+    assert any(seed.imag for seed, _ in roots)
+    want = _mp_eig_lowest(n_max, gamma, count, dps=40)
+    assert len(got) == len(want) == count
+    with mp.workdps(40):
+        assert max(abs(mp.mpmathify(a) - b) for a, b in zip(got, want)) <= mp.mpf("1e-35")
+
+
+def test_precise_runs_in_decimal_without_mpmath():
+    # the Newton solve is the standard library's decimal: a fresh
+    # interpreter never loads mpmath, and each value keeps at most dps digits
+    script = (
+        "import sys, decimal; from nhboson import fock\n"
+        "vals = fock.lowest_eigenvalues_precise(20, 0.5, 6, dps=40)\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath loaded'\n"
+        "assert len(vals) == 6 and all(type(v) is decimal.Decimal for v in vals), vals\n"
+        "assert all(len(v.as_tuple().digits) <= 40 for v in vals), vals\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fock.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("gamma", [0.5, 0.9])
@@ -1312,6 +1352,40 @@ def test_zero_coupling_sigma_min_is_the_distance_to_the_levels(
     levels = np.arange(1, 2 * n_max + 2)
     np.testing.assert_array_equal(grid.sigma_min, np.abs(grid.points()[..., None] - levels).min(axis=-1))
     assert visited == list(range(min(n_max, 1) + 1))
+
+
+@pytest.mark.parametrize(
+    "n_max, re_range, im_range, resolution",
+    [(500, (1e100, 2e100), (0, 1e100), 512), (40, (1e70, 2e70), (0, 1e70), 64)],
+)
+def test_far_field_leaves_the_sweep_after_blocks_0_and_1(monkeypatch, n_max, re_range, im_range, resolution):
+    # Weyl's test settles every point at block 0 and at block 1, and a
+    # point settled in both parities leaves the sweep: two lookups, where
+    # d + 1 - Re z would leave all N + 1 blocks open
+    def unused(*args):
+        raise AssertionError("a far-field point reached the certificate or Lanczos")
+
+    monkeypatch.setattr(fock, "_sigma_min_block", unused)
+    monkeypatch.setattr(fock, "_sigma_min_above", unused)
+    visited, original = [], fock._block_tridiag
+    monkeypatch.setattr(fock, "_block_tridiag", lambda n, g, d: visited.append(d) or original(n, g, d))
+    grid = fock.pseudospectrum(n_max, 0.5, re_range, im_range, resolution)
+    np.testing.assert_array_equal(grid.sigma_min, np.abs(grid.points() - (2 * n_max + 1)))
+    assert visited == [0, 1]
+
+
+def test_a_point_settled_in_one_parity_still_meets_the_other(monkeypatch):
+    # at N = 12, gamma = 0.5, Weyl's test needs |z - a_k| >= rho_d / 4e-15:
+    # 2.875e15 at block 0, 2.747e15 at block 1, less further on.  Between
+    # the two, block 1 settles the odd blocks and block 2 the even ones,
+    # after Lanczos has solved block 0
+    n_max, zs = 12, 2.8e15 + np.array([0, 1e13j, 5e13j])
+    reference = _svd_sweep(n_max, 0.5, zs)
+    visited, original = [], fock._block_tridiag
+    monkeypatch.setattr(fock, "_block_tridiag", lambda n, g, d: visited.append(d) or original(n, g, d))
+    got = fock._sigma_min_blockwise(n_max, 0.5, zs)
+    assert np.max(np.abs(got - reference) / reference) < 1e-12
+    assert set(visited) == {0, 1, 2}
 
 
 @pytest.mark.parametrize("gamma", [0.5, -3.0, 1e150])
