@@ -171,38 +171,31 @@ def _newton_root(diag, pair_products, seed: complex, tol, d: int):
     det and its derivative come from the three-term recurrence
     p_{k+1} = (a_k - lambda) p_k - q_{k-1} p_{k-1}, which needs only the
     diagonal a and the products q_k = -off_k^2 of the entries coupling rows
-    k and k + 1.  Both are real, so from a real seed every iterate is real,
-    and it is iterated in Decimal; a complex seed is iterated as a pair of
-    Decimals, (re, im).  Decimal(float) is exact."""
+    k and k + 1.  lambda and every p_k are iterated as (re, im) pairs of
+    Decimals; a and q are real, so from a real seed every imaginary part
+    stays 0.  Decimal(float) is exact."""
     lam, lam_im = Decimal(seed.real), Decimal(seed.imag)
     for _ in range(_NEWTON_MAX_STEPS):
-        if lam_im:
-            # p_k, p_{k-1} and their derivatives as (re, im) pairs; a - lam
-            # is the real part of a_k - lambda, and -lam_im its imaginary part
-            p, p_im, p_prev, p_prev_im = diag[0] - lam, -lam_im, 1, 0
-            dp, dp_im, dp_prev, dp_prev_im = -1, 0, 0, 0
-            for a, q in zip(diag[1:], pair_products):
-                shifted = a - lam
-                dp, dp_im, dp_prev, dp_prev_im = (
-                    shifted * dp + lam_im * dp_im - p - q * dp_prev,
-                    shifted * dp_im - lam_im * dp - p_im - q * dp_prev_im,
-                    dp,
-                    dp_im,
-                )
-                p, p_im, p_prev, p_prev_im = (
-                    shifted * p + lam_im * p_im - q * p_prev,
-                    shifted * p_im - lam_im * p - q * p_prev_im,
-                    p,
-                    p_im,
-                )
-            norm = dp * dp + dp_im * dp_im
-            step, step_im = (p * dp + p_im * dp_im) / norm, (p_im * dp - p * dp_im) / norm
-        else:
-            p_prev, p, dp_prev, dp = 1, diag[0] - lam, 0, -1
-            for a, q in zip(diag[1:], pair_products):
-                shifted = a - lam
-                p_prev, p, dp_prev, dp = p, shifted * p - q * p_prev, dp, shifted * dp - p - q * dp_prev
-            step, step_im = p / dp, 0
+        # p_k, p_{k-1} and their derivatives as (re, im) pairs; a - lam is
+        # the real part of a_k - lambda, and -lam_im its imaginary part
+        p, p_im, p_prev, p_prev_im = diag[0] - lam, -lam_im, 1, 0
+        dp, dp_im, dp_prev, dp_prev_im = -1, 0, 0, 0
+        for a, q in zip(diag[1:], pair_products):
+            shifted = a - lam
+            dp, dp_im, dp_prev, dp_prev_im = (
+                shifted * dp + lam_im * dp_im - p - q * dp_prev,
+                shifted * dp_im - lam_im * dp - p_im - q * dp_prev_im,
+                dp,
+                dp_im,
+            )
+            p, p_im, p_prev, p_prev_im = (
+                shifted * p + lam_im * p_im - q * p_prev,
+                shifted * p_im - lam_im * p - q * p_prev_im,
+                p,
+                p_im,
+            )
+        norm = dp * dp + dp_im * dp_im
+        step, step_im = (p * dp + p_im * dp_im) / norm, (p_im * dp - p * dp_im) / norm
         lam, lam_im = lam - step, lam_im - step_im
         if step * step + step_im * step_im < tol * tol:
             return lam, lam_im
@@ -865,18 +858,24 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
     with an m_d that cannot lower the running minimum.  Once both parities
     have settled a point it leaves the sweep, exactly.  So the far field
     stops after blocks 0 and 1, and so does gamma = 0, where every block is
-    diagonal and blocks 0 and 1 hold every level."""
+    diagonal and blocks 0 and 1 hold every level.  The flags are made only
+    once Weyl's test settles a point; a sweep near the spectrum, where it
+    never does, runs without them."""
     zs = np.asarray(zs, dtype=complex).ravel()
     smin = np.full(zs.size, np.inf)
     reach = np.abs(zs).max(initial=0.0)
-    settled = np.zeros((2, zs.size), dtype=bool)  # by Weyl's test, per parity of d
+    settled = None  # by Weyl's test, per parity of d; made when a point first settles
     for d in range(n_max + 1):
         open_ = ~(np.maximum(d + 1.0 - zs.real, 0.0) >= smin)
-        if not (open_ & ~(settled[0] & settled[1])).any():
-            break  # every remaining block is bounded away from the minimum, or settled
-        todo = np.flatnonzero(open_ & ~settled[d % 2])
+        if settled is not None:
+            open_ &= ~(settled[0] & settled[1])
+        todo = np.flatnonzero(open_)
         if todo.size == 0:
-            continue
+            break  # every remaining block is bounded away from the minimum, or settled
+        if settled is not None:
+            todo = todo[~settled[d % 2, todo]]
+            if todo.size == 0:
+                continue
         diag, off = _block_tridiag(n_max, gamma, d)
         rho = _gershgorin_radii(np.abs(off)).max()
         if rho <= _INVIT_RTOL * (reach + diag[-1]):
@@ -887,7 +886,10 @@ def _sigma_min_blockwise(n_max: int, gamma: float, zs: np.ndarray) -> np.ndarray
             m_d = np.minimum(np.abs(at - diag[right]), np.abs(at - diag[np.maximum(right - 1, 0)]))
             weyl = _INVIT_RTOL * m_d >= rho
             smin[todo[weyl]] = np.minimum(smin[todo[weyl]], m_d[weyl])
-            settled[d % 2, todo[weyl]] = True
+            if weyl.any():
+                if settled is None:
+                    settled = np.zeros((2, zs.size), dtype=bool)
+                settled[d % 2, todo[weyl]] = True
             todo = todo[~weyl]
         held = todo[np.isfinite(smin[todo])]  # the points with a running minimum to beat
         proven = np.zeros(zs.size, dtype=bool)
