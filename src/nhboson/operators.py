@@ -18,6 +18,7 @@ identity suite over them.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -40,13 +41,35 @@ def _check_mono(mono: Mono):
         raise DegreeLimitError(f"monomial {mono} exceeds total degree {MAX_TOTAL_DEGREE}")
 
 
-def _mul_1d(i1: int, k1: int, i2: int, k2: int):
+@cache
+def _mul_1d(i1: int, k1: int, i2: int, k2: int) -> tuple:
     """Normal order x^i1 d^k1 . x^i2 d^k2 in one variable.
 
-    Yields (coefficient, power of x, power of d)."""
-    for s in range(min(k1, i2) + 1):
-        c = comb(k1, s) * comb(i2, s) * factorial(s)
-        yield Fraction(c), i1 + i2 - s, k1 + k2 - s
+    Returns (int coefficient, power of x, power of d) triples.  Memoized:
+    every exponent comes from a monomial within MAX_TOTAL_DEGREE, so the
+    cache holds at most (MAX_TOTAL_DEGREE + 1)^4 entries."""
+    return tuple(
+        (comb(k1, s) * comb(i2, s) * factorial(s), i1 + i2 - s, k1 + k2 - s)
+        for s in range(min(k1, i2) + 1)
+    )
+
+
+def _combined(groups: dict) -> dict:
+    """{monomial: RingElem} from {monomial: [(RingElem, int multiplier), ...]},
+    each coefficient built once and zero sums dropped."""
+    out = {}
+    for mono, pairs in groups.items():
+        c = RingElem.linear_combination(pairs)
+        if c:
+            out[mono] = c
+    return out
+
+
+def _poly(terms: dict) -> "OperatorPoly":
+    """OperatorPoly over an already canonical {monomial: nonzero RingElem}."""
+    out = object.__new__(OperatorPoly)
+    out._terms = terms
+    return out
 
 
 class OperatorPoly:
@@ -57,14 +80,14 @@ class OperatorPoly:
     def __init__(self, terms=()):
         """Sum (monomial, coefficient) pairs, or a mapping of them, by
         monomial; int and Fraction coefficients are coerced, zero sums dropped."""
-        out: dict[Mono, RingElem] = {}
+        groups: dict[Mono, list] = {}
         for mono, coeff in terms.items() if isinstance(terms, dict) else terms:
-            if isinstance(coeff, (int, Fraction)):
+            if not isinstance(coeff, RingElem):
                 coeff = RingElem.rational(coeff)
             if coeff:
                 _check_mono(mono)
-                out[mono] = out[mono] + coeff if mono in out else coeff
-        self._terms = {mono: c for mono, c in out.items() if c}
+                groups.setdefault(mono, []).append((coeff, 1))
+        self._terms = _combined(groups)
 
     # -- constructors ---------------------------------------------------
 
@@ -93,16 +116,23 @@ class OperatorPoly:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "OperatorPoly") -> "OperatorPoly":
-        return OperatorPoly([*self._terms.items(), *other._terms.items()])
+        return self._plus(other, 1)
 
     def __neg__(self) -> "OperatorPoly":
-        return OperatorPoly((m, -c) for m, c in self._terms.items())
+        return _poly({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "OperatorPoly") -> "OperatorPoly":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "OperatorPoly", sign: int) -> "OperatorPoly":
+        """self + sign * other."""
+        groups = {m: [(c, 1)] for m, c in self._terms.items()}
+        for m, c in other._terms.items():
+            groups.setdefault(m, []).append((c, sign))
+        return _poly(_combined(groups))
 
     def scaled(self, factor) -> "OperatorPoly":
-        return OperatorPoly((m, c * factor) for m, c in self._terms.items())
+        return _poly({m: cf for m, c in self._terms.items() if (cf := c * factor)})
 
     def __mul__(self, other: "OperatorPoly") -> "OperatorPoly":
         return compose(self, other)
@@ -113,7 +143,7 @@ class OperatorPoly:
         return max((k + l for (_, _, k, l) in self._terms), default=0)
 
     def gamma_negated(self) -> "OperatorPoly":
-        return OperatorPoly((m, c.gamma_negated()) for m, c in self._terms.items())
+        return _poly({m: c.gamma_negated() for m, c in self._terms.items()})
 
     def evaluate_coeffs(self, gamma0: float) -> dict[Mono, float]:
         """Numeric coefficient map at a concrete coupling value."""
@@ -135,15 +165,20 @@ class OperatorPoly:
 
 
 def compose(p: OperatorPoly, q: OperatorPoly) -> OperatorPoly:
-    """Normal-ordered operator product p q."""
-    return OperatorPoly(
-        ((i, j, k, l), c12 * (cx * cy))
-        for (i1, j1, k1, l1), c1 in p._terms.items()
-        for (i2, j2, k2, l2), c2 in q._terms.items()
-        for c12 in (c1 * c2,)  # one ring product per pair of terms
-        for cx, i, k in _mul_1d(i1, k1, i2, k2)
-        for cy, j, l in _mul_1d(j1, l1, j2, l2)
-    )
+    """Normal-ordered operator product p q: one ring product per pair of
+    terms, and each output coefficient summed once from its int multiples."""
+    groups: dict[Mono, list] = {}
+    for (i1, j1, k1, l1), c1 in p._terms.items():
+        for (i2, j2, k2, l2), c2 in q._terms.items():
+            top = (i1 + i2, j1 + j2, k1 + k2, l1 + l2)  # the s = t = 0 term, of highest degree
+            if sum(top) > MAX_TOTAL_DEGREE:
+                raise DegreeLimitError(f"monomial {top} exceeds total degree {MAX_TOTAL_DEGREE}")
+            c12 = c1 * c2
+            ys = _mul_1d(j1, l1, j2, l2)
+            for cx, i, k in _mul_1d(i1, k1, i2, k2):
+                for cy, j, l in ys:
+                    groups.setdefault((i, j, k, l), []).append((c12, cx * cy))
+    return _poly(_combined(groups))
 
 
 def commutator(p: OperatorPoly, q: OperatorPoly) -> OperatorPoly:
@@ -155,12 +190,13 @@ def formal_adjoint(p: OperatorPoly) -> OperatorPoly:
     (c x^i y^j dx^k dy^l)* = (-1)^(k+l) c dx^k dy^l x^i y^j, normal-ordered.
 
     Coefficients are real (rational in the coupling), so no conjugation."""
-    return OperatorPoly(
-        ((i2, j2, k2, l2), c * ((-1) ** (k + l) * cx * cy))
-        for (i, j, k, l), c in p._terms.items()
-        for cx, i2, k2 in _mul_1d(0, k, i, 0)
-        for cy, j2, l2 in _mul_1d(0, l, j, 0)
-    )
+    groups: dict[Mono, list] = {}
+    for (i, j, k, l), c in p._terms.items():
+        sign = (-1) ** (k + l)
+        for cx, i2, k2 in _mul_1d(0, k, i, 0):
+            for cy, j2, l2 in _mul_1d(0, l, j, 0):
+                groups.setdefault((i2, j2, k2, l2), []).append((c, sign * cx * cy))
+    return _poly(_combined(groups))
 
 
 def conjugate_by_gaussian(p: OperatorPoly, sign: int) -> OperatorPoly:

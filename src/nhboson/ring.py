@@ -4,9 +4,12 @@ Coefficients live in R = Q[g, r, r^(-1)] / (r^4 - 1 - g^2): ``g`` is the real
 coupling constant and ``r`` plays the role of (1+g^2)^(1/4), so quarter-power
 frequency factors and their inverses are exact.  As g^2 = r^4 - 1, every
 element is uniquely a + b g with a, b Laurent polynomials in r, stored as a
-map from (power of r, power of g in {0, 1}) to a nonzero Fraction.  The form
-is canonical, so equality is a plain comparison, and products need the one
-rewrite rule g * g -> r^4 - 1.
+map from (power of r, power of g in {0, 1}) to a nonzero int numerator, over
+one positive int denominator that shares no factor with all the numerators.
+The form is canonical, so equality is a plain comparison, and products need
+the one rewrite rule g * g -> r^4 - 1.  Arithmetic stays in ints: Fractions
+appear only as inputs (the constructor, ``rational``, a Fraction operand) and
+in ``repr`` and ``evaluate``.
 """
 
 import math
@@ -14,16 +17,21 @@ from fractions import Fraction
 
 
 class RingElem:
-    """Immutable element a + b g of Q[r, r^(-1)][g] / (g^2 - (r^4 - 1))."""
+    """Immutable element a + b g of Q[r, r^(-1)][g] / (g^2 - (r^4 - 1)),
+    held as int numerators ``_terms`` over the int denominator ``_den``."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms=()):
-        """Sum ((r power, g power), Fraction) pairs by key; drop zero sums."""
+        """Sum ((r power, g power), int or Fraction) pairs by key; drop zero
+        sums.  Stored over the sums' least common denominator, which shares
+        no factor with all the numerators, as each sum is in lowest terms."""
         out = {}
         for key, c in terms:
-            out[key] = out.get(key, 0) + c
-        self._terms = {key: c for key, c in out.items() if c}
+            out[key] = out.get(key, 0) + Fraction(c)
+        out = {key: c for key, c in out.items() if c}
+        self._den = math.lcm(*(c.denominator for c in out.values()))
+        self._terms = {key: c.numerator * (self._den // c.denominator) for key, c in out.items()}
 
     # -- constructors ---------------------------------------------------
 
@@ -33,52 +41,74 @@ class RingElem:
 
     @classmethod
     def rational(cls, q) -> "RingElem":
-        return cls([((0, 0), Fraction(q))])
+        return cls([((0, 0), q)])
 
     @classmethod
     def gamma(cls, power: int = 1) -> "RingElem":
         out = cls.one()
         for _ in range(power):
-            out = out * cls([((0, 1), Fraction(1))])
+            out = out * _reduced({(0, 1): 1}, 1)
         return out
 
     @classmethod
     def rho(cls, power: int = 1) -> "RingElem":
         """r^power for any integer power."""
-        return cls([((power, 0), Fraction(1))])
+        return _reduced({(power, 0): 1}, 1)
 
     @classmethod
     def omega(cls, power: int = 1) -> "RingElem":
         """(1+g^2)^(power/2), i.e. r^(2*power)."""
         return cls.rho(2 * power)
 
+    @staticmethod
+    def linear_combination(pairs) -> "RingElem":
+        """sum k e over a sequence of (RingElem e, int k) pairs, built once
+        over the least common denominator of the e."""
+        if len(pairs) == 1 and pairs[0][1] == 1:
+            return pairs[0][0]
+        den = 1
+        for e, _ in pairs:
+            if e._den != den:
+                den = math.lcm(den, e._den)
+        acc = {}
+        for e, k in pairs:
+            if e._den != den:
+                k *= den // e._den
+            for key, n in e._terms.items():
+                acc[key] = acc.get(key, 0) + k * n
+        return _reduced(acc, den)
+
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other) -> "RingElem":
-        return RingElem([*self._terms.items(), *_as_ring(other)._terms.items()])
+        return RingElem.linear_combination(((self, 1), (_as_ring(other), 1)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RingElem":
-        return RingElem((key, -c) for key, c in self._terms.items())
+        return _reduced({key: -n for key, n in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> "RingElem":
-        return self + (-_as_ring(other))
+        return RingElem.linear_combination(((self, 1), (_as_ring(other), -1)))
 
     def __rsub__(self, other) -> "RingElem":
-        return _as_ring(other) + (-self)
+        return RingElem.linear_combination(((_as_ring(other), 1), (self, -1)))
 
     def __mul__(self, other) -> "RingElem":
-        other = _as_ring(other)
-        terms = []
+        if not isinstance(other, RingElem):
+            if isinstance(other, int):  # scale the numerators: no ring product
+                return _reduced({key: n * other for key, n in self._terms.items()}, self._den)
+            other = _as_ring(other)
+        acc = {}
         for (i, j), a in self._terms.items():
             for (k, l), b in other._terms.items():
                 c = a * b
                 if j and l:  # g * g -> r^4 - 1
-                    terms += [((i + k + 4, 0), c), ((i + k, 0), -c)]
+                    acc[i + k + 4, 0] = acc.get((i + k + 4, 0), 0) + c
+                    acc[i + k, 0] = acc.get((i + k, 0), 0) - c
                 else:
-                    terms.append(((i + k, j + l), c))
-        return RingElem(terms)
+                    acc[i + k, j + l] = acc.get((i + k, j + l), 0) + c
+        return _reduced(acc, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -95,14 +125,14 @@ class RingElem:
             other = RingElem.rational(other)
         if not isinstance(other, RingElem):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def gamma_negated(self) -> "RingElem":
         """Substitute g -> -g (r is untouched: 1+g^2 is even in g)."""
-        return RingElem(((i, j), -c if j else c) for (i, j), c in self._terms.items())
+        return _reduced({(i, j): -n if j else n for (i, j), n in self._terms.items()}, self._den)
 
     def evaluate(self, gamma0: float) -> float:
         """Numeric value with g = gamma0 and r = (1+gamma0^2)^(1/4).
@@ -114,16 +144,33 @@ class RingElem:
         floats throughout."""
         g = Fraction(float(gamma0)) if math.isfinite(gamma0) else gamma0
         sums = [0] * 4
-        for (i, j), c in self._terms.items():
+        for (i, j), n in self._terms.items():
             q, m = divmod(i, 4)
-            sums[m] += c * (1 + g * g) ** q * g**j
+            sums[m] += Fraction(n, self._den) * (1 + g * g) ** q * g**j
         if isinstance(g, Fraction):
             return _sum_in_r(sums, 1 + g * g)
         return float(sum(s * (1.0 + g * g) ** (m / 4) for m, s in enumerate(sums) if s))
 
     def __repr__(self):
-        chunks = [f"{c}*r^{i}" + ("*g" if j else "") for (i, j), c in sorted(self._terms.items())]
+        chunks = [
+            f"{Fraction(n, self._den)}*r^{i}" + ("*g" if j else "")
+            for (i, j), n in sorted(self._terms.items())
+        ]
         return " + ".join(chunks) if chunks else "0"
+
+
+def _reduced(nums: dict, den: int) -> RingElem:
+    """The RingElem sum n r^i g^j / den over {(i, j): int n}: zero numerators
+    are dropped, and the rest and den > 0 divided by their gcd."""
+    nums = {key: n for key, n in nums.items() if n}
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {key: n // g for key, n in nums.items()}
+    out = object.__new__(RingElem)
+    out._terms, out._den = nums, den
+    return out
 
 
 def _as_ring(v) -> RingElem:

@@ -1,6 +1,7 @@
 """Normal ordering, commutators, adjoints and the exact identity suite."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -139,6 +140,11 @@ def test_degree_guard():
     big = OperatorPoly.monomial(i=8, k=1)
     with pytest.raises(DegreeLimitError):
         compose(big, OperatorPoly.monomial(i=9))
+    # each nonzero term is checked before the sum, so terms that cancel still raise
+    m = (9, 8, 0, 0)
+    assert sum(m) > operators.MAX_TOTAL_DEGREE
+    with pytest.raises(DegreeLimitError):
+        OperatorPoly([(m, 1), (m, -1)])
 
 
 def test_verify_identities_all_pass():
@@ -278,3 +284,173 @@ def test_failed_identity_row_reports_its_residual():
         "residual_monomial_count": 2,
         "max_abs_residual_coeff": 3.0,
     }
+
+
+# -- cross-check against the all-Fraction arithmetic ---------------------------
+#
+# The reference below is the arithmetic the library had before its ring
+# moved to int numerators over one denominator: a ring element is a
+# {(power of r, power of g): nonzero Fraction} map, and an operator a
+# {monomial: nonzero ring map}.  Each library result must equal it exactly.
+
+
+def _ref_ring(pairs):
+    """Sum ((r power, g power), Fraction) pairs by key; drop zero sums."""
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _ref_ring_mul(a, b):
+    pairs = []
+    for (i, j), x in a.items():
+        for (k, l), y in b.items():
+            c = x * y
+            if j and l:  # g * g -> r^4 - 1
+                pairs += [((i + k + 4, 0), c), ((i + k, 0), -c)]
+            else:
+                pairs.append(((i + k, j + l), c))
+    return _ref_ring(pairs)
+
+
+def _ref_poly(pairs):
+    """Sum (monomial, ring map) pairs by monomial; drop zero sums."""
+    out = {}
+    for mono, c in pairs:
+        out[mono] = _ref_ring([*out.get(mono, {}).items(), *c.items()])
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _ref_scaled(p, factor):
+    return {m: {key: x * factor for key, x in c.items()} for m, c in p.items()}
+
+
+def _ref_mul_1d(i1, k1, i2, k2):
+    for s in range(min(k1, i2) + 1):
+        yield Fraction(comb(k1, s) * comb(i2, s) * factorial(s)), i1 + i2 - s, k1 + k2 - s
+
+
+def _ref_compose(p, q):
+    return _ref_poly(
+        ((i, j, k, l), {key: x * cx * cy for key, x in _ref_ring_mul(c1, c2).items()})
+        for (i1, j1, k1, l1), c1 in p.items()
+        for (i2, j2, k2, l2), c2 in q.items()
+        for cx, i, k in _ref_mul_1d(i1, k1, i2, k2)
+        for cy, j, l in _ref_mul_1d(j1, l1, j2, l2)
+    )
+
+
+def _ref_sub(p, q):
+    return _ref_poly([*p.items(), *_ref_scaled(q, -1).items()])
+
+
+def _ref_commutator(p, q):
+    return _ref_sub(_ref_compose(p, q), _ref_compose(q, p))
+
+
+def _ref_adjoint(p):
+    return _ref_poly(
+        ((i2, j2, k2, l2), {key: x * (-1) ** (k + l) * cx * cy for key, x in c.items()})
+        for (i, j, k, l), c in p.items()
+        for cx, i2, k2 in _ref_mul_1d(0, k, i, 0)
+        for cy, j2, l2 in _ref_mul_1d(0, l, j, 0)
+    )
+
+
+_REF_S = {(1, 1, 0, 0): {(0, 1): Fraction(2)}}  # 2 g x y
+
+
+def _ref_conjugate(p, sign):
+    total = term = p
+    for k in range(1, max((m[2] + m[3] for m in p), default=0) + 2):
+        bracket = _ref_commutator(_REF_S, term)
+        if not bracket:
+            return total
+        term = _ref_scaled(bracket, Fraction(-sign, k))
+        total = _ref_poly([*total.items(), *term.items()])
+    raise RuntimeError("conjugation series failed to terminate")
+
+
+def _library(p) -> OperatorPoly:
+    """The reference operator p built by the library's public constructors."""
+    return OperatorPoly({m: RingElem(list(c.items())) for m, c in p.items()})
+
+
+_ref_coeffs = st.lists(
+    st.tuples(
+        st.tuples(st.integers(-1, 1), st.integers(0, 1)),  # r^-1, 1, r; 1, g
+        st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4), Fraction(-3), Fraction(5, 6)]),
+    ),
+    min_size=1,
+    max_size=2,
+).map(_ref_ring)
+_ref_monos = st.sampled_from([m for m in np.ndindex(5, 5, 5, 5) if sum(m) <= 4])  # total degree <= 4
+_ref_ops = st.lists(st.tuples(_ref_monos, _ref_coeffs), min_size=1, max_size=3).map(_ref_poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ref_ops, _ref_ops)
+def test_operations_match_the_all_fraction_reference(p, q):
+    lp, lq = _library(p), _library(q)
+    assert compose(lp, lq) == _library(_ref_compose(p, q))
+    assert commutator(lp, lq) == _library(_ref_commutator(p, q))
+    assert formal_adjoint(lp) == _library(_ref_adjoint(p))
+    for sign in (1, -1):
+        assert conjugate_by_gaussian(lp, sign) == _library(_ref_conjugate(p, sign))
+
+
+def _ref_identity_residuals() -> dict:
+    """The residual of every identity in verify_identities, computed in the
+    reference arithmetic from the operators' definitions."""
+    unit, r, g = {(0, 0): Fraction(1)}, {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}
+    one = {(0, 0, 0, 0): unit}
+    lo = {
+        "a": {(1, 0, 0, 0): unit, (0, 0, 1, 0): {(0, 0): Fraction(1, 2)}},
+        "b": {(0, 1, 0, 0): unit, (0, 0, 0, 1): {(0, 0): Fraction(1, 2)}},
+        "g": {(1, 0, 0, 0): r, (0, 0, 1, 0): {(-1, 0): Fraction(1, 2)}},
+        "h": {(0, 1, 0, 0): r, (0, 0, 0, 1): {(-1, 0): Fraction(1, 2)}},
+    }
+    gens = {**lo, **{f"{name}*": _ref_adjoint(op) for name, op in lo.items()}}
+    quarter = {(0, 0): Fraction(-1, 4)}
+    h_diff = {
+        (0, 0, 2, 0): quarter, (0, 0, 0, 2): quarter, (0, 1, 1, 0): g, (1, 0, 0, 1): g,
+        (2, 0, 0, 0): unit, (0, 2, 0, 0): unit,
+    }
+    base = {(4, 0): Fraction(1)}  # r^4 = 1 + g^2
+    osc = {(0, 0, 2, 0): quarter, (0, 0, 0, 2): quarter, (2, 0, 0, 0): base, (0, 2, 0, 0): base}
+
+    def add(*ps):
+        return _ref_poly(item for p in ps for item in p.items())
+
+    def times(p, c):
+        return {m: _ref_ring_mul(x, c) for m, x in p.items()}
+
+    out = {}
+    for name in ["[a,a*]=1", "[b,b*]=1", "[a,b*]=0", "[b,a*]=0", "[a*,b*]=0", "[a,b]=0",
+                 "[g,g*]=1", "[h,h*]=1", "[g,h]=0", "[g,h*]=0", "[g*,h*]=0", "[g*,h]=0"]:
+        u, v = name[1:name.index("]")].split(",")
+        out[name] = _ref_commutator(gens[u], gens[v])
+        if name.endswith("=1"):
+            out[name] = _ref_sub(out[name], one)
+    out["gaussian_conjugation"] = _ref_sub(_ref_conjugate(h_diff, 1), osc)
+    number = add(_ref_compose(gens["g*"], gens["g"]), _ref_compose(gens["h*"], gens["h"]), one)
+    out["oscillator_number_form"] = _ref_sub(osc, times(number, {(2, 0): Fraction(1)}))
+    h_ladd = add(
+        _ref_compose(gens["a*"], gens["a"]),
+        _ref_compose(gens["b"], gens["b*"]),
+        times(_ref_sub(_ref_compose(gens["a*"], gens["b*"]), _ref_compose(gens["a"], gens["b"])), g),
+    )
+    shear = {(0, 1, 1, 0): {(0, 1): Fraction(2)}, (1, 0, 0, 1): {(0, 1): Fraction(2)}}  # 2 g V
+    flipped = {m: {(i, j): -x if j else x for (i, j), x in c.items()} for m, c in h_diff.items()}
+    out["ladder_form_gamma_flip"] = add(_ref_sub(_ref_sub(h_diff, h_ladd), shear), _ref_sub(h_ladd, flipped))
+    return out
+
+
+def test_identity_residuals_match_the_all_fraction_reference():
+    reference = _ref_identity_residuals()
+    checks = verify_identities()
+    assert [c.name for c in checks] == list(reference)
+    for check in checks:
+        assert check.residual == _library(reference[check.name]), check.name
+        assert check.passed is not reference[check.name], check.name

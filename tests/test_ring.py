@@ -1,6 +1,7 @@
 """Exact coefficient ring: canonical reduction and numeric evaluation."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -151,3 +152,55 @@ def test_evaluate_folds_a_rational_rho():
     # at gamma0 = 0, r = 1: every power of r is rational, and the sum is exact
     assert (RingElem.rho(3) - RingElem.rho(-2) + RingElem.gamma(2)).evaluate(0.0) == 0.0
     assert (RingElem.rho(1) * Fraction(1, 3)).evaluate(0.0) == 1 / 3
+
+
+def _ones():
+    third = RingElem.rational(Fraction(1, 3))
+    return [
+        RingElem.one(),
+        RingElem.rational(1),
+        RingElem.rational(Fraction(2, 2)),
+        RingElem([((0, 0), Fraction(1, 2)), ((0, 0), Fraction(1, 2))]),
+        RingElem.rational(Fraction(1, 2)) * 2,
+        third * 3,
+        third + third + third,
+        RingElem.rho(1) * Fraction(1, 6) + 1 - RingElem.rho(1) * Fraction(1, 6),
+    ]
+
+
+def _zeros():
+    half_r = RingElem.rho(1) * Fraction(1, 2)
+    return [
+        RingElem(),
+        RingElem.rational(0),
+        half_r - half_r,
+        half_r + RingElem.rho(1) * Fraction(-1, 2),
+        RingElem.rational(Fraction(1, 3)) * 3 - 1,
+        RingElem.gamma() * Fraction(3, 4) * 0,
+    ]
+
+
+@pytest.mark.parametrize("group", [_ones, _zeros])
+def test_equal_values_are_one_canonical_form(group):
+    elems = group()
+    for e in elems:
+        assert e == elems[0] and hash(e) == hash(elems[0]) and repr(e) == repr(elems[0])
+    assert bool(elems[0]) is (group is _ones)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RingElem.rho(1) * Fraction(1, 2) + RingElem.gamma() * Fraction(1, 4),
+        lambda: RingElem.rho(-1) * Fraction(-2, 4) + RingElem.rho(1) * Fraction(5, -6),
+        lambda: RingElem.rational(Fraction(1, -3)) * RingElem.rho(3) * 6 + RingElem.gamma() * Fraction(1, 9),
+        lambda: (RingElem.rho(1) * Fraction(1, 6) + RingElem.rho(2) * Fraction(1, 3)) * 3,
+        lambda: (RingElem.gamma() * Fraction(1, 2) + Fraction(1, 4)) * (RingElem.gamma() * 2 - Fraction(1, 3)),
+    ],
+)
+def test_repr_denominators_are_positive_and_reduced(make):
+    text = repr(make())
+    fractions = re.findall(r"(-?\d+)/(-?\d+)", text)
+    assert fractions, text
+    for num, den in fractions:
+        assert int(den) > 1 and math.gcd(int(num), int(den)) == 1, text
