@@ -21,17 +21,14 @@ A well-formed call builds no parser: main reads a command followed only
 by that command's exact flags, each as --flag=value or with a separate
 value not starting with '-', every choice valid, straight from the option
 table (_read_canonical), into the Namespace argparse would give.  Any
-other argv goes to argparse, which alone prints help, usage and errors:
-when the first argument names a command, main adds that one subparser
-(_build_parser(only)), which parses and reports exactly as the full parser
-would.  Without a command (no arguments, -h, --version or an unknown word)
-it builds all of them.
+other argv goes to the parser with every subparser (_build_parser), which
+alone prints help, usage and errors and expands abbreviated flags.
 
 Start-up: importing this module loads numpy and every nhboson module, but
-not mpmath (loaded only by ring._sum_in_r), numpy.polynomial or
-dataclasses.  RunConfig, Command and the library's records are NamedTuples
-or __slots__ classes, so no methods are generated and compiled at import,
-and no module defers its annotations, so none is compiled from a string.
+not numpy.polynomial or dataclasses; no nhboson module imports mpmath.
+RunConfig, Command and the library's records are NamedTuples or __slots__
+classes, so no methods are generated and compiled at import, and no module
+defers its annotations, so none is compiled from a string.
 """
 
 import argparse
@@ -319,12 +316,8 @@ def _flags(spec: Command) -> dict:
     return flags
 
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with every command's subparser, or with only
-    the command `only`.  The top level takes no option values, so once the
-    first token names a command argparse hands every later token to that
-    subparser and consults no other: a call that names its command gets the
-    same parse and the same messages from its own subparser alone."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every command's subparser."""
     parser = argparse.ArgumentParser(
         prog="nhboson",
         description="Exact identities and spectral diagnostics for the "
@@ -332,7 +325,7 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"nhboson {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name, spec in COMMANDS.items() if only is None else [(only, COMMANDS[only])]:
+    for name, spec in COMMANDS.items():
         p = sub.add_parser(name, help=spec.help)
         p.add_argument("--config", help=_HELP["--config"])
         for flag, names in _flags(spec).items():
@@ -482,7 +475,7 @@ def _fold_dash_values(argv):
 
 
 def _read_canonical(argv: list) -> argparse.Namespace | None:
-    """The Namespace _build_parser(argv[0]).parse_args(argv) returns, read
+    """The Namespace _build_parser().parse_args(argv) returns, read
     straight from the option table, or None unless argv is canonical: a
     command, then only that command's exact flags, each as --flag=value or
     as --flag value with a value not starting with '-', every choice valid
@@ -519,9 +512,7 @@ def main(argv=None) -> int:
     argv = _fold_dash_values(sys.argv[1:] if argv is None else list(argv))
     args = _read_canonical(argv)
     if args is None:
-        # no command, -h, --version or an unknown word: the full parser's
-        # usage, help and invalid-choice message list every command
-        parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+        parser = _build_parser()
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)

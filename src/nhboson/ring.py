@@ -9,10 +9,13 @@ one positive int denominator that shares no factor with all the numerators.
 The form is canonical, so equality is a plain comparison, and products need
 the one rewrite rule g * g -> r^4 - 1.  Arithmetic stays in ints: Fractions
 appear only as inputs (the constructor, ``rational``, a Fraction operand) and
-in ``repr`` and ``evaluate``.
+in ``repr`` and ``evaluate``, which sums irrational values in the standard
+library's decimal.
 """
 
+import contextlib
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
 
@@ -189,28 +192,32 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 
 def _sum_in_r(sums: list, base: Fraction) -> float:
     """sum_m sums[m] r^m as a float (+-inf past the float range), for
-    Fractions sums[m] and r = base^(1/len(sums)).
+    Fractions sums[m] and r = base^(1/len(sums)), len(sums) in {4, 2, 1}.
 
     While base is a rational square, r^(L/2) is rational and the top half of
     the sums folds into the bottom half.  The powers of r left are linearly
     independent over Q (x^L - base is irreducible), so the total is 0 only if
-    every sum is; otherwise it is summed in mpmath at a precision doubled
-    until the total exceeds its largest part times 2^(70 - precision), about
-    2^64 times the rounding error of the parts."""
+    every sum is.  A rational total is rounded once; any other is summed in
+    decimal, r by square roots, at digits doubled until the total exceeds its
+    largest part times 10^(21 - digits), about 2^64 times the parts' rounding
+    error of about 10^(2 - digits) of the largest."""
     while len(sums) > 1 and (root := _rational_sqrt(base)) is not None:
         half = len(sums) // 2
         sums = [lo + root * hi for lo, hi in zip(sums[:half], sums[half:])]
         base = root
     if not any(sums):
         return 0.0
-    import mpmath  # here only: importing nhboson.cli does not load mpmath
-
-    prec = 128
+    if not any(sums[1:]):  # rounded once: 40 decimal digits could misround a binary tie
+        with contextlib.suppress(OverflowError):  # past the float range: the loop gives +-inf
+            return float(sums[0])
+    digits = 40
     while True:
-        with mpmath.workprec(prec):
-            r = mpmath.root(mpmath.mpf(base.numerator) / base.denominator, len(sums))
-            parts = [mpmath.mpf(s.numerator) / s.denominator * r**m for m, s in enumerate(sums) if s]
-            total = mpmath.fsum(parts)
-            if abs(total) > max(map(abs, parts)) * mpmath.ldexp(1, 70 - prec):
+        with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            r = Decimal(base.numerator) / base.denominator
+            for _ in range(len(sums).bit_length() - 1):  # r = base^(1/4), base^(1/2) or unused
+                r = r.sqrt()
+            parts = [Decimal(s.numerator) / s.denominator * r**m for m, s in enumerate(sums) if s]
+            total = sum(parts)
+            if abs(total) > max(map(abs, parts)).scaleb(21 - digits):
                 return float(total)
-        prec *= 2
+        digits *= 2

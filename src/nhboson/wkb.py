@@ -140,9 +140,7 @@ class PhaseFunction(NamedTuple):
         s = self.summand
         k = 4.0 * s.alpha * s.beta + s.delta**2
         root = self._momentum_root(x)
-        return x * root / (4.0 * s.alpha) + (self.energy / math.sqrt(k)) * np.arcsin(
-            x * math.sqrt(k / (4.0 * s.alpha * self.energy))
-        )
+        return x * root / (4.0 * s.alpha) + (self.energy / math.sqrt(k)) * np.arcsin(x / self.turning_point)
 
     def imag_part(self, x):
         x = self._check(x)

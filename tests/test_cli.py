@@ -361,7 +361,6 @@ def test_accretive_rejects_infinite_point(tmp_path, capsys):
         ("biorth", "--max-index", "1", "--gamma", "1e308"),
         ("norms", "--max-index", "1", "--gamma", "1e308"),
         ("expand", "--cutoff", "1", "--gamma", "1e308"),
-        ("wkb", "--energy", "1e-320"),
     ],
 )
 def test_non_finite_results_exit_3_without_artifact(tmp_path, capsys, argv):
@@ -431,10 +430,11 @@ def test_commands_run_without_scipy(tmp_path, command):
 
 def test_package_imports_without_scipy():
     assert _fresh_interpreter("import sys, nhboson; print('scipy' in sys.modules)").strip() == "False"
-    # the CLI's start-up cost: mpmath is imported only by the calls that need
-    # it, numpy.polynomial by none (wkb builds its own Legendre rules), and
-    # dataclasses by none (records are NamedTuples or __slots__ classes, so
-    # no methods are generated and compiled at import)
+    # the CLI's start-up cost: mpmath is imported by no call (the library
+    # computes in numpy and decimal), numpy.polynomial by none (wkb builds
+    # its own Legendre rules), and dataclasses by none (records are
+    # NamedTuples or __slots__ classes, so no methods are generated and
+    # compiled at import)
     code = (
         "import sys, nhboson.cli; print(*(name in sys.modules for name in "
         "('scipy', 'mpmath', 'numpy.polynomial', 'dataclasses')))"
@@ -657,6 +657,10 @@ def _subparsers(parser=None):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
+#: one full parser, shared by the tests that only parse with it
+_PARSER = _build_parser()
+
+
 def test_flag_surface():
     surface = {
         name: sorted(
@@ -686,10 +690,9 @@ def test_flag_surface():
     ]
 
 
-#: argv whose parse must not depend on which subparsers exist: no command,
-#: the top-level flags, an unknown command, each command's help, errors the
-#: top level reports after a subparser ran, a subparser's own errors, and a
-#: parse that succeeds
+#: argv main leaves to argparse: no command, the top-level flags, an
+#: unknown command, each command's help, errors the top level reports after
+#: a subparser ran, and a subparser's own errors; and one canonical call
 _DISPATCH_CASES = [
     [], ["-h"], ["--version"], ["frobnicate"],
     *([name, "-h"] for name in COMMANDS),
@@ -698,42 +701,42 @@ _DISPATCH_CASES = [
 ]
 
 
-def _parse_outcome(parser, argv):
+def _outcome(call, argv):
+    """(result, stdout, stderr, SystemExit code or None) of call(argv)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            parsed, code = vars(parser.parse_args(argv)), None
+            result, code = call(argv), None
         except SystemExit as exc:
-            parsed, code = None, exc.code
-    return parsed, out.getvalue(), err.getvalue(), code
+            result, code = None, exc.code
+    return result, out.getvalue(), err.getvalue(), code
+
+
+def _parse_outcome(argv):
+    parsed, out, err, code = _outcome(_PARSER.parse_args, argv)
+    return None if parsed is None else vars(parsed), out, err, code
 
 
 @pytest.mark.parametrize("argv", _DISPATCH_CASES, ids=lambda argv: " ".join(argv) or "(none)")
-def test_own_command_parser_matches_the_full_parser(argv):
-    only = argv[0] if argv and argv[0] in COMMANDS else None
-    assert _parse_outcome(_build_parser(only), argv) == _parse_outcome(_build_parser(), argv)
+def test_main_dispatches_as_the_full_parser(argv, tmp_path, monkeypatch):
+    monkeypatch.setenv(ENV_OUTDIR, str(tmp_path))
+    parsed, *report = _parse_outcome(argv)
+    got = _outcome(main, argv)
+    if parsed is None:  # help, version or an error: argparse's output and exit
+        assert got == (None, *report)
+    elif parsed["command"] is None:  # no command: the usage, and exit 2
+        assert got == (2, "", _PARSER.format_usage(), None)
+    else:  # a canonical call is read from the option table and runs
+        assert got[0] == 0 and got[1].startswith(str(tmp_path))
 
 
 def test_a_call_builds_only_its_own_commands_parser(tmp_path, monkeypatch):
-    built = []
-
-    def spy(only=None):
-        parser = _build_parser(only)
-        built.append(list(_subparsers(parser)))
-        return parser
-
-    monkeypatch.setattr(cli, "_build_parser", spy)
     # a canonical argv is read from the option table: no parser at all
+    built = []
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1))
     code, _ = run(tmp_path, "norms", "--max-index", "0", "--nodes", "8")
     assert code == 0
     assert built == []
-    # an error in a named command: that command's parser reports it
-    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
-        main(["wkb", "--summand", "foo"])
-    assert built == [["wkb"]]
-    with pytest.raises(SystemExit), contextlib.redirect_stderr(io.StringIO()):
-        main(["frobnicate"])
-    assert built[1:] == [list(COMMANDS)]
 
 
 #: token values: empty, dash-led, "--", plain texts and every choice,
@@ -772,11 +775,11 @@ def _argvs(command, sub):
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
-@given(argv=st.one_of(*(_argvs(name, sub) for name, sub in _subparsers().items())))
+@given(argv=st.one_of(*(_argvs(name, sub) for name, sub in _subparsers(_PARSER).items())))
 def test_option_table_reads_as_argparse_parses(argv):
     args = cli._read_canonical(argv)
     if args is not None:
-        assert _parse_outcome(_build_parser(argv[0]), argv) == (vars(args), "", "", None)
+        assert _parse_outcome(argv) == (vars(args), "", "", None)
 
 
 def test_every_benchmark_op_is_read_from_the_option_table():
@@ -787,7 +790,7 @@ def test_every_benchmark_op_is_read_from_the_option_table():
     for argv in argvs:
         args = cli._read_canonical(argv)
         assert args is not None, argv
-        assert _parse_outcome(_build_parser(argv[0]), argv) == (vars(args), "", "", None)
+        assert _parse_outcome(argv) == (vars(args), "", "", None)
 
 
 #: every command at tiny sizes, so that the one fuzzed option decides the run

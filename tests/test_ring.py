@@ -1,14 +1,20 @@
 """Exact coefficient ring: canonical reduction and numeric evaluation."""
 
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhboson import ring
 from nhboson.ring import RingElem
 
 
@@ -116,9 +122,9 @@ def test_hash_is_canonical():
     assert hash(x * base * RingElem.rho(-4)) == hash(x)
 
 
-def _mp_value(terms, gamma0):
-    """80-digit value of sum c g^j r^i over ((i, j), c) terms."""
-    with mpmath.workdps(80):
+def _mp_value(terms, gamma0, dps=80):
+    """dps-digit value of sum c g^j r^i over ((i, j), c) terms."""
+    with mpmath.workdps(dps):
         g = mpmath.mpf(gamma0)
         r = mpmath.root(1 + g * g, 4)
         return sum(mpmath.mpf(c.numerator) / c.denominator * g**j * r**i for (i, j), c in terms)
@@ -127,14 +133,44 @@ def _mp_value(terms, gamma0):
 _GROUPS_CANCEL = [((7, 4), Fraction(-2)), ((4, 4), Fraction(1, 2)), ((8, 4), Fraction(3, 2))]
 
 
-@pytest.mark.parametrize("gamma0", [1e-3, 1e-5, 1e-8])
-def test_evaluate_resolves_cancelling_rho_groups(gamma0):
-    # g^4 (-2 r^7 + r^4/2 + 3/2 r^8): the r^0 and r^3 groups cancel to 1e-65 at 1e-8
+def _groups_cancel():
     e = RingElem()
     for (i, j), c in _GROUPS_CANCEL:
         e = e + RingElem.gamma(j) * RingElem.rho(i) * c
-    expected = float(_mp_value(_GROUPS_CANCEL, gamma0))
-    assert e.evaluate(gamma0) == pytest.approx(expected, rel=1e-14, abs=0)
+    return e
+
+
+@pytest.mark.parametrize("gamma0", [1e-3, 1e-5, 1e-8, 1e-30, 1e-38])
+def test_evaluate_resolves_cancelling_rho_groups(gamma0):
+    # g^4 (-2 r^7 + r^4/2 + 3/2 r^8): the r^0 and r^3 groups cancel to 1e-65
+    # at 1e-8 and to 1e-305 at 1e-38, which 80 digits cannot resolve
+    expected = float(_mp_value(_GROUPS_CANCEL, gamma0, dps=400))
+    assert _groups_cancel().evaluate(gamma0) == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+def test_evaluate_runs_without_mpmath(tmp_path):
+    # the sums run in the standard library's decimal: with mpmath made
+    # unimportable, a cancelling evaluate and verify-algebra at a numeric
+    # gamma give what they give here
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from fractions import Fraction\n"
+        "from nhboson.cli import main\n"
+        "from nhboson.ring import RingElem\n"
+        "e = RingElem()\n"
+        f"for (i, j), c in {_GROUPS_CANCEL!r}:\n"
+        "    e = e + RingElem.gamma(j) * RingElem.rho(i) * c\n"
+        "print(repr(e.evaluate(1e-8)), repr((RingElem.rho(2) - RingElem.rho(-2)).evaluate(0.5)))\n"
+        f"sys.exit(main(['verify-algebra', '--gamma', '0.5', '--out', {str(tmp_path / 'verify.json')!r}]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ring.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    values = done.stdout.splitlines()[0].split()
+    assert values == [repr(_groups_cancel().evaluate(1e-8)), repr((RingElem.rho(2) - RingElem.rho(-2)).evaluate(0.5))]
+    rows = json.loads((tmp_path / "verify.json").read_text())["rows"]
+    assert rows and all(row["status"] == "pass" for row in rows)
 
 
 def test_evaluate_is_exactly_zero_where_rational_rho_powers_cancel():

@@ -11,6 +11,7 @@ from numpy.polynomial.legendre import leggauss as eigensolve_leggauss
 from scipy.integrate import quad
 from scipy.special import erf, erfi
 
+from nhboson.cli import main
 from nhboson.wkb import (
     Branch,
     PhaseFunction,
@@ -128,12 +129,23 @@ def test_integrals_match_closed_forms(hbar):
     assert rows[0].left_norm == pytest.approx(want2, rel=1e-8)
 
 
-def test_cross_overlap_is_interval_length_for_all_hbar():
-    for summand, energy in [(SUM, 1.0), (SUM, 2.0), (DIFF, 1.0)]:
+def test_cross_overlap_is_interval_length_for_all_hbar(tmp_path):
+    # the smallest normal energy and two subnormal ones, where x_t is about
+    # 5e-161 to 1.5e-154: the arcsin argument x / x_t cannot overflow there
+    tiny = [2.2250738585072014e-308, 1e-310, 1e-320]
+    cases = [(SUM, 1.0), (SUM, 2.0), (DIFF, 1.0), *((s, e) for s in (SUM, DIFF) for e in tiny)]
+    for summand, energy in cases:
         rows = wkb_integrals(summand, energy, [0.3, 0.05, 0.007])
         want = 2.0 * summand.turning_point(energy)
         for row in rows:
             assert row.cross_overlap == pytest.approx(want, rel=1e-12)
+    for name, summand in (("sum", SUM), ("diff", DIFF)):
+        for energy in tiny:
+            out = tmp_path / f"wkb-{name}-{energy!r}.csv"
+            assert main(["wkb", "--summand", name, "--energy", repr(energy), "--out", str(out)]) == 0
+            _, *rows = out.read_text().splitlines()
+            want = 2.0 * summand.turning_point(energy)
+            assert all(float(row.split(",")[3]) == pytest.approx(want, rel=1e-12) for row in rows)
 
 
 def test_sum_mode_unit_energy_overlap_is_one():
