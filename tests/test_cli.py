@@ -361,6 +361,7 @@ def test_accretive_rejects_infinite_point(tmp_path, capsys):
         ("biorth", "--max-index", "1", "--gamma", "1e308"),
         ("norms", "--max-index", "1", "--gamma", "1e308"),
         ("expand", "--cutoff", "1", "--gamma", "1e308"),
+        ("wkb", "--energy", "1e308"),
     ],
 )
 def test_non_finite_results_exit_3_without_artifact(tmp_path, capsys, argv):
